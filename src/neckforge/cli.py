@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import datetime
-import os
 import sys
 from dataclasses import dataclass, field
 
@@ -126,7 +125,6 @@ def _pos_int(raw, key):
 
 # schema: key -> (coercer, default).  None default = computed or optional.
 _GLOBAL = {
-    "threads": (_pos_int, None),
     "seed": (_as_int, 20260813),
     "out": (_as_str, None),
     "deterministic": (_as_bool, False),
@@ -272,9 +270,6 @@ def load_config(path: str | None, command: str | None = None,
             params[key] = coerce(raw[key], key)
         else:
             params[key] = default
-    if params["threads"] is None:
-        env = os.environ.get("NECKFORGE_THREADS")
-        params["threads"] = _pos_int(env, "threads") if env else (os.cpu_count() or 1)
     return RunConfig(command=command, parameters=params)
 
 
@@ -403,7 +398,7 @@ def _run_extension_validate(config: RunConfig) -> int:
     rows = []
     for n in p["n"]:
         for r in cross_validate(n, p["m"], p["xi"], phi_grid=p["phi_grid"],
-                                scheme=p["scheme"], threads=p["threads"]):
+                                scheme=p["scheme"]):
             rows.append((r["n"], r["m"], r["xi"], r["dtn"], r["theta"],
                          r["rel_err"]))
     _emit(config, ("n", "m", "xi", "dtn", "theta", "rel_err"), rows)
@@ -418,7 +413,7 @@ def _run_glue(config: RunConfig) -> int:
         eps_list = eps_list[:1]
     norm = WeightedNormSpec(mu=p["mu"], k=0)
     rows = [(r["epsilon"], r["S_eps"], r["delta"], r["E"])
-            for r in error_sweep(p["n"], eps_list, norm, threads=p["threads"],
+            for r in error_sweep(p["n"], eps_list, norm,
                                  n_s=p["n_s"], pad=p["pad"],
                                  perturbation=p["perturbation"],
                                  weight_convention=p["weight_convention"])]
@@ -443,8 +438,8 @@ def _run_solve(config: RunConfig) -> int:
                           method=p["method"])
     print(f"# method={report.method} iterations={report.iterations} "
           f"converged={report.converged}", file=sys.stderr)
-    for note in report.notes:
-        print(f"# {note}", file=sys.stderr)
+    if report.notes:
+        print(f"# {report.notes}", file=sys.stderr)
     rows = [(k, r) for k, r in enumerate(report.residual_history)]
     _emit(config, ("step", "residual"), rows)
     return 0 if report.converged else 3
@@ -487,8 +482,6 @@ def run(config: RunConfig) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="path to a key = value config file")
-    common.add_argument("--threads", help="worker threads "
-                        "(default: NECKFORGE_THREADS or all cores)")
     common.add_argument("--seed", help="RNG seed recorded in output headers")
     common.add_argument("--out", help="output CSV path (default: stdout)")
     common.add_argument("--deterministic", action="store_const", const="true",

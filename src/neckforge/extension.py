@@ -31,7 +31,6 @@ negative (resonant) test case downstream.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -267,20 +266,15 @@ def ball_kernel_degrees(model: BallModel) -> tuple:
 
 
 def cross_validate(n: int, modes, xis, phi_grid: int = 1024,
-                   scheme: str = "collocation-ODE", threads: int = 1):
+                   scheme: str = "collocation-ODE"):
     """Sweep |dtn - theta|/theta over (m, xi) pairs; rows for the CLI table."""
-    jobs = [(m, float(xi)) for m in modes for xi in xis]
-
-    def one(job):
-        m, xi = job
+    rows = []
+    for m in modes:
         spec = ModeSpec(n=n, gamma=0.5, m=m)
-        dtn = dtn_cylinder(HalfCylinderProblem(spec, xi=xi, phi_grid=phi_grid,
-                                               scheme=scheme))
-        ref = float(theta(spec, xi))
-        return {"n": n, "m": m, "xi": xi, "dtn": dtn, "theta": ref,
-                "rel_err": abs(dtn - ref) / ref}
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, jobs))
-    return [one(j) for j in jobs]
+        for xi in map(float, xis):
+            dtn = dtn_cylinder(HalfCylinderProblem(spec, xi=xi, phi_grid=phi_grid,
+                                                   scheme=scheme))
+            ref = float(theta(spec, xi))
+            rows.append({"n": n, "m": m, "xi": xi, "dtn": dtn, "theta": ref,
+                         "rel_err": abs(dtn - ref) / ref})
+    return rows

@@ -28,7 +28,6 @@ sup norms with the neck weight (cosh-type, small in the middle).
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -36,7 +35,7 @@ import numpy as np
 
 from .errors import ConfigOverlap, NonPositiveConformalFactor, ValidationError
 from .modegreen import LineFunction
-from .symbol import ModeSpec, constants, theta
+from .symbol import ModeSpec, constants, theta_table
 
 __all__ = [
     "NeckConfig",
@@ -44,6 +43,8 @@ __all__ = [
     "weight",
     "weighted_norm",
     "build_glued_factor",
+    "curvature",
+    "curvature_linearization",
     "approximate_curvature_error",
     "covariance_selftest",
     "error_sweep",
@@ -219,10 +220,17 @@ def _cutoff_flip(config: NeckConfig, s: np.ndarray, chi: np.ndarray) -> np.ndarr
     return np.interp(-s, s, chi)
 
 
-def _theta_multiplier(n: int, v: LineFunction) -> np.ndarray:
-    xi = 2.0 * np.pi * np.fft.fftfreq(v.N, d=v.ds)
-    spec = ModeSpec(n=n, gamma=0.5, m=0)
-    return np.real(np.fft.ifft(theta(spec, np.abs(xi)) * np.fft.fft(v.values)))
+def curvature(n: int, u, Pu):
+    """Conformal covariance: the boundary curvature of u^{4/(n-1)} g is
+    Q(u) = u^{-N} P u with N = (n+1)/(n-1), from samples of u and P u."""
+    return u ** (-(n + 1) / (n - 1)) * Pu
+
+
+def curvature_linearization(n: int, u, Pu):
+    """Coefficients (a, b) of the exact derivative DQ(u) w = a P w + b w,
+    a = u^{-N} and b = -N u^{-N-1} P u."""
+    N = (n + 1) / (n - 1)
+    return curvature(n, u, 1.0), -N * u ** (-N - 1.0) * Pu
 
 
 def curvature_of_factor(config: NeckConfig, n: int, U: LineFunction) -> LineFunction:
@@ -231,9 +239,8 @@ def curvature_of_factor(config: NeckConfig, n: int, U: LineFunction) -> LineFunc
         raise NonPositiveConformalFactor("conformal factor must be positive")
     exponent = (n - 1) / 4.0
     u = config.line_function(np.asarray(U.values, dtype=float) ** exponent)
-    Pu = _theta_multiplier(n, u)
-    N_pow = (n + 1) / (n - 1)
-    return config.line_function(u.values ** (-N_pow) * Pu)
+    Pu = np.real(np.fft.ifft(theta_table(n, 0, u.N, u.ds)[0] * np.fft.fft(u.values)))
+    return config.line_function(curvature(n, u.values, Pu))
 
 
 def approximate_curvature_error(config: NeckConfig, n: int,
@@ -272,10 +279,8 @@ def covariance_selftest(config: NeckConfig, n: int, n_exact: int = 48) -> float:
     U = build_glued_factor(config, n)
     exponent = (n - 1) / 4.0
     u = np.asarray(U.values, dtype=float) ** exponent
-    v = config.line_function(u)
-    xi = 2.0 * np.pi * np.fft.fftfreq(v.N, d=v.ds)
-    spec = ModeSpec(n=n, gamma=0.5, m=0)
-    mult_a = theta(spec, np.abs(xi))
+    xi = 2.0 * np.pi * np.fft.fftfreq(U.N, d=U.ds)
+    mult_a = theta_table(n, 0, U.N, U.ds)[0]
     order = np.argsort(np.abs(xi), kind="stable")[: 2 * n_exact]
     exact_xis = np.abs(xi[order])
     uniq = tuple(sorted(set(np.round(exact_xis, 12))))
@@ -284,24 +289,18 @@ def covariance_selftest(config: NeckConfig, n: int, n_exact: int = 48) -> float:
     for k in order:
         mult_b[k] = table[round(abs(xi[k]), 12)]
     uhat = np.fft.fft(u)
-    N_pow = (n + 1) / (n - 1)
-    q_a = u ** (-N_pow) * np.real(np.fft.ifft(mult_a * uhat))
-    q_b = u ** (-N_pow) * np.real(np.fft.ifft(mult_b * uhat))
+    q_a = curvature(n, u, np.real(np.fft.ifft(mult_a * uhat)))
+    q_b = curvature(n, u, np.real(np.fft.ifft(mult_b * uhat)))
     return float(np.max(np.abs(q_a - q_b)))
 
 
 def error_sweep(n: int, epsilons, norm: WeightedNormSpec | None = None,
-                threads: int = 1, **config_kw):
+                **config_kw):
     """E(epsilon) decay study; one row per epsilon."""
-
-    def one(eps):
+    rows = []
+    for eps in epsilons:
         cfg = NeckConfig(epsilon=float(eps), **config_kw)
         _, E = approximate_curvature_error(cfg, n, norm)
-        return {"epsilon": float(eps), "S_eps": cfg.S_eps,
-                "delta": cfg.resolved_delta, "E": E}
-
-    eps_list = list(epsilons)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, eps_list))
-    return [one(e) for e in eps_list]
+        rows.append({"epsilon": float(eps), "S_eps": cfg.S_eps,
+                     "delta": cfg.resolved_delta, "E": E})
+    return rows

@@ -27,8 +27,7 @@ sequential and pure.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -40,8 +39,9 @@ from .errors import (Diverged, NonPositiveConformalFactor, ResonanceError,
                      ValidationError)
 from .extension import BallModel, ball_linearized_eigenvalue, dtn_ball_eigenvalue
 from .indicial import first_root
-from .neck import WeightedNormSpec, weight as neck_weight
-from .symbol import ModeSpec, constants, theta
+from .neck import (NeckConfig, WeightedNormSpec, build_glued_factor, curvature,
+                   curvature_linearization, weight as neck_weight)
+from .symbol import ModeSpec, constants, theta_table
 
 __all__ = [
     "PeriodicCylinderState",
@@ -133,14 +133,8 @@ def default_period(n: int) -> float:
     return 2.0 * np.pi / tau0 * (1.0 + 1.0 / np.sqrt(2.0))
 
 
-@lru_cache(maxsize=128)
-def _multiplier_table(n: int, L: float, m_max: int, N_s: int):
-    xi = 2.0 * np.pi * np.fft.fftfreq(N_s, d=L / N_s)
-    out = np.empty((m_max + 1, N_s))
-    for m in range(m_max + 1):
-        out[m] = theta(ModeSpec(n=n, gamma=0.5, m=m), np.abs(xi))
-    out.setflags(write=False)
-    return out
+def _multipliers(state: PeriodicCylinderState) -> np.ndarray:
+    return theta_table(state.n, state.m_max, state.N_s, state.L / state.N_s)
 
 
 @dataclass(frozen=True)
@@ -168,7 +162,7 @@ class PeriodicCylinderState:
         if np.max(np.abs(self.f_hat - flipped)) > 1e-8 * scale:
             raise ValidationError("coefficients are not Hermitian-symmetric "
                                   "(state must be real-valued)")
-        mults = _multiplier_table(self.n, self.L, self.m_max, self.N_s)
+        mults = _multipliers(self)
         kappa = constants(self.n).kappa
         if np.min(np.abs(mults[0] - kappa)) <= RESONANCE_MARGIN:
             raise ResonanceError(
@@ -207,13 +201,9 @@ class PeriodicCylinderState:
 # operators
 
 
-def _n_power(n: int) -> float:
-    return (n + 1) / (n - 1)
-
-
 def apply_Q(state: PeriodicCylinderState) -> np.ndarray:
     """Curvature map Q(f) = f^{-(n+1)/(n-1)} (P f) as a coefficient table."""
-    mults = _multiplier_table(state.n, state.L, state.m_max, state.N_s)
+    mults = _multipliers(state)
     basis = _basis(state.n, state.m_max)
     f_vals = state.mode_values()
     Pf_vals = np.real(np.fft.ifft(mults * state.f_hat, axis=1))
@@ -221,20 +211,18 @@ def apply_Q(state: PeriodicCylinderState) -> np.ndarray:
     if np.min(f_grid) <= 0.0:
         raise NonPositiveConformalFactor(
             f"factor reaches {np.min(f_grid):.3g} on the collocation grid")
-    Q_grid = f_grid ** (-_n_power(state.n)) * basis.to_grid(Pf_vals)
+    Q_grid = curvature(state.n, f_grid, basis.to_grid(Pf_vals))
     return np.fft.fft(basis.to_modes(Q_grid), axis=1)
 
 
 def apply_linearized(state: PeriodicCylinderState, v_hat: np.ndarray) -> np.ndarray:
     """Frozen linearization at f = 1: diagonal multiplier Theta_m - kappa."""
-    mults = _multiplier_table(state.n, state.L, state.m_max, state.N_s)
-    return (mults - constants(state.n).kappa) * v_hat
+    return (_multipliers(state) - constants(state.n).kappa) * v_hat
 
 
 def solve_linearized(state: PeriodicCylinderState, h_hat: np.ndarray) -> np.ndarray:
     """Model Green operator: per-mode division by Theta_m - kappa."""
-    mults = _multiplier_table(state.n, state.L, state.m_max, state.N_s)
-    denom = mults - constants(state.n).kappa
+    denom = _multipliers(state) - constants(state.n).kappa
     bad = np.abs(denom) <= RESONANCE_MARGIN
     if np.any(bad):
         m_bad, k_bad = np.argwhere(bad)[0]
@@ -246,13 +234,11 @@ def solve_linearized(state: PeriodicCylinderState, h_hat: np.ndarray) -> np.ndar
 def _jacobian_matvec(state: PeriodicCylinderState):
     """Exact derivative of apply_Q at the given state, as a matvec on
     coefficient tables: DQ(f) w = f^{-N} P w - N f^{-N-1} (P f) w."""
-    mults = _multiplier_table(state.n, state.L, state.m_max, state.N_s)
+    mults = _multipliers(state)
     basis = _basis(state.n, state.m_max)
-    Npow = _n_power(state.n)
     f_grid = basis.to_grid(state.mode_values())
     Pf_grid = basis.to_grid(np.real(np.fft.ifft(mults * state.f_hat, axis=1)))
-    coef_a = f_grid ** (-Npow)
-    coef_b = -Npow * f_grid ** (-Npow - 1.0) * Pf_grid
+    coef_a, coef_b = curvature_linearization(state.n, f_grid, Pf_grid)
 
     def matvec(w_hat: np.ndarray) -> np.ndarray:
         Pw_grid = basis.to_grid(np.real(np.fft.ifft(mults * w_hat, axis=1)))
@@ -415,7 +401,7 @@ def ball_apply_Q(state: BallState) -> np.ndarray:
     if np.min(f_grid) <= 0.0:
         raise NonPositiveConformalFactor("ball factor lost positivity")
     Pf_grid = basis.to_grid(eig * state.coeffs)
-    return basis.to_modes(f_grid ** (-_n_power(state.n)) * Pf_grid)
+    return basis.to_modes(curvature(state.n, f_grid, Pf_grid))
 
 
 def ball_solve_linearized(state: BallState, h: np.ndarray) -> np.ndarray:
@@ -438,9 +424,10 @@ def ball_newton_probe(n: int, k_max: int = 8, amplitude: float = 0.01,
                       degree: int = 1, max_iter: int = 12):
     """Fixed-point iteration on the ball from a single-degree perturbation.
 
-    Returns ('resonance', message) when the kernel blocks the first solve,
-    or ('stall', residual_history) if iteration proceeds without the
-    quadratic collapse — for degree 1 it must never converge quadratically.
+    Returns (outcome, message, residual_history) with outcome 'resonance'
+    when the kernel blocks a solve, or 'stall' if iteration proceeds
+    without the quadratic collapse — for degree 1 it must never converge
+    quadratically.
     """
     state = BallState.ones(n, k_max)
     coeffs = state.coeffs.copy()
@@ -464,7 +451,7 @@ def ball_newton_probe(n: int, k_max: int = 8, amplitude: float = 0.01,
 
 
 def cylinder_smallest_multiplier(n: int, L: float, m_max: int, N_s: int) -> float:
-    mults = _multiplier_table(n, L, m_max, N_s)
+    mults = theta_table(n, m_max, N_s, L / N_s)
     return float(np.min(np.abs(mults - constants(n).kappa)))
 
 
@@ -474,22 +461,8 @@ def _dense_multiplier(theta_row: np.ndarray) -> np.ndarray:
     return np.real(np.fft.ifft(theta_row[:, None] * F, axis=0))
 
 
-def _glued_factor_on(s: np.ndarray, epsilon: float, n: int) -> np.ndarray:
-    """Glued conformal factor evaluated on an arbitrary grid (fixed-window
-    sweeps need a common grid across epsilons)."""
-    from .neck import NeckConfig, _cutoff, _deviation_profile
-
-    cfg = NeckConfig(epsilon=epsilon, n_s=max(256, s.size))
-    delta = cfg.resolved_delta
-    chi = _cutoff(cfg, s)
-    g1 = 1.0 + delta**2 * _deviation_profile(cfg, s)
-    g2 = 1.0 + delta**2 * _deviation_profile(cfg, -s)
-    return chi * g1 + (1.0 - chi) * g2
-
-
 def uniform_invertibility_study(n: int, eps_list, mu: float, m_max: int = 3,
-                                N_s: int = 512, pad: float = 4.0,
-                                threads: int = 1) -> dict:
+                                N_s: int = 512, pad: float = 4.0) -> dict:
     """Smallest weighted singular value of the linearization at the glued
     factor, swept over epsilon on one fixed window.
 
@@ -506,8 +479,6 @@ def uniform_invertibility_study(n: int, eps_list, mu: float, m_max: int = 3,
     weight-conjugated matrix as an auxiliary diagnostic.  The slope in
     the report refers to the sup-norm measure.
     """
-    from .neck import NeckConfig
-
     eps_list = [float(e) for e in eps_list]
     if not eps_list:
         raise ValidationError("need at least one epsilon")
@@ -523,23 +494,18 @@ def uniform_invertibility_study(n: int, eps_list, mu: float, m_max: int = 3,
             break
     else:
         raise ResonanceError("could not find a non-resonant window length")
-    s = -0.5 * L + (L / N_s) * np.arange(N_s)
-    xi = 2.0 * np.pi * np.fft.fftfreq(N_s, d=L / N_s)
-    Npow = _n_power(n)
+    table = theta_table(n, m_max, N_s, L / N_s)
+    dense = [_dense_multiplier(row) for row in table]
 
-    dense = {m: _dense_multiplier(theta(ModeSpec(n=n, gamma=0.5, m=m), np.abs(xi)))
-             for m in range(m_max + 1)}
-
-    def one(eps: float) -> dict:
-        U = _glued_factor_on(s, eps, n)
-        u = U ** ((n - 1) / 4.0)
-        Pu = np.real(np.fft.ifft(theta(ModeSpec(n=n, gamma=0.5, m=0), np.abs(xi))
-                                 * np.fft.fft(u)))
-        a = u ** (-Npow)
-        b = -Npow * u ** (-Npow - 1.0) * Pu
-        cfg = NeckConfig(epsilon=eps, n_s=N_s)
-        w = neck_weight(cfg, s)
-        wl = w ** (-mu)
+    rows = []
+    for eps in eps_list:
+        # this pad puts the config's s_grid() on the shared window [-L/2, L/2)
+        # (to within an ulp of L/2)
+        cfg = NeckConfig(epsilon=eps, n_s=N_s, pad=0.5 * (L + np.log(eps)))
+        u = build_glued_factor(cfg, n).values ** ((n - 1) / 4.0)
+        Pu = np.real(np.fft.ifft(table[0] * np.fft.fft(u)))
+        a, b = curvature_linearization(n, u, Pu)
+        wl = neck_weight(cfg, cfg.s_grid()) ** (-mu)
         per_mode = {}
         per_mode_l2 = {}
         for m in range(m_max + 1):
@@ -548,15 +514,9 @@ def uniform_invertibility_study(n: int, eps_list, mu: float, m_max: int = 3,
             per_mode[m] = float(1.0 / np.max(np.sum(np.abs(scipy.linalg.inv(Aw)),
                                                     axis=1)))
             per_mode_l2[m] = float(scipy.linalg.svdvals(Aw)[-1])
-        return {"epsilon": eps, "per_mode": per_mode, "per_mode_l2": per_mode_l2,
-                "sigma_min": min(per_mode.values()),
-                "sigma_min_l2": min(per_mode_l2.values())}
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one, eps_list))
-    else:
-        rows = [one(e) for e in eps_list]
+        rows.append({"epsilon": eps, "per_mode": per_mode, "per_mode_l2": per_mode_l2,
+                     "sigma_min": min(per_mode.values()),
+                     "sigma_min_l2": min(per_mode_l2.values())})
 
     loge = np.log(eps_list)
 

@@ -58,11 +58,15 @@ def _lanczos_right(z):
     return _HALF_LOG_TWO_PI + (zm1 + 0.5) * np.log(t) - t + np.log(series)
 
 
-def _check_poles(z):
+def _near_pole(z):
+    """Mask of entries within POLE_TOL of a Gamma pole (a non-positive integer)."""
     re = np.real(z)
-    im = np.imag(z)
     nearest = np.round(re)
-    on_pole = (nearest <= 0.0) & (np.abs(re - nearest) < POLE_TOL) & (np.abs(im) < POLE_TOL)
+    return (nearest <= 0.0) & (np.abs(re - nearest) < POLE_TOL) & (np.abs(np.imag(z)) < POLE_TOL)
+
+
+def _check_poles(z):
+    on_pole = _near_pole(z)
     if np.any(on_pole):
         bad = np.asarray(z)[on_pole] if np.ndim(z) else z
         raise PoleError(f"log_gamma argument within {POLE_TOL:g} of a non-positive integer: {bad}")

@@ -30,13 +30,15 @@ Two constants drive everything downstream at gamma = 1/2:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import DegenerateSpec, PoleError, ValidationError
-from .specfun import POLE_TOL, log_gamma
+from .specfun import POLE_TOL, _near_pole, log_gamma
 
-__all__ = ["ModeSpec", "Constants", "theta", "theta_analytic", "constants"]
+__all__ = ["ModeSpec", "Constants", "theta", "theta_analytic", "theta_table",
+           "constants"]
 
 
 @dataclass(frozen=True)
@@ -85,7 +87,7 @@ class Constants:
 
 def _reject_degenerate(spec: ModeSpec):
     b = spec.b_offset
-    if b < 0.5 and abs(b - round(b)) < POLE_TOL and round(b) <= 0:
+    if _near_pole(b):
         raise DegenerateSpec(
             f"symbol denominator offset B = {b} sits on a Gamma pole; "
             f"spec {spec} is degenerate at xi = 0"
@@ -110,6 +112,17 @@ def theta(spec: ModeSpec, xi):
     return float(out) if np.ndim(xi) == 0 else out
 
 
+@lru_cache(maxsize=128)
+def theta_table(n: int, m_max: int, N: int, ds: float) -> np.ndarray:
+    """Read-only (m_max+1, N) table of Theta_m(|xi_k|) at gamma = 1/2 on the
+    FFT frequencies xi = 2*pi*fftfreq(N, ds) of an N-point grid of step ds:
+    row m is the Fourier multiplier of the boundary operator on mode m."""
+    xi = np.abs(2.0 * np.pi * np.fft.fftfreq(N, d=ds))
+    out = np.array([theta(ModeSpec(n=n, gamma=0.5, m=m), xi) for m in range(m_max + 1)])
+    out.setflags(write=False)
+    return out
+
+
 def theta_analytic(spec: ModeSpec, zeta):
     """Analytic continuation of the symbol to complex frequency zeta.
 
@@ -125,11 +138,6 @@ def theta_analytic(spec: ModeSpec, zeta):
     za_m = spec.a_offset - 0.5j * z_flat
     zb_p = spec.b_offset + 0.5j * z_flat
     zb_m = spec.b_offset - 0.5j * z_flat
-
-    def _near_pole(w):
-        re, im = np.real(w), np.imag(w)
-        nearest = np.round(re)
-        return (nearest <= 0.0) & (np.abs(re - nearest) < POLE_TOL) & (np.abs(im) < POLE_TOL)
 
     num_pole = _near_pole(za_p) | _near_pole(za_m)
     if np.any(num_pole):

@@ -120,15 +120,15 @@ def test_exit_code_4_for_failed_lemma_subset(tmp_path, capsys):
     assert code == 0
 
 
-def test_threads_resolution_order(monkeypatch):
-    monkeypatch.setenv("NECKFORGE_THREADS", "5")
-    rc = load_config(None, "symbol")
-    assert rc.parameters["threads"] == 5
-    rc2 = load_config(None, "symbol", overrides={"threads": "2"})
-    assert rc2.parameters["threads"] == 2
-    monkeypatch.delenv("NECKFORGE_THREADS")
-    rc3 = load_config(None, "symbol")
-    assert rc3.parameters["threads"] >= 1
+def test_deterministic_header_independent_of_cpu_count(tmp_path, monkeypatch):
+    out = tmp_path / "sym.csv"
+    args = ["symbol", "--n", "3", "--xi", "1", "--deterministic", "--out", str(out)]
+    files = []
+    for cores in (1, 64):
+        monkeypatch.setattr("os.cpu_count", lambda: cores)
+        assert main(args) == 0
+        files.append(out.read_bytes())
+    assert files[0] == files[1]
 
 
 def test_int_range_and_float_grid_syntax():
@@ -155,3 +155,12 @@ def test_solve_emits_history(tmp_path):
     assert rows[0] == "step,residual"
     residuals = [float(r.split(",")[1]) for r in rows[1:]]
     assert residuals[-1] <= 1e-10
+
+
+def test_solve_notes_print_as_one_line(tmp_path, capsys):
+    code = main(["solve", "--max-iter", "2", "--deterministic",
+                 "--out", str(tmp_path / "hist.csv")])
+    assert code == 3
+    notes = [ln for ln in capsys.readouterr().err.splitlines()
+             if ln.startswith("# ") and not ln.startswith("# method=")]
+    assert notes == ["# max_iter reached"]

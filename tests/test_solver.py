@@ -7,8 +7,8 @@ from neckforge.errors import (Diverged, NonPositiveConformalFactor,
                               ResonanceError, ValidationError)
 from neckforge.neck import WeightedNormSpec
 from neckforge.solver import (BallState, PeriodicCylinderState,
-                              apply_linearized, apply_Q, ball_apply_Q,
-                              ball_newton_probe, ball_solve_linearized,
+                              _jacobian_matvec, apply_linearized, apply_Q,
+                              ball_apply_Q, ball_newton_probe, ball_solve_linearized,
                               cylinder_smallest_multiplier, default_period,
                               newton_solve, quadratic_remainder,
                               solve_linearized, state_norm,
@@ -59,6 +59,22 @@ def test_linearized_matches_finite_difference():
     fd = (plus - minus) / (2 * eps)
     lin = apply_linearized(state, d_hat)
     assert np.max(np.abs(fd - lin)) <= 1e-4 * np.max(np.abs(lin))
+
+
+def test_jacobian_matches_finite_difference():
+    # exact derivative at a non-constant state, where it differs from the
+    # frozen multiplier Theta_m - kappa
+    state = _perturbed()
+    rng = np.random.default_rng(17)
+    d_hat = np.fft.fft(rng.standard_normal(state.f_hat.shape), axis=1)
+    d_hat /= state_norm(state, d_hat, NORM)
+    eps = 1e-5
+    plus = apply_Q(state.with_table(state.f_hat + eps * d_hat))
+    minus = apply_Q(state.with_table(state.f_hat - eps * d_hat))
+    fd = (plus - minus) / (2 * eps)
+    jvp = _jacobian_matvec(state)(d_hat)
+    assert np.max(np.abs(fd - jvp)) <= 1e-9 * np.max(np.abs(jvp))
+    assert np.max(np.abs(fd - apply_linearized(state, d_hat))) > 1e-2 * np.max(np.abs(jvp))
 
 
 def test_solve_then_apply_roundtrip():

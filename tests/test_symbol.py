@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from neckforge.errors import PoleError
+from neckforge.errors import DegenerateSpec, PoleError
 from neckforge.symbol import ModeSpec, constants, theta, theta_analytic
 
 
@@ -18,6 +18,12 @@ def test_constant_anchor_n3():
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_constant_is_symbol_at_zero(n):
     assert abs(constants(n).c - theta(ModeSpec(n=n, m=0), 0.0)) <= 1e-14
+
+
+def test_degenerate_spec_raises():
+    # B = 1/2 - gamma/2 = 5e-14 sits within the pole tolerance of Gamma's pole at 0
+    with pytest.raises(DegenerateSpec):
+        theta(ModeSpec(n=2, gamma=1 - 1e-13, m=0), 0.0)
 
 
 def test_mode0_closed_form_n3():
