@@ -2,7 +2,8 @@
 
 Two independent discretizations of the same half-cylinder problem:
 
-* collocation-ODE (shooting): error should sit at integrator tolerance,
+* collocation-ODE (Chebyshev collocation, flux by Clenshaw-Curtis
+  quadrature): error should sit at rounding level, near 1e-14,
 * finite-difference: error should drop ~4x per grid doubling.
 
 Prints one table per scheme; the finite-difference slopes are the check

@@ -125,7 +125,6 @@ def _pos_int(raw, key):
 
 # schema: key -> (coercer, default).  None default = computed or optional.
 _GLOBAL = {
-    "seed": (_as_int, 20260813),
     "out": (_as_str, None),
     "deterministic": (_as_bool, False),
 }
@@ -472,7 +471,6 @@ _RUNNERS = {
 
 
 def run(config: RunConfig) -> int:
-    np.random.seed(config.parameters.get("seed", 0) % (2**32))
     return _RUNNERS[config.command](config)
 
 
@@ -482,7 +480,6 @@ def run(config: RunConfig) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="path to a key = value config file")
-    common.add_argument("--seed", help="RNG seed recorded in output headers")
     common.add_argument("--out", help="output CSV path (default: stdout)")
     common.add_argument("--deterministic", action="store_const", const="true",
                         help="suppress timestamps for byte-identical output")

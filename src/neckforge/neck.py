@@ -29,7 +29,6 @@ sup norms with the neck weight (cosh-type, small in the middle).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -258,15 +257,6 @@ def approximate_curvature_error(config: NeckConfig, n: int,
     return err, weighted_norm(norm, config, err)
 
 
-@lru_cache(maxsize=32)
-def _dtn_table(n: int, xis: tuple) -> tuple:
-    from .extension import HalfCylinderProblem, dtn_cylinder
-
-    spec = ModeSpec(n=n, gamma=0.5, m=0)
-    return tuple(dtn_cylinder(HalfCylinderProblem(spec, xi=x, phi_grid=256))
-                 for x in xis)
-
-
 def covariance_selftest(config: NeckConfig, n: int, n_exact: int = 48) -> float:
     """Two-route curvature agreement on the conformally exact window.
 
@@ -276,6 +266,8 @@ def covariance_selftest(config: NeckConfig, n: int, n_exact: int = 48) -> float:
     extension ODE solve.  Agreement bounds the covariance pipeline against
     an independent realization of the boundary operator.
     """
+    from .extension import HalfCylinderProblem, dtn_cylinder
+
     U = build_glued_factor(config, n)
     exponent = (n - 1) / 4.0
     u = np.asarray(U.values, dtype=float) ** exponent
@@ -283,8 +275,9 @@ def covariance_selftest(config: NeckConfig, n: int, n_exact: int = 48) -> float:
     mult_a = theta_table(n, 0, U.N, U.ds)[0]
     order = np.argsort(np.abs(xi), kind="stable")[: 2 * n_exact]
     exact_xis = np.abs(xi[order])
-    uniq = tuple(sorted(set(np.round(exact_xis, 12))))
-    table = dict(zip(uniq, _dtn_table(n, uniq)))
+    spec = ModeSpec(n=n, gamma=0.5, m=0)
+    table = {x: dtn_cylinder(HalfCylinderProblem(spec, xi=x))
+             for x in set(np.round(exact_xis, 12))}
     mult_b = mult_a.copy()
     for k in order:
         mult_b[k] = table[round(abs(xi[k]), 12)]

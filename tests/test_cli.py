@@ -78,11 +78,28 @@ def test_parse_error_carries_line_number(tmp_path):
 
 def test_flags_override_file(tmp_path):
     cfg = tmp_path / "c.cfg"
-    cfg.write_text("[global]\nseed = 1\n[glue]\nepsilon = 0.1\nmu = -0.4\n")
+    cfg.write_text("[global]\ndeterministic = true\n[glue]\nepsilon = 0.1\nmu = -0.4\n")
     rc = load_config(str(cfg), "glue", overrides={"epsilon": "0.05"})
     assert rc.parameters["epsilon"] == 0.05
     assert rc.parameters["mu"] == -0.4
-    assert rc.parameters["seed"] == 1
+    assert rc.parameters["deterministic"] is True
+
+
+def test_seed_key_is_unknown(tmp_path, capsys):
+    # nothing in the package draws from a global RNG, so there is no seed knob
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("[global]\nseed = 1\n")
+    assert main(["symbol", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "unknown key 'seed'" in err
+    assert "Traceback" not in err
+
+
+def test_extension_past_resolution_cap_exits_3(capsys):
+    assert main(["extension-validate", "--n", "3", "--m", "0", "--xi", "1000"]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "Chebyshev points" in err
+    assert "Traceback" not in err
 
 
 def test_empty_file_plus_flags(tmp_path):

@@ -7,12 +7,26 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def test_glue_sweep_script_runs():
+def _run(script):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, os.path.join(ROOT, "scripts", "glue_sweep.py")],
+    proc = subprocess.run([sys.executable, os.path.join(ROOT, "scripts", script)],
                           capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    floors = [ln for ln in proc.stdout.splitlines() if "floor" in ln]
+    return proc.stdout
+
+
+def test_glue_sweep_script_runs():
+    floors = [ln for ln in _run("glue_sweep.py").splitlines() if "floor" in ln]
     assert len(floors) == 2          # one summary line per dimension
+
+
+def test_dtn_convergence_script_runs():
+    colloc, fd = _run("dtn_convergence.py").split("\n\n")
+    colloc_rows = colloc.splitlines()[2:]
+    fd_rows = fd.splitlines()[2:]
+    assert len(colloc_rows) == len(fd_rows) == 5
+    # collocation rows end in rel_err; FD rows end in three doubling ratios
+    assert all(float(row.split()[-1]) <= 1e-12 for row in colloc_rows)
+    assert all(float(r) >= 3.0 for row in fd_rows for r in row.split()[-3:])
