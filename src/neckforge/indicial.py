@@ -22,24 +22,26 @@ principle for meromorphic functions:
 with the winding accumulated from adaptively refined boundary samples and
 the pole count read off the explicit ladder.  Certified counts drive a
 box-subdivision search; individual roots are polished by damped Newton
-iteration on F and reported with the residual |F| and the symbol
-derivative at the root (the ingredient of Green-kernel residues).
+iteration on F, with the analytic derivative F'(lambda) = -i Theta'(zeta)
+from the digamma form of Theta'/Theta, and reported with the residual |F|
+and the symbol derivative Theta' at the root (the ingredient of
+Green-kernel residues).
 
 Real-axis and imaginary-axis roots (where F is real-valued) are located by
-sign-change bracketing, which is both faster and immune to the contour
-passing through the axis ladder.
+sign-change bracketing refined by Illinois false position, which is both
+faster and immune to the contour passing through the axis ladder.
 """
 
 from __future__ import annotations
 
-import math
+import cmath
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import ContourThroughRoot, NonConvergence, PoleError
-from .symbol import ModeSpec, constants, theta, theta_analytic
+from .symbol import ModeSpec, constants, theta, theta_analytic, theta_log_derivative
 
 __all__ = [
     "IndicialRoot",
@@ -87,8 +89,12 @@ class RootCatalog:
 
 
 def _char_fn(spec: ModeSpec, kappa: float):
+    """F(lambda) = Theta_m(-i lambda) - kappa, with ``F.dtheta(lam, F(lam))``
+    the symbol derivative Theta'(zeta) at zeta = -i lambda, read off the
+    log-derivative Theta'/Theta at the same point."""
     def F(lam):
         return theta_analytic(spec, -1j * np.asarray(lam, dtype=np.complex128)) - kappa
+    F.dtheta = lambda lam, f: complex((f + kappa) * theta_log_derivative(spec, -1j * lam))
     return F
 
 
@@ -168,18 +174,17 @@ def _winding(F, box, kappa_scale, max_points=120000):
 
 
 def _newton_polish(F, lam0, tol, max_iter=80):
+    """Damped Newton on F from lam0; returns (lambda, |F|, dTheta/dzeta)."""
     lam = complex(lam0)
     for _ in range(max_iter):
         f0 = complex(F(lam))
+        dtheta = F.dtheta(lam, f0)
         if abs(f0) <= tol:
-            h = 1e-6 * (1.0 + abs(lam))
-            deriv = (complex(F(lam + h)) - complex(F(lam - h))) / (2.0 * h)
-            return lam, abs(f0), deriv
-        h = 1e-6 * (1.0 + abs(lam))
-        deriv = (complex(F(lam + h)) - complex(F(lam - h))) / (2.0 * h)
-        if deriv == 0:
+            return lam, abs(f0), dtheta
+        if dtheta == 0 or not cmath.isfinite(dtheta):
             break
-        step = f0 / deriv
+        # F'(lambda) = -i Theta'(zeta) at zeta = -i lambda
+        step = 1j * f0 / dtheta
         cap = 0.5 * (1.0 + abs(lam))
         if abs(step) > cap:
             step *= cap / abs(step)
@@ -187,7 +192,9 @@ def _newton_polish(F, lam0, tol, max_iter=80):
     raise NonConvergence(f"Newton polish failed to reach |F| <= {tol:g} from {lam0}")
 
 
-def _bisect_real(g, a, b, tol=1e-14, max_iter=200):
+def _false_position(g, a, b, tol=1e-14, max_iter=200):
+    """Zero of g on the sign-change bracket [a, b], by Illinois false position,
+    to a bracket width of tol * (1 + |x|)."""
     fa, fb = g(a), g(b)
     if fa == 0.0:
         return a
@@ -195,16 +202,25 @@ def _bisect_real(g, a, b, tol=1e-14, max_iter=200):
         return b
     if fa * fb > 0.0:
         raise NonConvergence(f"no sign change on [{a}, {b}]")
+    side = 0
     for _ in range(max_iter):
-        mid = 0.5 * (a + b)
-        fm = g(mid)
-        if fm == 0.0 or (b - a) < tol * (1.0 + abs(mid)):
-            return mid
-        if fa * fm < 0.0:
-            b, fb = mid, fm
+        x = b - fb * (b - a) / (fb - fa)
+        if not a < x < b or b - a < tol * (1.0 + abs(x)):
+            return x
+        fx = g(x)
+        if fx == 0.0:
+            return x
+        if (fx > 0.0) == (fb > 0.0):
+            b, fb = x, fx
+            if side == -1:
+                fa *= 0.5
+            side = -1
         else:
-            a, fa = mid, fm
-    return 0.5 * (a + b)
+            a, fa = x, fx
+            if side == 1:
+                fb *= 0.5
+            side = 1
+    return x
 
 
 def _fold(x, tol=1e-9):
@@ -212,11 +228,9 @@ def _fold(x, tol=1e-9):
 
 
 def _make_root(F, lam, tol):
-    lam_p, res, deriv = _newton_polish(F, lam, tol)
-    sigma = _fold(lam_p.real)
-    tau = _fold(abs(lam_p.imag))
-    # dTheta/dzeta at zeta = -i*lambda equals i * F'(lambda)
-    return IndicialRoot(sigma=sigma, tau=tau, residual=res, dtheta=1j * deriv)
+    lam_p, res, dtheta = _newton_polish(F, lam, tol)
+    return IndicialRoot(sigma=_fold(lam_p.real), tau=_fold(abs(lam_p.imag)),
+                        residual=res, dtheta=dtheta)
 
 
 def _dedup(roots, tol=1e-7):
@@ -237,14 +251,14 @@ def _subdivide_search(F, spec, box, tol, kappa_scale, depth=0):
     if count == 1 or diam < 2e-4:
         center = complex(0.5 * (slo + shi), 0.5 * (tlo + thi))
         try:
-            lam, res, deriv = _newton_polish(F, center, tol)
+            lam, res, dtheta = _newton_polish(F, center, tol)
         except NonConvergence:
             lam = None
         if lam is not None and slo - 1e-9 <= lam.real <= shi + 1e-9 \
                 and tlo - 1e-9 <= lam.imag <= thi + 1e-9:
             return [IndicialRoot(
                 sigma=_fold(lam.real), tau=_fold(abs(lam.imag)),
-                residual=res, dtheta=1j * deriv, multiplicity=count,
+                residual=res, dtheta=dtheta, multiplicity=count,
             )]
         if diam < 2e-4:
             raise NonConvergence(f"cannot isolate {count} roots in minimal box {box}")
@@ -319,7 +333,7 @@ def first_root(spec: ModeSpec, tol: float = 1e-12, kappa: float | None = None) -
     """Smallest-sigma indicial root.
 
     Mode 0: the purely oscillatory pair (sigma = 0, tau > 0), located by
-    bisection of Theta_0(tau) = kappa on the real frequency axis.
+    false position on Theta_0(tau) = kappa on the real frequency axis.
     Mode >= 1: the first real root, bracketed in (0, 2B) where the symbol
     continuation falls from Theta_m(0) > kappa to 0 with no pole between.
     """
@@ -333,9 +347,9 @@ def first_root(spec: ModeSpec, tol: float = 1e-12, kappa: float | None = None) -
             hi *= 2.0
             if hi > 1e6:
                 raise NonConvergence("mode-0 first root bracket not found")
-        tau0 = _bisect_real(g, 0.0, hi)
-        lam, res, deriv = _newton_polish(F, 1j * tau0, tol)
-        return IndicialRoot(sigma=_fold(lam.real), tau=abs(lam.imag), residual=res, dtheta=1j * deriv)
+        tau0 = _false_position(g, 0.0, hi)
+        lam, res, dtheta = _newton_polish(F, 1j * tau0, tol)
+        return IndicialRoot(sigma=_fold(lam.real), tau=abs(lam.imag), residual=res, dtheta=dtheta)
     upper = 2.0 * spec.b_offset
     grid = np.linspace(1e-9, upper - 1e-9, 400)
     vals = np.real(F(grid.astype(complex)))
@@ -344,9 +358,9 @@ def first_root(spec: ModeSpec, tol: float = 1e-12, kappa: float | None = None) -
         raise NonConvergence(f"no real first root found in (0, {upper}) for {spec}")
     i = idx[0]
     g = lambda x: float(np.real(F(complex(x))))
-    sig0 = _bisect_real(g, float(grid[i]), float(grid[i + 1]))
-    lam, res, deriv = _newton_polish(F, complex(sig0), tol)
-    return IndicialRoot(sigma=lam.real, tau=_fold(abs(lam.imag)), residual=res, dtheta=1j * deriv)
+    sig0 = _false_position(g, float(grid[i]), float(grid[i + 1]))
+    lam, res, dtheta = _newton_polish(F, complex(sig0), tol)
+    return IndicialRoot(sigma=lam.real, tau=_fold(abs(lam.imag)), residual=res, dtheta=dtheta)
 
 
 def _axis_roots_real(F, spec, sigma_max, tol):
@@ -364,7 +378,7 @@ def _axis_roots_real(F, spec, sigma_max, tol):
         sign_flip = np.nonzero(np.signbit(vals[1:]) != np.signbit(vals[:-1]))[0]
         g = lambda x: float(np.real(F(complex(x))))
         for i in sign_flip:
-            x0 = _bisect_real(g, float(grid[i]), float(grid[i + 1]))
+            x0 = _false_position(g, float(grid[i]), float(grid[i + 1]))
             roots.append(_make_root(F, complex(x0), tol))
     return roots
 
@@ -376,7 +390,7 @@ def _axis_roots_imag(F, spec, kappa, tau_max, tol):
     roots = []
     g = lambda t: theta(spec, t) - kappa
     for i in sign_flip:
-        t0 = _bisect_real(g, float(grid[i]), float(grid[i + 1]))
+        t0 = _false_position(g, float(grid[i]), float(grid[i + 1]))
         roots.append(_make_root(F, 1j * t0, tol))
     return roots
 

@@ -33,12 +33,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.special import psi
 
 from .errors import DegenerateSpec, PoleError, ValidationError
 from .specfun import POLE_TOL, _near_pole, log_gamma
 
-__all__ = ["ModeSpec", "Constants", "theta", "theta_analytic", "theta_table",
-           "constants"]
+__all__ = ["ModeSpec", "Constants", "theta", "theta_analytic",
+           "theta_log_derivative", "theta_table", "constants"]
 
 
 @dataclass(frozen=True)
@@ -140,18 +141,30 @@ def theta_analytic(spec: ModeSpec, zeta):
     zb_m = spec.b_offset - 0.5j * z_flat
 
     num_pole = _near_pole(za_p) | _near_pole(za_m)
-    if np.any(num_pole):
+    if num_pole.any():
         raise PoleError(f"theta_analytic pole at zeta = {z_flat[num_pole]}")
     den_pole = _near_pole(zb_p) | _near_pole(zb_m)
 
     out = np.zeros_like(z_flat)
     ok = ~den_pole
-    if np.any(ok):
+    if ok.any():
         log_val = (2.0 * spec.gamma * np.log(2.0)
                    + log_gamma(za_p[ok]) + log_gamma(za_m[ok])
                    - log_gamma(zb_p[ok]) - log_gamma(zb_m[ok]))
         out[ok] = np.exp(log_val)
     return complex(out[0]) if scalar else out.reshape(z_arr.shape)
+
+
+def theta_log_derivative(spec: ModeSpec, zeta):
+    """Log-derivative Theta_m'(zeta) / Theta_m(zeta) of the analytic
+    continuation, scalar or array:
+
+        (i/2) [psi(A + i zeta/2) - psi(A - i zeta/2)
+               - psi(B + i zeta/2) + psi(B - i zeta/2)].
+    """
+    h = 0.5j * np.asarray(zeta, dtype=np.complex128)
+    a, b = spec.a_offset, spec.b_offset
+    return 0.5j * (psi(a + h) - psi(a - h) - psi(b + h) + psi(b - h))
 
 
 def constants(n: int, gamma: float = 0.5) -> Constants:

@@ -21,6 +21,59 @@ TAU0 = {2: 0.80990727068780252, 3: 1.2191319876982279,
 LADDER_M0 = (0.0, 2.7214109165766458, 4.8361113978734753, 6.8835616365043332)
 LADDER_M1 = (1.0, 3.7787019380974985, 5.8598340748607976)
 
+# (n, m, j): (sigma, tau, Re dTheta/dzeta, Im dTheta/dzeta) for the first four
+# catalog roots, the derivative from the digamma form at zeta = -i*lambda
+DTHETA = {
+    (3, 0, 0): (0.0, 1.219131987698227902485506854503005650704,
+                0.8706260143937039963689891546600678897043, 0.0),
+    (3, 0, 1): (2.721410916576645793557662262504754205909, 0.0,
+                0.0, -4.742642357187780913534192686811207968228),
+    (3, 0, 2): (4.836111397873475266873818627038835089899, 0.0,
+                0.0, -7.859823566519884454219141979771317061813),
+    (3, 0, 3): (6.883561636504333152239851503308588796665, 0.0,
+                0.0, -10.9976414669512714880723494887730798517),
+    (3, 1, 0): (1.0, 0.0,
+                0.0, -0.6366197723675813430755350534900574481378),
+    (3, 1, 1): (3.778701938097498472955782380182741760737, 0.0,
+                0.0, -5.856825357501029670085119352740681265559),
+    (3, 1, 2): (5.859834074860797576888483444421245075399, 0.0,
+                0.0, -9.153826794756803902074448625259682175779),
+    (3, 1, 3): (7.896598077911505350541304609634750346095, 0.0,
+                0.0, -12.36626561292484349959764201613137496498),
+    (3, 2, 0): (2.362990880139059946774223456171201011856, 0.0,
+                0.0, -1.375934674102547552770375575572162719847),
+    (3, 2, 1): (4.810878001586800815378571152815730950985, 0.0,
+                0.0, -6.794061103085571031471054094884797728844),
+    (3, 2, 2): (6.875545317061496731187033745114826982841, 0.0,
+                0.0, -10.28451448691951288132752076673791925525),
+    (3, 2, 3): (8.906049508884128011546002480016366435044, 0.0,
+                0.0, -13.59652953252798336660696811519205924333),
+    (4, 0, 0): (0.0, 1.545275313183919980109398956971915060923,
+                0.7993694319123451143685936893625505092439, 0.0),
+    (4, 0, 1): (3.15605079941409985198737332656841347114, 0.0,
+                0.0, -5.87358280338969598962174247431334267403),
+    (4, 0, 2): (5.285860206619172707158155743060746887824, 0.0,
+                0.0, -8.840198285067719495394111000527775031158),
+    (4, 0, 3): (7.344009625484325887881761060608853042201, 0.0,
+                0.0, -11.92074230639055022517410550731191640517),
+    (4, 1, 0): (1.0, 0.0,
+                0.0, -0.4863199144947725864081710979343254540576),
+    (4, 1, 1): (4.212250825935458534817290118469669797345, 0.0,
+                0.0, -6.750455938259146136862184205103796660658),
+    (4, 1, 2): (6.312508652470389355864030068612435294465, 0.0,
+                0.0, -9.994852633925062339884734877279266013481),
+    (4, 1, 3): (8.359585615137572061177379052537237577626, 0.0,
+                0.0, -13.18863208116565866213542244943415640275),
+    (4, 2, 0): (2.544580932762638271011555328994006106892, 0.0,
+                0.0, -1.171218498222232144193000803513796837165),
+    (4, 2, 1): (5.247696320390396503646142731083011131223, 0.0,
+                0.0, -7.54534241156932293757078364442087496955),
+    (4, 2, 2): (7.331170459300638800031778157075319162729, 0.0,
+                0.0, -11.02966683684106818792628612974795467905),
+    (4, 2, 3): (9.371263640147651804579110560960678264712, 0.0,
+                0.0, -14.34399859393643982102802030241968358564),
+}
+
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_mode0_first_root_is_oscillatory(n, tol=1e-12):
@@ -39,6 +92,16 @@ def test_mode1_first_exponent_exact_n3():
 def test_sigma_ladders_n3(m, ladder):
     got = sigma_ladder(ModeSpec(n=3, m=m), len(ladder))
     assert np.max(np.abs(np.asarray(got[:len(ladder)]) - ladder)) <= 1e-10
+
+
+@pytest.mark.parametrize("n,m", [(3, 0), (3, 1), (3, 2), (4, 0), (4, 1), (4, 2)])
+def test_dtheta_against_mpmath(n, m):
+    cat = root_catalog(ModeSpec(n=n, m=m), 4)
+    for j, root in enumerate(cat.roots[:4]):
+        sigma, tau, d_re, d_im = DTHETA[n, m, j]
+        assert abs(root.lam - complex(sigma, tau)) <= 1e-12
+        want = complex(d_re, d_im)
+        assert abs(root.dtheta - want) <= 1e-13 * abs(want)
 
 
 def test_catalog_roots_certified_and_ordered():

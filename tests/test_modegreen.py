@@ -64,7 +64,7 @@ def test_kernel_even_and_normalized():
 def test_mode0_sine_coefficient_value():
     # 2 / Theta'(tau0) at n = 3, frozen from a 40-digit mpmath derivative
     got = mode0_sine_coefficient(ModeSpec(n=3, m=0))
-    assert abs(got - 2.2971976106098572) <= 1e-8
+    assert abs(got - 2.2971976106098572) <= 1e-13
 
 
 def test_overclaimed_decay_rejected():

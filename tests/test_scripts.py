@@ -7,11 +7,11 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def _run(script):
+def _run(script, *args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, os.path.join(ROOT, "scripts", script)],
+    proc = subprocess.run([sys.executable, os.path.join(ROOT, "scripts", script), *args],
                           capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
@@ -30,3 +30,11 @@ def test_dtn_convergence_script_runs():
     # collocation rows end in rel_err; FD rows end in three doubling ratios
     assert all(float(row.split()[-1]) <= 1e-12 for row in colloc_rows)
     assert all(float(r) >= 3.0 for row in fd_rows for r in row.split()[-3:])
+
+
+def test_root_atlas_script_runs():
+    summary = [ln for ln in _run("root_atlas.py", "3", "4").splitlines()
+               if ln.startswith("# n=")]
+    assert len(summary) == 2                # one line per dimension, n = 2, 3
+    # at n = 3 mode 1's first exponent equals the ceiling (n-1)/2 = 1 exactly
+    assert summary[1].endswith("modes with sigma_0 above it: [2, 3, 4], on it: [1]")

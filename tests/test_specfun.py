@@ -3,9 +3,12 @@
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from neckforge.errors import PoleError
-from neckforge.specfun import log_gamma
+from neckforge.specfun import POLE_TOL, log_gamma
+from neckforge.symbol import ModeSpec, constants, theta_analytic
 
 
 def _ref(z):
@@ -62,3 +65,66 @@ def test_conjugation_symmetry():
 def test_pole_raises():
     with pytest.raises(PoleError):
         log_gamma(np.asarray(-2.0 + 0.0j))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_curvature_constant_to_the_last_digits(n):
+    # c = 2 Gamma((n+1)/4)^2 / Gamma((n-1)/4)^2, all arguments on the real axis
+    with mpmath.workdps(40):
+        want = 2 * mpmath.gamma(mpmath.mpf(n + 1) / 4) ** 2 \
+            / mpmath.gamma(mpmath.mpf(n - 1) / 4) ** 2
+        assert abs((constants(n).c - want) / want) <= 5e-16
+
+
+def test_right_halfplane_against_mpmath():
+    # Re z in [0.5, 8], |Im z| <= 300: the strip every symbol evaluation visits
+    rng = np.random.default_rng(11)
+    z = rng.uniform(0.5, 8.0, 300) + 1j * rng.uniform(-300.0, 300.0, 300)
+    z[:60] = z[:60].real + 1j * rng.uniform(-3.0, 3.0, 60)
+    z[60:70] = z[60:70].real
+    got = log_gamma(z)
+    want = np.array([complex(mpmath.loggamma(complex(w))) for w in z])
+    assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 1e-14
+
+
+_INSIDE = st.floats(-0.99 * POLE_TOL, 0.99 * POLE_TOL)
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=st.integers(0, 200), dx=_INSIDE, dy=_INSIDE)
+def test_pole_neighbourhood_raises(k, dx, dy):
+    with pytest.raises(PoleError):
+        log_gamma(np.asarray(complex(-k + dx, dy)))
+    with pytest.raises(PoleError):
+        log_gamma(np.array([1.5 + 2.0j, complex(-k + dx, dy)]))
+
+
+def _off_pole(x, y):
+    nearest = round(x)
+    return not (nearest <= 0 and abs(x - nearest) < POLE_TOL and abs(y) < POLE_TOL)
+
+
+_NEAR = st.floats(-1e-9, 1e-9)
+
+
+@settings(max_examples=300, deadline=None)
+@given(z=st.one_of(
+    st.builds(complex, st.floats(-200.0, 200.0), st.floats(-300.0, 300.0)),
+    st.builds(lambda k, dx, dy: complex(-k + dx, dy), st.integers(0, 200), _NEAR, _NEAR),
+))
+def test_finite_off_the_poles(z):
+    if not _off_pole(z.real, z.imag):
+        return
+    assert np.isfinite(complex(log_gamma(np.asarray(z))))
+    assert np.all(np.isfinite(log_gamma(np.array([z, np.conj(z)]))))
+
+
+def test_symbol_zero_at_denominator_poles():
+    # B + i zeta/2 = -k at zeta = 2i(B + k): the symbol vanishes exactly there
+    spec = ModeSpec(n=3, m=0)
+    zeros = np.array([2j * (spec.b_offset + k) for k in range(4)])
+    zeta = np.concatenate([zeros, -zeros, [0.7 + 0.2j]])
+    vals = theta_analytic(spec, zeta)
+    assert np.all(vals[:8] == 0.0)
+    assert np.isfinite(vals[8]) and vals[8] != 0.0
+    assert theta_analytic(spec, zeros[1]) == 0.0
