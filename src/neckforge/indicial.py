@@ -29,7 +29,12 @@ Green-kernel residues).
 
 Real-axis and imaginary-axis roots (where F is real-valued) are located by
 sign-change bracketing refined by Illinois false position, which is both
-faster and immune to the contour passing through the axis ladder.
+faster and immune to the contour passing through the axis ladder.  All
+brackets of one scan are solved in lockstep, one vector call of F per step.
+
+A catalog counts before it locates: the quadrant count alone grows the
+search box until it holds enough roots, and the roots are then located
+once, in the final box.
 """
 
 from __future__ import annotations
@@ -192,34 +197,42 @@ def _newton_polish(F, lam0, tol, max_iter=80):
     raise NonConvergence(f"Newton polish failed to reach |F| <= {tol:g} from {lam0}")
 
 
-def _false_position(g, a, b, tol=1e-14, max_iter=200):
-    """Zero of g on the sign-change bracket [a, b], by Illinois false position,
-    to a bracket width of tol * (1 + |x|)."""
-    fa, fb = g(a), g(b)
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if fa * fb > 0.0:
-        raise NonConvergence(f"no sign change on [{a}, {b}]")
-    side = 0
+def _false_position(g, a, b, fa, fb, tol=1e-14, max_iter=200):
+    """Zeros of g on the sign-change brackets [a_k, b_k] with end values
+    fa_k = g(a_k), fb_k = g(b_k), by Illinois false position, each to a
+    bracket width of tol * (1 + |x|).
+
+    The brackets run in lockstep: one vector call of g on the live iterates
+    per step, and per bracket the same arithmetic and exits as a scalar solve.
+    """
+    a, b, fa, fb = (np.array(v, dtype=float) for v in (a, b, fa, fb))
+    x = np.where(fa == 0.0, a, b)
+    live = (fa != 0.0) & (fb != 0.0)
+    bad = np.nonzero(live & (fa * fb > 0.0))[0]
+    if len(bad):
+        k = bad[0]
+        raise NonConvergence(f"no sign change on [{float(a[k])}, {float(b[k])}]")
+    side = np.zeros(len(x), dtype=int)
     for _ in range(max_iter):
-        x = b - fb * (b - a) / (fb - fa)
-        if not a < x < b or b - a < tol * (1.0 + abs(x)):
-            return x
-        fx = g(x)
-        if fx == 0.0:
-            return x
-        if (fx > 0.0) == (fb > 0.0):
-            b, fb = x, fx
-            if side == -1:
-                fa *= 0.5
-            side = -1
-        else:
-            a, fa = x, fx
-            if side == 1:
-                fb *= 0.5
-            side = 1
+        k = np.nonzero(live)[0]
+        if not len(k):
+            break
+        x[k] = b[k] - fb[k] * (b[k] - a[k]) / (fb[k] - fa[k])
+        done = ~((a[k] < x[k]) & (x[k] < b[k])) | (b[k] - a[k] < tol * (1.0 + np.abs(x[k])))
+        live[k[done]] = False
+        k = k[~done]
+        if not len(k):
+            break
+        fx = g(x[k])
+        live[k[fx == 0.0]] = False
+        to_b = (fx > 0.0) == (fb[k] > 0.0)
+        kb, ka = k[to_b], k[~to_b]
+        b[kb], fb[kb] = x[kb], fx[to_b]
+        fa[kb[side[kb] == -1]] *= 0.5
+        side[kb] = -1
+        a[ka], fa[ka] = x[ka], fx[~to_b]
+        fb[ka[side[ka] == 1]] *= 0.5
+        side[ka] = 1
     return x
 
 
@@ -343,56 +356,55 @@ def first_root(spec: ModeSpec, tol: float = 1e-12, kappa: float | None = None) -
     if spec.m == 0:
         g = lambda t: theta(spec, t) - kappa
         hi = 2.0
-        while g(hi) < 0.0:
+        g_hi = g(hi)
+        while g_hi < 0.0:
             hi *= 2.0
             if hi > 1e6:
                 raise NonConvergence("mode-0 first root bracket not found")
-        tau0 = _false_position(g, 0.0, hi)
+            g_hi = g(hi)
+        tau0 = float(_false_position(g, [0.0], [hi], [g(0.0)], [g_hi])[0])
         lam, res, dtheta = _newton_polish(F, 1j * tau0, tol)
         return IndicialRoot(sigma=_fold(lam.real), tau=abs(lam.imag), residual=res, dtheta=dtheta)
     upper = 2.0 * spec.b_offset
     grid = np.linspace(1e-9, upper - 1e-9, 400)
-    vals = np.real(F(grid.astype(complex)))
+    vals = np.real(F(grid))
     idx = np.nonzero(np.signbit(vals[1:]) != np.signbit(vals[:-1]))[0]
     if len(idx) == 0:
         raise NonConvergence(f"no real first root found in (0, {upper}) for {spec}")
-    i = idx[0]
-    g = lambda x: float(np.real(F(complex(x))))
-    sig0 = _false_position(g, float(grid[i]), float(grid[i + 1]))
+    i = idx[:1]
+    sig0 = float(_false_position(lambda x: np.real(F(x)), grid[i], grid[i + 1],
+                                 vals[i], vals[i + 1])[0])
     lam, res, dtheta = _newton_polish(F, complex(sig0), tol)
     return IndicialRoot(sigma=lam.real, tau=_fold(abs(lam.imag)), residual=res, dtheta=dtheta)
 
 
 def _axis_roots_real(F, spec, sigma_max, tol):
-    """Sign-change roots of the real-valued restriction F(lambda), lambda real > 0."""
+    """Sign-change roots of the real-valued restriction F(lambda), lambda real > 0,
+    scanned between the poles in one call of F."""
     poles = _pole_ladder(spec, sigma_max + 1.0)
     cuts = [1e-9] + [p for p in poles if p < sigma_max] + [sigma_max]
-    roots = []
+    grids = []
     for a, b in zip(cuts[:-1], cuts[1:]):
         pad = 1e-6 * (1.0 + b)
         lo, hi = a + pad, b - pad
-        if hi <= lo:
-            continue
-        grid = np.linspace(lo, hi, max(80, int(50 * (hi - lo))))
-        vals = np.real(F(grid.astype(complex)))
-        sign_flip = np.nonzero(np.signbit(vals[1:]) != np.signbit(vals[:-1]))[0]
-        g = lambda x: float(np.real(F(complex(x))))
-        for i in sign_flip:
-            x0 = _false_position(g, float(grid[i]), float(grid[i + 1]))
-            roots.append(_make_root(F, complex(x0), tol))
-    return roots
+        if hi > lo:
+            grids.append(np.linspace(lo, hi, max(80, int(50 * (hi - lo)))))
+    grid = np.concatenate(grids)
+    vals = np.real(F(grid))
+    flip = np.signbit(vals[1:]) != np.signbit(vals[:-1])
+    flip[np.cumsum([len(g) for g in grids[:-1]], dtype=int) - 1] = False  # across a pole
+    i = np.nonzero(flip)[0]
+    x0 = _false_position(lambda x: np.real(F(x)), grid[i], grid[i + 1], vals[i], vals[i + 1])
+    return [_make_root(F, complex(x), tol) for x in x0]
 
 
 def _axis_roots_imag(F, spec, kappa, tau_max, tol):
     grid = np.linspace(1e-9, tau_max, 600)
     vals = theta(spec, grid) - kappa
-    sign_flip = np.nonzero(np.signbit(vals[1:]) != np.signbit(vals[:-1]))[0]
-    roots = []
-    g = lambda t: theta(spec, t) - kappa
-    for i in sign_flip:
-        t0 = _false_position(g, float(grid[i]), float(grid[i + 1]))
-        roots.append(_make_root(F, 1j * t0, tol))
-    return roots
+    i = np.nonzero(np.signbit(vals[1:]) != np.signbit(vals[:-1]))[0]
+    t0 = _false_position(lambda t: theta(spec, t) - kappa, grid[i], grid[i + 1],
+                         vals[i], vals[i + 1])
+    return [_make_root(F, 1j * float(t), tol) for t in t0]
 
 
 def _interior_roots(F, spec, sigma_max, tau_max, tol, kappa):
@@ -405,15 +417,17 @@ def _interior_roots(F, spec, sigma_max, tau_max, tol, kappa):
         return _subdivide_search(F, spec, box, tol, kappa)
 
 
-def _certify_count(F, spec, sigma_max, tau_max, kappa, expected):
-    """Full first-quadrant count including the axes, via one meromorphic winding."""
+def _quadrant_count(F, spec, sigma_max, tau_max, kappa):
+    """Zeros of F in the closed first quadrant up to (sigma_max, tau_max), axes
+    included, via one meromorphic winding; None when no margin keeps the
+    contour clear."""
     for eta in (0.0137, 0.0059, 0.0233):
         box = (-eta, sigma_max, -eta, tau_max)
         try:
-            return (_winding(F, box, kappa) + _poles_inside(spec, box)) == expected
+            return _winding(F, box, kappa) + _poles_inside(spec, box)
         except (ContourThroughRoot, NonConvergence):
             continue
-    return False
+    return None
 
 
 @lru_cache(maxsize=256)
@@ -423,23 +437,32 @@ def _catalog_cached(n, gamma, m, j_count, tau_max, tol):
     F = _char_fn(spec, kappa)
     # growth offset keeps the search edge off the real pole ladder 2(A + k)
     sigma_max = 2.0 * spec.a_offset + 2.3137
+    sigma_cap = 2.0 * spec.a_offset + 2.0 * j_count + 24.0
+    # located roots are distinct roots inside the counted box, so a box that
+    # counts short of j_count would be grown by the location loop anyway
+    count = _quadrant_count(F, spec, sigma_max, tau_max, kappa)
+    while count is not None and count < j_count and sigma_max <= sigma_cap:
+        sigma_max += 2.0
+        count = _quadrant_count(F, spec, sigma_max, tau_max, kappa)
+    counted_at = sigma_max
     while True:
         roots = []
         roots += _axis_roots_imag(F, spec, kappa, tau_max, tol)
         roots += _axis_roots_real(F, spec, sigma_max, tol)
         roots += _interior_roots(F, spec, sigma_max, tau_max, tol, kappa)
         roots = _dedup(roots)
-        if len(roots) >= j_count or sigma_max > 2.0 * spec.a_offset + 2.0 * j_count + 24.0:
+        if len(roots) >= j_count or sigma_max > sigma_cap:
             break
         sigma_max += 2.0
     if len(roots) < j_count:
         raise NonConvergence(
             f"only {len(roots)} roots located for {spec} within sigma <= {sigma_max}"
         )
-    certified = _certify_count(F, spec, sigma_max, tau_max, kappa, len(roots))
+    if sigma_max != counted_at:
+        count = _quadrant_count(F, spec, sigma_max, tau_max, kappa)
     return RootCatalog(
         spec=spec, kappa=kappa, roots=tuple(sorted(roots, key=lambda r: (r.sigma, r.tau))),
-        search_box=(0.0, sigma_max, 0.0, tau_max), certified=certified,
+        search_box=(0.0, sigma_max, 0.0, tau_max), certified=count == len(roots),
     )
 
 
@@ -447,9 +470,10 @@ def root_catalog(spec: ModeSpec, j_count: int, tau_max: float = 20.0,
                  tol: float = 1e-10) -> RootCatalog:
     """First-quadrant catalog holding at least j_count roots, sorted by sigma.
 
-    Combines axis scans (where the characteristic function is real) with
-    certified interior box counting, then cross-checks the total against a
-    single meromorphic winding over the whole quadrant.
+    Grows the search box by a single meromorphic winding count over the
+    whole quadrant, then locates the roots once by axis scans (where the
+    characteristic function is real) and certified interior box counting;
+    the catalog is certified when the count matches the roots located.
     """
     return _catalog_cached(spec.n, float(spec.gamma), spec.m, int(j_count),
                            float(tau_max), float(tol))

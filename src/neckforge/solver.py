@@ -455,12 +455,6 @@ def cylinder_smallest_multiplier(n: int, L: float, m_max: int, N_s: int) -> floa
     return float(np.min(np.abs(mults - constants(n).kappa)))
 
 
-def _dense_multiplier(theta_row: np.ndarray) -> np.ndarray:
-    N = theta_row.size
-    F = np.fft.fft(np.eye(N), axis=0)
-    return np.real(np.fft.ifft(theta_row[:, None] * F, axis=0))
-
-
 def uniform_invertibility_study(n: int, eps_list, mu: float, m_max: int = 3,
                                 N_s: int = 512, pad: float = 4.0) -> dict:
     """Smallest weighted singular value of the linearization at the glued
@@ -495,7 +489,9 @@ def uniform_invertibility_study(n: int, eps_list, mu: float, m_max: int = 3,
     else:
         raise ResonanceError("could not find a non-resonant window length")
     table = theta_table(n, m_max, N_s, L / N_s)
-    dense = [_dense_multiplier(row) for row in table]
+    # each mode's multiplier as the circulant of its kernel: entry (i, j) is k[(i - j) % N_s]
+    lag = np.subtract.outer(np.arange(N_s), np.arange(N_s)) % N_s
+    dense = np.real(np.fft.ifft(table, axis=1))[:, lag]
 
     rows = []
     for eps in eps_list:

@@ -9,7 +9,9 @@ uses, so agreement is meaningful.
 import numpy as np
 import pytest
 
-from neckforge.indicial import (check_lemma, find_roots, first_root,
+from neckforge import indicial
+from neckforge.errors import NonConvergence
+from neckforge.indicial import (_false_position, check_lemma, find_roots, first_root,
                                 root_catalog, sigma_ladder)
 from neckforge.symbol import ModeSpec
 
@@ -143,3 +145,87 @@ def test_find_roots_box_encloses_expected_count():
     assert abs(cat.roots[0].tau - TAU0[3]) <= 1e-10
     empty = find_roots(ModeSpec(n=3, m=0), (0.3, 1.5, 0.0, 1.0))
     assert len(empty.roots) == 0
+
+
+@pytest.mark.parametrize("n, m", [(3, 2), (5, 6)])
+def test_catalog_locates_once(monkeypatch, n, m):
+    # the search box is grown by counting alone; roots are located in one pass
+    calls = {}
+    for name in ("_axis_roots_real", "_axis_roots_imag", "_interior_roots"):
+        def counted(*args, _fn=getattr(indicial, name), _name=name):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args)
+        monkeypatch.setattr(indicial, name, counted)
+    indicial._catalog_cached.cache_clear()
+    cat = root_catalog(ModeSpec(n=n, m=m), 4)
+    assert len(cat.roots) >= 4 and cat.certified
+    assert calls == {"_axis_roots_real": 1, "_axis_roots_imag": 1, "_interior_roots": 1}
+
+
+def _illinois_one(g, a, b, fa, fb, tol=1e-14, max_iter=200):
+    """One bracket at a time, in Python floats: the loop each lockstep bracket
+    must reproduce exactly."""
+    if fa == 0.0:
+        return a
+    if fb == 0.0:
+        return b
+    side = 0
+    for _ in range(max_iter):
+        x = b - fb * (b - a) / (fb - fa)
+        if not a < x < b or b - a < tol * (1.0 + abs(x)):
+            return x
+        fx = g(x)
+        if fx == 0.0:
+            return x
+        if (fx > 0.0) == (fb > 0.0):
+            b, fb = x, fx
+            if side == -1:
+                fa *= 0.5
+            side = -1
+        else:
+            a, fa = x, fx
+            if side == 1:
+                fb *= 0.5
+            side = 1
+    return x
+
+
+def test_false_position_lockstep():
+    sizes = []
+
+    def g(x):
+        sizes.append(len(x))
+        return np.cos(x)
+
+    a, b = np.array([1.0, 4.0, 7.0]), np.array([2.5, 5.0, 8.5])
+    alone, steps = [], []
+    for k in range(3):
+        sizes.clear()
+        alone.append(_false_position(g, a[k:k + 1], b[k:k + 1], np.cos(a[k:k + 1]),
+                                     np.cos(b[k:k + 1]))[0])
+        steps.append(len(sizes))
+        scalar_calls = []
+
+        def g_scalar(x):
+            scalar_calls.append(x)
+            return float(np.cos(x))
+
+        ref = _illinois_one(g_scalar, float(a[k]), float(b[k]), float(np.cos(a[k])),
+                            float(np.cos(b[k])))
+        assert alone[k] == ref and steps[k] == len(scalar_calls)
+    sizes.clear()
+    got = _false_position(g, a, b, np.cos(a), np.cos(b))
+    assert list(got) == alone
+    assert np.max(np.abs(got - np.pi * np.array([0.5, 1.5, 2.5]))) <= 1e-14
+    # one call of g per step, for as many steps as the slowest bracket takes
+    assert len(sizes) == max(steps)
+    assert sizes == sorted(sizes, reverse=True) and sizes[0] == 3
+
+    # a zero end value returns that end, beside a bracket that still runs
+    p = lambda x: (x - 1.0) * (x - 3.0) * (x - 5.0)
+    a, b = np.array([1.0, 2.0, 4.0]), np.array([2.0, 3.0, 6.0])
+    got = _false_position(p, a, b, p(a), p(b))
+    assert got[0] == 1.0 and got[1] == 3.0 and abs(got[2] - 5.0) <= 1e-13
+    with pytest.raises(NonConvergence, match="no sign change"):
+        _false_position(p, [2.0, 3.5], [2.5, 4.5], p(np.array([2.0, 3.5])),
+                        p(np.array([2.5, 4.5])))

@@ -179,6 +179,26 @@ def test_invertibility_study_shapes():
         assert row["per_mode"] and row["sigma_min"] > 0
 
 
+# per-mode smallest singular values (sup-norm, then l2) of
+# uniform_invertibility_study(3, [0.1, 0.025], mu=-0.5, m_max=2, N_s=256),
+# frozen from the dense multipliers built as FFTs of the identity
+STUDY_PER_MODE = {
+    0.1: ((0.053194610073881696, 0.21267516157164318, 0.9506532735993496),
+          (0.08160026596289145, 0.22692412006389626, 0.978832108438955)),
+    0.025: ((0.052957430543376684, 0.22709324751657034, 1.0528040792296898),
+            (0.08110102504665127, 0.2509100681678792, 1.1029425355212559)),
+}
+
+
+def test_invertibility_study_values_pinned():
+    rep = uniform_invertibility_study(3, [0.1, 0.025], mu=-0.5, m_max=2, N_s=256)
+    for row in rep["rows"]:
+        sup, l2 = STUDY_PER_MODE[row["epsilon"]]
+        for m in range(3):
+            assert abs(row["per_mode"][m] - sup[m]) <= 1e-11 * sup[m]
+            assert abs(row["per_mode_l2"][m] - l2[m]) <= 1e-11 * l2[m]
+
+
 def test_bad_weight_rate_rejected():
     with pytest.raises(ValidationError):
         uniform_invertibility_study(3, [1e-1], mu=-2.0, m_max=2, N_s=256)
