@@ -19,12 +19,15 @@ The same Gamma-quotient, read as a function of a complex frequency zeta,
 is the analytic continuation used for indicial-root hunting; it restricts
 to the real-axis formula since A and B are real.
 
-Two constants drive everything downstream at gamma = 1/2:
+Two constants drive everything downstream:
 
-    c     = Theta_0(0) = 2 Gamma((n+1)/4)^2 / Gamma((n-1)/4)^2
-            (the boundary curvature of the exact cylinder; 2/pi at n = 3),
-    kappa = (n+1)/(n-1) * c
-            (the multiplier subtracted by the linearized operator).
+    c_g     = Theta_0(0)
+              (the boundary curvature of the exact cylinder; at gamma = 1/2
+              it is 2 Gamma((n+1)/4)^2 / Gamma((n-1)/4)^2, 2/pi at n = 3),
+    kappa_g = (n + 2 gamma)/(n - 2 gamma) * c_g
+              (the multiplier subtracted by the linearization of
+              u^{-(n+2 gamma)/(n-2 gamma)} P_gamma u at u = 1;
+              (n+1)/(n-1) * c at gamma = 1/2).
 """
 
 from __future__ import annotations
@@ -168,6 +171,7 @@ def theta_log_derivative(spec: ModeSpec, zeta):
 
 
 def constants(n: int, gamma: float = 0.5) -> Constants:
-    """Cylinder curvature constant c = Theta_0(0) and kappa = (n+1)/(n-1) c."""
+    """Cylinder curvature constant c_g = Theta_0(0) and the linearization
+    shift kappa_g = (n + 2 gamma)/(n - 2 gamma) * c_g."""
     c = theta(ModeSpec(n=n, gamma=gamma, m=0), 0.0)
-    return Constants(n=n, c=c, kappa=(n + 1.0) / (n - 1.0) * c)
+    return Constants(n=n, c=c, kappa=(n + 2.0 * gamma) / (n - 2.0 * gamma) * c)

@@ -35,6 +35,20 @@ def test_glue_sweep_decreasing(tmp_path):
     assert E[0] > E[1] > E[2]
 
 
+def test_indicial_fractional_order_leads_with_translation_exponent(tmp_path):
+    # with the order-2g shift kappa_g the first mode-1 row is the translation
+    # exponent (1, 0), not an oscillatory root on the imaginary axis
+    out = tmp_path / "ind.csv"
+    code = main(["indicial", "--n", "3", "--gamma", "0.3", "--m", "1",
+                 "--out", str(out)])
+    assert code == 0
+    lines = _body(out)
+    assert lines[0] == "n,gamma,m,j,sigma,tau"
+    sigma, tau = (float(v) for v in lines[1].split(",")[-2:])
+    assert abs(sigma - 1.0) <= 1e-12
+    assert tau == 0.0
+
+
 def test_float_output_has_17_significant_digits(tmp_path):
     out = tmp_path / "sym.csv"
     main(["symbol", "--n", "3", "--m", "0", "--xi", "1", "--out", str(out)])

@@ -90,6 +90,16 @@ def test_mode1_first_exponent_exact_n3():
     assert root.tau == 0.0
 
 
+@pytest.mark.parametrize("gamma", [0.1, 0.3, 0.5, 0.8, 0.95])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8])
+def test_mode1_translation_exponent_every_order(n, gamma):
+    # translations of R^n give the mode-1 exponent sigma = 1 exactly, for
+    # every order; the shift is kappa_g = (n + 2g)/(n - 2g) * c_g
+    root = first_root(ModeSpec(n=n, gamma=gamma, m=1))
+    assert abs(root.sigma - 1.0) <= 1e-12
+    assert root.tau == 0.0
+
+
 @pytest.mark.parametrize("m,ladder", [(0, LADDER_M0), (1, LADDER_M1)])
 def test_sigma_ladders_n3(m, ladder):
     got = sigma_ladder(ModeSpec(n=3, m=m), len(ladder))

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse.linalg
 
-from neckforge.errors import (Diverged, NonPositiveConformalFactor,
+from neckforge.acceptance import EPS_SWEEP
+from neckforge.errors import (Diverged, NonConvergence, NonPositiveConformalFactor,
                               ResonanceError, ValidationError)
 from neckforge.neck import WeightedNormSpec
 from neckforge.solver import (BallState, PeriodicCylinderState,
@@ -189,14 +192,81 @@ STUDY_PER_MODE = {
             (0.08110102504665127, 0.2509100681678792, 1.1029425355212559)),
 }
 
+# the same for the criterion-10 shape, uniform_invertibility_study(3,
+# EPS_SWEEP, mu=-0.5, m_max=3, N_s=384), frozen from the full-SVD l2 values
+STUDY_PER_MODE_C10 = {
+    0.1: ((0.06896276771184763, 0.21270635539211466, 0.9506531726652234,
+           1.713859644712132),
+          (0.12228432457096311, 0.2269489101932314, 0.9777234051966399,
+           1.734153311301905)),
+    0.05: ((0.06953906540209653, 0.22200553705126044, 1.0080319853325173,
+            1.8251322491441406),
+           (0.11840936330516319, 0.24134185239576786, 1.0480398588440676,
+            1.8615316644344244)),
+    0.025: ((0.06782221715774558, 0.2271618593356169, 1.052821575690594,
+             1.9142676080616077),
+            (0.11125505293833615, 0.25149553613811454, 1.1028806458693965,
+             1.9625504412649533)),
+    0.0125: ((0.06415410368050513, 0.22950314557416815, 1.0877578742282143,
+              1.9845340539754588),
+             (0.10192439969864803, 0.25803607227252967, 1.1439126487336713,
+              2.0395818176630622)),
+    0.00625: ((0.059087338621691486, 0.2300449655718275, 1.114678049012408,
+               2.038679564120513),
+              (0.09158360529060873, 0.2617744838087995, 1.1737000885498707,
+               2.096507147116388)),
+}
+
+
+def _c10_study():
+    return uniform_invertibility_study(3, list(EPS_SWEEP), mu=-0.5, m_max=3,
+                                       N_s=384)
+
 
 def test_invertibility_study_values_pinned():
     rep = uniform_invertibility_study(3, [0.1, 0.025], mu=-0.5, m_max=2, N_s=256)
-    for row in rep["rows"]:
-        sup, l2 = STUDY_PER_MODE[row["epsilon"]]
-        for m in range(3):
-            assert abs(row["per_mode"][m] - sup[m]) <= 1e-11 * sup[m]
-            assert abs(row["per_mode_l2"][m] - l2[m]) <= 1e-11 * l2[m]
+    for pinned, rows in ((STUDY_PER_MODE, rep["rows"]),
+                         (STUDY_PER_MODE_C10, _c10_study()["rows"])):
+        assert [row["epsilon"] for row in rows] == list(pinned)
+        for row in rows:
+            sup, l2 = pinned[row["epsilon"]]
+            for m in range(len(sup)):
+                assert abs(row["per_mode"][m] - sup[m]) <= 1e-11 * sup[m]
+                assert abs(row["per_mode_l2"][m] - l2[m]) <= 1e-11 * l2[m]
+
+
+def test_invertibility_study_l2_matches_full_svd(monkeypatch):
+    # oracle: the smallest singular value of every matrix the study inverts,
+    # from a full SVD of that same matrix
+    smallest = []
+    inv = scipy.linalg.inv
+
+    def spy(a, *args, **kwargs):
+        smallest.append(scipy.linalg.svdvals(a)[-1])
+        return inv(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "inv", spy)
+    rows = _c10_study()["rows"]
+    got = [row["per_mode_l2"][m] for row in rows for m in range(4)]
+    assert len(smallest) == len(got) == 4 * len(EPS_SWEEP)
+    for g, want in zip(got, smallest):
+        assert abs(g - want) <= 1e-11 * want
+
+
+def test_invertibility_study_deterministic():
+    runs = [uniform_invertibility_study(3, [0.1, 0.025], mu=-0.5, m_max=2,
+                                        N_s=256)["rows"] for _ in range(2)]
+    assert runs[0] == runs[1]
+
+
+def test_invertibility_study_lanczos_failure_is_typed(monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence("no convergence",
+                                                      np.empty(0), None)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+    with pytest.raises(NonConvergence, match="mode 0 at epsilon 0.1"):
+        uniform_invertibility_study(3, [0.1], mu=-0.5, m_max=2, N_s=256)
 
 
 def test_bad_weight_rate_rejected():
