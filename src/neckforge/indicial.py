@@ -34,7 +34,9 @@ brackets of one scan are solved in lockstep, one vector call of F per step.
 
 A catalog counts before it locates: the quadrant count alone grows the
 search box until it holds enough roots, and the roots are then located
-once, in the final box.
+once, in the final box.  The count is additive over boxes that share an
+edge, so each growth step winds only the new strip and adds it to the
+running count.
 """
 
 from __future__ import annotations
@@ -204,6 +206,8 @@ def _false_position(g, a, b, fa, fb, tol=1e-14, max_iter=200):
 
     The brackets run in lockstep: one vector call of g on the live iterates
     per step, and per bracket the same arithmetic and exits as a scalar solve.
+    A bracket still open after max_iter steps (a multiple root, where
+    Illinois stalls) raises NonConvergence naming it.
     """
     a, b, fa, fb = (np.array(v, dtype=float) for v in (a, b, fa, fb))
     x = np.where(fa == 0.0, a, b)
@@ -233,6 +237,10 @@ def _false_position(g, a, b, fa, fb, tol=1e-14, max_iter=200):
         a[ka], fa[ka] = x[ka], fx[~to_b]
         fb[ka[side[ka] == 1]] *= 0.5
         side[ka] = 1
+    k = np.nonzero(live)[0]
+    if len(k):
+        raise NonConvergence(f"false position did not converge in {max_iter} steps "
+                             f"on [{float(a[k[0]])}, {float(b[k[0]])}]")
     return x
 
 
@@ -417,17 +425,30 @@ def _interior_roots(F, spec, sigma_max, tau_max, tol, kappa):
         return _subdivide_search(F, spec, box, tol, kappa)
 
 
-def _quadrant_count(F, spec, sigma_max, tau_max, kappa):
-    """Zeros of F in the closed first quadrant up to (sigma_max, tau_max), axes
-    included, via one meromorphic winding; None when no margin keeps the
-    contour clear."""
+def _quadrant_count(F, spec, sigma_max, tau_max, kappa, sigma_min=None):
+    """Zeros of F with sigma_min < sigma <= sigma_max and -eta < tau <= tau_max,
+    via one meromorphic winding of that box; None when no margin eta keeps
+    the contour clear.  The default sigma_min = -eta gives the closed first
+    quadrant, axes included; a finite sigma_min gives a strip whose count
+    adds to the count of the box to its left (the argument principle is
+    additive over boxes sharing an edge)."""
     for eta in (0.0137, 0.0059, 0.0233):
-        box = (-eta, sigma_max, -eta, tau_max)
+        box = (-eta if sigma_min is None else sigma_min, sigma_max, -eta, tau_max)
         try:
             return _winding(F, box, kappa) + _poles_inside(spec, box)
         except (ContourThroughRoot, NonConvergence):
             continue
     return None
+
+
+def _grow_count(F, spec, count, sigma_lo, sigma_hi, tau_max, kappa):
+    """Quadrant count up to sigma_hi from the count up to sigma_lo: the count
+    plus the strip between them, or the whole box when either is unknown."""
+    strip = None if count is None else \
+        _quadrant_count(F, spec, sigma_hi, tau_max, kappa, sigma_min=sigma_lo)
+    if strip is None:
+        return _quadrant_count(F, spec, sigma_hi, tau_max, kappa)
+    return count + strip
 
 
 @lru_cache(maxsize=256)
@@ -442,8 +463,8 @@ def _catalog_cached(n, gamma, m, j_count, tau_max, tol):
     # counts short of j_count would be grown by the location loop anyway
     count = _quadrant_count(F, spec, sigma_max, tau_max, kappa)
     while count is not None and count < j_count and sigma_max <= sigma_cap:
+        count = _grow_count(F, spec, count, sigma_max, sigma_max + 2.0, tau_max, kappa)
         sigma_max += 2.0
-        count = _quadrant_count(F, spec, sigma_max, tau_max, kappa)
     counted_at = sigma_max
     while True:
         roots = []
@@ -459,7 +480,7 @@ def _catalog_cached(n, gamma, m, j_count, tau_max, tol):
             f"only {len(roots)} roots located for {spec} within sigma <= {sigma_max}"
         )
     if sigma_max != counted_at:
-        count = _quadrant_count(F, spec, sigma_max, tau_max, kappa)
+        count = _grow_count(F, spec, count, counted_at, sigma_max, tau_max, kappa)
     return RootCatalog(
         spec=spec, kappa=kappa, roots=tuple(sorted(roots, key=lambda r: (r.sigma, r.tau))),
         search_box=(0.0, sigma_max, 0.0, tau_max), certified=count == len(roots),
@@ -470,10 +491,14 @@ def root_catalog(spec: ModeSpec, j_count: int, tau_max: float = 20.0,
                  tol: float = 1e-10) -> RootCatalog:
     """First-quadrant catalog holding at least j_count roots, sorted by sigma.
 
-    Grows the search box by a single meromorphic winding count over the
-    whole quadrant, then locates the roots once by axis scans (where the
-    characteristic function is real) and certified interior box counting;
-    the catalog is certified when the count matches the roots located.
+    Counts the quadrant up to sigma_max = 2A + 2.3137 by one meromorphic
+    winding, then grows the box 2 at a time while the count is short of
+    j_count, winding only the new strip (sigma_max, sigma_max + 2) and adding
+    its count to the running one (a strip no margin keeps clear is replaced
+    by a whole-box count).  The roots are then located once by axis scans
+    (where the characteristic function is real) and certified interior box
+    counting; the catalog is certified when the count matches the roots
+    located.
     """
     return _catalog_cached(spec.n, float(spec.gamma), spec.m, int(j_count),
                            float(tau_max), float(tol))

@@ -14,7 +14,9 @@ The evaluation is ``scipy.special.loggamma`` (principal branch, conjugate
 symmetric), except on the positive real axis, where ``scipy.special.gammaln``
 is used: it is correctly rounded to about one ulp there, which the complex
 routine is not (1.4e-15 off at z = 1/2).  Raw scipy returns NaN on a pole,
-so the guard ``_check_poles`` is what turns a pole into ``PoleError``.
+so each public function masks its argument for poles exactly once:
+``log_gamma`` turns a pole into ``PoleError``, and ``log_rgamma`` (the log of
+1/Gamma, which is entire) returns exactly -inf there.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from scipy.special import gammaln, loggamma
 
 from .errors import PoleError
 
-__all__ = ["log_gamma", "POLE_TOL"]
+__all__ = ["log_gamma", "log_rgamma", "POLE_TOL"]
 
 # Distance from a non-positive integer below which evaluation is refused.
 POLE_TOL = 1e-12
@@ -44,6 +46,17 @@ def _check_poles(z):
         raise PoleError(f"log_gamma argument within {POLE_TOL:g} of a non-positive integer: {bad}")
 
 
+def _log_gamma_core(z_arr):
+    """Unguarded evaluation for a complex128 array off the poles."""
+    real = (z_arr.imag == 0.0) & (z_arr.real > 0.0)
+    if z_arr.ndim == 0:
+        return np.complex128(gammaln(z_arr.real)) if real else loggamma(z_arr)
+    out = loggamma(z_arr)
+    if real.any():
+        out[real] = gammaln(z_arr.real[real])
+    return out
+
+
 def log_gamma(z):
     """Principal-branch log Gamma(z) for complex scalar or array input.
 
@@ -53,10 +66,17 @@ def log_gamma(z):
     """
     z_arr = np.asarray(z, dtype=np.complex128)
     _check_poles(z_arr)
-    real = (z_arr.imag == 0.0) & (z_arr.real > 0.0)
-    if z_arr.ndim == 0:
-        return np.complex128(gammaln(z_arr.real)) if real else loggamma(z_arr)
-    out = loggamma(z_arr)
-    if real.any():
-        out[real] = gammaln(z_arr.real[real])
-    return out
+    return _log_gamma_core(z_arr)
+
+
+def log_rgamma(z):
+    """log(1/Gamma(z)) = -log_gamma(z) for complex scalar or array input,
+    exactly -inf on the entries within POLE_TOL of a non-positive integer
+    (the zeros of 1/Gamma)."""
+    z_arr = np.asarray(z, dtype=np.complex128)
+    on_pole = _near_pole(z_arr)
+    if not on_pole.any():  # the usual case, without the masked copies below
+        return -_log_gamma_core(z_arr)
+    out = np.full(z_arr.shape, -np.inf, dtype=np.complex128)
+    out[~on_pole] = -_log_gamma_core(z_arr[~on_pole])
+    return out[()] if z_arr.ndim == 0 else out

@@ -39,7 +39,7 @@ import numpy as np
 from scipy.special import psi
 
 from .errors import DegenerateSpec, PoleError, ValidationError
-from .specfun import POLE_TOL, _near_pole, log_gamma
+from .specfun import POLE_TOL, _near_pole, log_gamma, log_rgamma
 
 __all__ = ["ModeSpec", "Constants", "theta", "theta_analytic",
            "theta_log_derivative", "theta_table", "constants"]
@@ -143,18 +143,17 @@ def theta_analytic(spec: ModeSpec, zeta):
     zb_p = spec.b_offset + 0.5j * z_flat
     zb_m = spec.b_offset - 0.5j * z_flat
 
-    num_pole = _near_pole(za_p) | _near_pole(za_m)
-    if num_pole.any():
-        raise PoleError(f"theta_analytic pole at zeta = {z_flat[num_pole]}")
-    den_pole = _near_pole(zb_p) | _near_pole(zb_m)
-
-    out = np.zeros_like(z_flat)
-    ok = ~den_pole
-    if ok.any():
-        log_val = (2.0 * spec.gamma * np.log(2.0)
-                   + log_gamma(za_p[ok]) + log_gamma(za_m[ok])
-                   - log_gamma(zb_p[ok]) - log_gamma(zb_m[ok]))
-        out[ok] = np.exp(log_val)
+    # one pole mask per Gamma argument: log_gamma raises on a numerator pole,
+    # log_rgamma reads -inf on a denominator pole, where the symbol is zero
+    try:
+        lg_ap, lg_am = log_gamma(za_p), log_gamma(za_m)
+    except PoleError:
+        num_pole = _near_pole(za_p) | _near_pole(za_m)
+        raise PoleError(f"theta_analytic pole at zeta = {z_flat[num_pole]}") from None
+    log_val = (2.0 * spec.gamma * np.log(2.0) + lg_ap + lg_am
+               + log_rgamma(zb_p) + log_rgamma(zb_m))
+    out = np.exp(log_val)
+    out[log_val.real == -np.inf] = 0.0
     return complex(out[0]) if scalar else out.reshape(z_arr.shape)
 
 

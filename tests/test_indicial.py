@@ -13,7 +13,7 @@ from neckforge import indicial
 from neckforge.errors import NonConvergence
 from neckforge.indicial import (_false_position, check_lemma, find_roots, first_root,
                                 root_catalog, sigma_ladder)
-from neckforge.symbol import ModeSpec
+from neckforge.symbol import ModeSpec, constants
 
 # mode-0 crossing frequency per dimension
 TAU0 = {2: 0.80990727068780252, 3: 1.2191319876982279,
@@ -172,6 +172,44 @@ def test_catalog_locates_once(monkeypatch, n, m):
     assert calls == {"_axis_roots_real": 1, "_axis_roots_imag": 1, "_interior_roots": 1}
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+def test_strip_counts_add_up_to_the_whole_box(n):
+    # the catalog's running count (first box, then one strip per growth step)
+    # against an independent winding of the whole grown box
+    kappa = constants(n).kappa
+    grew = 0
+    for m in range(8):
+        spec = ModeSpec(n=n, m=m)
+        F = indicial._char_fn(spec, kappa)
+        sigma_max = 2.0 * spec.a_offset + 2.3137
+        count = indicial._quadrant_count(F, spec, sigma_max, 20.0, kappa)
+        for _ in range(3):
+            strip = indicial._quadrant_count(F, spec, sigma_max + 2.0, 20.0, kappa,
+                                             sigma_min=sigma_max)
+            count, sigma_max, grew = count + strip, sigma_max + 2.0, grew + strip
+            assert count == indicial._quadrant_count(F, spec, sigma_max, 20.0, kappa)
+    assert grew > 0
+
+
+def test_failed_strip_falls_back_to_the_whole_box(monkeypatch):
+    # a strip that no margin keeps clear is replaced by a whole-box count
+    spec = ModeSpec(n=3, m=2)
+    indicial._catalog_cached.cache_clear()
+    want = root_catalog(spec, 4)
+    strip_calls = []
+    count = indicial._quadrant_count
+
+    def no_strips(*args, sigma_min=None):
+        if sigma_min is not None:
+            strip_calls.append(sigma_min)
+            return None
+        return count(*args)
+    monkeypatch.setattr(indicial, "_quadrant_count", no_strips)
+    indicial._catalog_cached.cache_clear()
+    assert root_catalog(spec, 4) == want and want.certified
+    assert strip_calls
+
+
 def _illinois_one(g, a, b, fa, fb, tol=1e-14, max_iter=200):
     """One bracket at a time, in Python floats: the loop each lockstep bracket
     must reproduce exactly."""
@@ -239,3 +277,15 @@ def test_false_position_lockstep():
     with pytest.raises(NonConvergence, match="no sign change"):
         _false_position(p, [2.0, 3.5], [2.5, 4.5], p(np.array([2.0, 3.5])),
                         p(np.array([2.5, 4.5])))
+
+
+def test_false_position_raises_at_max_iter():
+    # a quintuple root: Illinois stalls and would need 202 steps on [0, 1]
+    g = lambda x: (x - 0.3) ** 5
+    # beside a simple root of cos that converges, the stalled bracket is named
+    both = lambda x: np.where(x < 3.0, g(x), np.cos(x))
+    a, b = np.array([0.0, 4.0]), np.array([1.0, 5.0])
+    with pytest.raises(NonConvergence, match=r"200 steps on \[0\.29"):
+        _false_position(both, a, b, both(a), both(b))
+    x = _false_position(g, a[:1], b[:1], g(a[:1]), g(b[:1]), max_iter=400)
+    assert abs(x[0] - 0.3) <= 6e-15

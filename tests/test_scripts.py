@@ -38,3 +38,9 @@ def test_root_atlas_script_runs():
     assert len(summary) == 2                # one line per dimension, n = 2, 3
     # at n = 3 mode 1's first exponent equals the ceiling (n-1)/2 = 1 exactly
     assert summary[1].endswith("modes with sigma_0 above it: [2, 3, 4], on it: [1]")
+
+
+def test_catalog_digest_script_is_deterministic():
+    first, second = (_run("catalog_digest.py", "--quick").split() for _ in range(2))
+    assert first == second
+    assert len(first[0]) == 64 and first[1:] == ["catalogs=48", "first_roots=24", "raised=0"]

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from neckforge import specfun, symbol
 from neckforge.errors import PoleError
-from neckforge.specfun import POLE_TOL, log_gamma
+from neckforge.specfun import POLE_TOL, log_gamma, log_rgamma
 from neckforge.symbol import ModeSpec, constants, theta_analytic
 
 
@@ -128,3 +129,32 @@ def test_symbol_zero_at_denominator_poles():
     assert np.all(vals[:8] == 0.0)
     assert np.isfinite(vals[8]) and vals[8] != 0.0
     assert theta_analytic(spec, zeros[1]) == 0.0
+
+
+def test_log_rgamma_negates_log_gamma_and_is_minus_inf_on_poles():
+    z = np.array([0.5, 3.7, 0.75 + 0.3j, -2.5 + 0.1j, 2.0 - 9.5j])
+    assert np.array_equal(log_rgamma(z), -log_gamma(z))
+    assert log_rgamma(1.25 + 4.0j) == -log_gamma(1.25 + 4.0j)
+    poles = np.array([0.0, -1.0, -7.0 + 0.5 * POLE_TOL, -3.0 - 0.5j * POLE_TOL])
+    out = log_rgamma(np.concatenate([poles, z]))
+    assert np.all(out[:4] == -np.inf) and np.array_equal(out[4:], -log_gamma(z))
+    assert log_rgamma(-4.0) == -np.inf
+
+
+def test_theta_analytic_masks_each_argument_once(monkeypatch):
+    # one pole mask per Gamma argument (four), whether or not a pole is hit
+    masks, near_pole = [], specfun._near_pole
+
+    def spy(z):
+        masks.append(np.size(z))
+        return near_pole(z)
+    monkeypatch.setattr(specfun, "_near_pole", spy)
+    monkeypatch.setattr(symbol, "_near_pole", spy)
+    spec = ModeSpec(n=3, m=1)
+    for zeta in (0.7 + 0.2j, -1.3j, 2j * (spec.b_offset + 1)):
+        masks.clear()
+        theta_analytic(spec, zeta)
+        assert masks == [1, 1, 1, 1]
+    masks.clear()
+    theta_analytic(spec, np.linspace(-4.0, 4.0, 9) + 0.5j)
+    assert masks == [9, 9, 9, 9]
