@@ -491,19 +491,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         version=f"neckforge {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    flags = {
-        "symbol": ["--n", "--gamma", "--m", "--xi"],
-        "indicial": ["--n", "--gamma", "--m", "--j-count"],
-        "check-lemma": ["--n", "--m-max", "--j-max", "--tol-b"],
-        "green": ["--n", "--gamma", "--m", "--delta", "--half-window",
-                  "--points", "--beta"],
-        "extension-validate": ["--n", "--m", "--xi", "--phi-grid", "--scheme"],
-        "glue": ["--eps", "--epsilon", "--n", "--mu", "--n-s", "--pad",
-                 "--weight-convention"],
-        "solve": ["--n", "--m-max", "--n-s", "--modes", "--amplitude",
-                  "--method", "--tol", "--max-iter", "--mu"],
-        "accept": ["--criteria"],
-    }
     helps = {
         "symbol": "evaluate the boundary symbol on a frequency grid",
         "indicial": "tabulate certified indicial roots",
@@ -514,13 +501,16 @@ def _build_parser() -> argparse.ArgumentParser:
         "solve": "nonlinear curvature solve on the periodic cylinder",
         "accept": "run the acceptance suite",
     }
+    # one flag per schema key, '--' + key with '_' -> '-'; values are coerced
+    # by load_config, so every flag takes its raw string except the switch --sweep
     for name in COMMANDS:
         sp = sub.add_parser(name, parents=[common], help=helps[name])
-        for flag in flags[name]:
-            sp.add_argument(flag)
-        if name == "glue":
-            sp.add_argument("--sweep", action="store_const", const="true")
-            sp.add_argument("--perturbation", dest="perturbation")
+        for key in _SCHEMAS[name]:
+            flag = "--" + key.replace("_", "-")
+            if key == "sweep":
+                sp.add_argument(flag, action="store_const", const="true")
+            else:
+                sp.add_argument(flag)
     return parser
 
 

@@ -196,20 +196,18 @@ def dtn_cylinder(prob: HalfCylinderProblem) -> float:
     return _dtn_collocation(prob)
 
 
-def dtn_halfdisk_2d(xi: float, m: int, phi_grid: int = 96,
-                    theta_grid: int = 64) -> float:
+def dtn_halfdisk_2d(xi: float, m: int) -> float:
     """Full 2-D hemisphere solve at n=2 with no separation assumption.
 
-    Offset polar grid in phi (first node at h/2, across-pole coupling
-    psi(-phi, theta) = psi(phi, theta + pi)), periodic theta, Dirichlet
-    data cos(m theta) on the equator; the result is projected back on
-    cos(m theta).  Secondary validation path for dtn_cylinder at n=2.
+    Offset polar grid of 96 points in phi (first node at h/2, across-pole
+    coupling psi(-phi, theta) = psi(phi, theta + pi)), periodic theta on 64
+    points (an even count, so the pole couples node j to node j + 32),
+    Dirichlet data cos(m theta) on the equator; the result is projected back
+    on cos(m theta).  Secondary validation path for dtn_cylinder at n=2.
     """
     import scipy.sparse.linalg
 
-    if theta_grid % 2:
-        raise ValidationError("theta_grid must be even for across-pole coupling")
-    M, K = phi_grid, theta_grid
+    M, K = 96, 64
     h = np.pi / (2 * M - 1)
     phi = h * (np.arange(M) + 0.5)  # phi[M-1] = pi/2 exactly
     dth = 2.0 * np.pi / K

@@ -54,10 +54,8 @@ __all__ = [
     "IndicialRoot",
     "RootCatalog",
     "LemmaReport",
-    "find_roots",
     "first_root",
     "root_catalog",
-    "sigma_ladder",
     "check_lemma",
 ]
 
@@ -84,12 +82,6 @@ class RootCatalog:
     roots: tuple
     search_box: tuple
     certified: bool
-
-    def sigma(self, j: int) -> float:
-        return self.roots[j].sigma
-
-    def tau(self, j: int) -> float:
-        return self.roots[j].tau
 
     def __len__(self):
         return len(self.roots)
@@ -306,60 +298,17 @@ def _subdivide_search(F, spec, box, tol, kappa_scale, depth=0):
     raise last_err
 
 
-def find_roots(spec: ModeSpec, box, tol: float = 1e-10, kappa: float | None = None) -> RootCatalog:
-    """Certified root search for F(lambda) = Theta_m(-i lambda) - kappa in a box.
-
-    box = (sigma_lo, sigma_hi, tau_lo, tau_hi).  The box is inflated by a
-    small margin so roots sitting exactly on the axes are enclosed; only
-    roots inside the requested box are reported.  Raises ContourThroughRoot
-    if no margin keeps the counting contour clear of a zero or pole.
-    """
-    if kappa is None:
-        kappa = constants(spec.n, spec.gamma).kappa
-    F = _char_fn(spec, kappa)
-    slo, shi, tlo, thi = map(float, box)
-    if not (shi > slo and thi > tlo):
-        raise NonConvergence(f"degenerate box {box}")
-
-    last_err = None
-    for eta in (0.0137, 0.0059, 0.0233, 0.0081):
-        ext = (slo - eta, shi + eta, tlo - eta, thi + eta)
-        # the margin must keep the contour clear of the real pole ladder:
-        # no pole near a vertical edge, no horizontal edge hugging the axis
-        ladder = _pole_ladder(spec, abs(ext[0]) + abs(ext[1]) + 2.0)
-        signed = [q for p in ladder for q in (p, -p)]
-        if any(min(abs(p - ext[0]), abs(p - ext[1])) < 3e-3 for p in signed):
-            continue
-        if any(ext[0] < p < ext[1] for p in signed) and \
-                min(abs(ext[2]), abs(ext[3])) < 3e-3:
-            continue
-        try:
-            found = _subdivide_search(F, spec, ext, tol, kappa)
-        except ContourThroughRoot as err:
-            last_err = err
-            continue
-        found = _dedup(found)
-        inside = [r for r in found
-                  if slo - 1e-9 <= r.sigma <= shi + 1e-9
-                  and (tlo - 1e-9 <= r.tau <= thi + 1e-9
-                       or tlo - 1e-9 <= -r.tau <= thi + 1e-9)]
-        return RootCatalog(
-            spec=spec, kappa=kappa, roots=tuple(_dedup(inside)),
-            search_box=(slo, shi, tlo, thi), certified=True,
-        )
-    raise last_err if last_err is not None else ContourThroughRoot(f"no safe margin for box {box}")
-
-
-def first_root(spec: ModeSpec, tol: float = 1e-12, kappa: float | None = None) -> IndicialRoot:
+def first_root(spec: ModeSpec) -> IndicialRoot:
     """Smallest-sigma indicial root.
 
     Mode 0: the purely oscillatory pair (sigma = 0, tau > 0), located by
     false position on Theta_0(tau) = kappa on the real frequency axis.
     Mode >= 1: the first real root, bracketed in (0, 2B) where the symbol
     continuation falls from Theta_m(0) > kappa to 0 with no pole between.
+    Both are polished by Newton to |F| <= 1e-12.
     """
-    if kappa is None:
-        kappa = constants(spec.n, spec.gamma).kappa
+    kappa = constants(spec.n, spec.gamma).kappa
+    tol = 1e-12
     F = _char_fn(spec, kappa)
     if spec.m == 0:
         g = lambda t: theta(spec, t) - kappa
@@ -452,9 +401,10 @@ def _grow_count(F, spec, count, sigma_lo, sigma_hi, tau_max, kappa):
 
 
 @lru_cache(maxsize=256)
-def _catalog_cached(n, gamma, m, j_count, tau_max, tol):
+def _catalog_cached(n, gamma, m, j_count, tau_max):
     spec = ModeSpec(n=n, gamma=gamma, m=m)
     kappa = constants(n, gamma).kappa
+    tol = 1e-10
     F = _char_fn(spec, kappa)
     # growth offset keeps the search edge off the real pole ladder 2(A + k)
     sigma_max = 2.0 * spec.a_offset + 2.3137
@@ -487,8 +437,7 @@ def _catalog_cached(n, gamma, m, j_count, tau_max, tol):
     )
 
 
-def root_catalog(spec: ModeSpec, j_count: int, tau_max: float = 20.0,
-                 tol: float = 1e-10) -> RootCatalog:
+def root_catalog(spec: ModeSpec, j_count: int, tau_max: float = 20.0) -> RootCatalog:
     """First-quadrant catalog holding at least j_count roots, sorted by sigma.
 
     Counts the quadrant up to sigma_max = 2A + 2.3137 by one meromorphic
@@ -498,15 +447,10 @@ def root_catalog(spec: ModeSpec, j_count: int, tau_max: float = 20.0,
     by a whole-box count).  The roots are then located once by axis scans
     (where the characteristic function is real) and certified interior box
     counting; the catalog is certified when the count matches the roots
-    located.
+    located.  Each root is polished by Newton to |F| <= 1e-10.
     """
     return _catalog_cached(spec.n, float(spec.gamma), spec.m, int(j_count),
-                           float(tau_max), float(tol))
-
-
-def sigma_ladder(spec: ModeSpec, j_count: int) -> np.ndarray:
-    cat = root_catalog(spec, j_count)
-    return np.array([r.sigma for r in cat.roots[:j_count]])
+                           float(tau_max))
 
 
 @dataclass

@@ -46,6 +46,7 @@ __all__ = [
     "apply_L0",
     "green_solve",
     "homogeneous_basis",
+    "homogeneous_columns",
     "classify_growth",
     "synthesize_kernel",
     "mode0_sine_coefficient",
@@ -88,13 +89,6 @@ class LineFunction:
             return np.asarray(self.values)
         return self.values * np.exp(self.envelope_rate * self.grid())
 
-    def sup(self, interior_frac: float = 1.0) -> float:
-        y = np.abs(self.materialize())
-        if interior_frac >= 1.0:
-            return float(y.max())
-        k = int(0.5 * (1.0 - interior_frac) * self.N)
-        return float(y[k: self.N - k].max())
-
     @classmethod
     def from_callable(cls, fn, s0: float, s1: float, N: int, mode: int = 0,
                       envelope_rate: float = 0.0):
@@ -106,15 +100,15 @@ class LineFunction:
 
 @dataclass(frozen=True)
 class DecayProfile:
-    """Declared rates of the right-hand side: |h| = O(e^{-delta s}) as
-    s -> +inf and O(e^{delta0 s}) as s -> -inf (negative delta0 = growth)."""
+    """Declared decay rate of the right-hand side: |h| = O(e^{-delta s}) as
+    s -> +inf.  The left tail is taken to be bounded; no rate is declared
+    for it and none is checked."""
 
     delta: float
-    delta0: float = 0.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.delta) and np.isfinite(self.delta0)):
-            raise ValidationError("decay rates must be finite")
+        if not np.isfinite(self.delta):
+            raise ValidationError("decay rate must be finite")
 
 
 def _xi_grid(N: int, ds: float) -> np.ndarray:
@@ -146,10 +140,9 @@ def _alias_check(vhat: np.ndarray, xi: np.ndarray, what: str):
         )
 
 
-def apply_L0(spec: ModeSpec, v: LineFunction, kappa: float | None = None) -> LineFunction:
+def apply_L0(spec: ModeSpec, v: LineFunction) -> LineFunction:
     """Linearized operator as a discrete Fourier multiplier on the bounded part."""
-    if kappa is None:
-        kappa = constants(spec.n, spec.gamma).kappa
+    kappa = constants(spec.n, spec.gamma).kappa
     if spec.m != v.mode:
         raise ValidationError(f"mode mismatch: spec m={spec.m}, samples m={v.mode}")
     xi = _xi_grid(v.N, v.ds)
@@ -161,16 +154,17 @@ def apply_L0(spec: ModeSpec, v: LineFunction, kappa: float | None = None) -> Lin
     return replace(v, values=out)
 
 
-def fit_tail_rate(v: LineFunction, side: str = "+", band=(0.45, 0.82),
-                  floor_rel: float = 1e-12, blocks: int = 8) -> float | None:
+def fit_tail_rate(v: LineFunction, side: str = "+") -> float | None:
     """Least-squares decay rate of log|v| block maxima on one tail.
 
     Returns the signed slope of log|v| vs s (negative = decay toward +inf);
-    None when too little of the tail rises above the relative noise floor.
-    The fit runs on the bounded envelope part (where the FFT noise floor is
-    uniform) and the envelope rate is added back; block maxima make it
-    stable for oscillatory tails.
+    None when too little of the tail rises above the relative noise floor
+    1e-12 * sup.  The tail is the band 0.45..0.82 of the half window on the
+    given side, cut into 8 blocks.  The fit runs on the bounded envelope
+    part (where the FFT noise floor is uniform) and the envelope rate is
+    added back; block maxima make it stable for oscillatory tails.
     """
+    band, floor_rel, blocks = (0.45, 0.82), 1e-12, 8
     s = v.grid()
     y = np.abs(np.asarray(v.values))
     sup = y.max()
@@ -211,15 +205,15 @@ def _sigma_ladder_past(spec: ModeSpec, delta: float) -> RootCatalog:
         j += 6
 
 
-def _select_beta(spec: ModeSpec, profile: DecayProfile, catalog: RootCatalog):
+def _select_beta(profile: DecayProfile, catalog: RootCatalog):
     """Contour shift for the declared profile, or 0 on the fast path.
 
     The shifted line must clear every indicial exponent below the declared
-    +inf rate, stay below both that rate and the next exponent, and stay
-    above the declared growth at -inf so the shifted right-hand side still
-    decays at both ends.
+    +inf rate and stay below both that rate and the next exponent.  It sits
+    at a non-negative rate, so the shifted right-hand side, bounded at -inf,
+    still decays at both ends.
     """
-    delta, delta0 = profile.delta, profile.delta0
+    delta = profile.delta
     if delta <= 0.0:
         raise ValidationError("declared +inf decay rate must be positive")
     sigmas = [r.sigma for r in catalog.roots]
@@ -231,10 +225,9 @@ def _select_beta(spec: ModeSpec, profile: DecayProfile, catalog: RootCatalog):
     below = [sg for sg in sigmas if sg < delta]
     above = [sg for sg in sigmas if sg > delta]
     hi_next = above[0] if above else delta + 10.0
-    if not below and delta0 >= 0.0:
-        return 0.0  # no axis zeros below the rate, no growth to tame
-    lo = max(below) if below else 0.0
-    lo = max(lo, -delta0, 0.0)
+    if not below:
+        return 0.0  # no axis zeros below the rate
+    lo = max(below)
     hi = min(delta, hi_next)
     if hi - lo <= 2e-3:
         raise ResonanceError(
@@ -256,36 +249,25 @@ def _check_declared_tails(h: LineFunction, profile: DecayProfile):
                 f"right tail slope {slope_r:.3f} too shallow for declared "
                 f"decay {profile.delta}"
             )
-    slope_l = fit_tail_rate(h, "-")
-    if slope_l is not None and abs(profile.delta0) > 0.1:
-        need = 0.8 * profile.delta0 if profile.delta0 > 0 else 1.25 * profile.delta0
-        if slope_l < need - 0.05:
-            raise TailMismatch(
-                f"left tail slope {slope_l:.3f} inconsistent with declared "
-                f"rate {profile.delta0}"
-            )
 
 
 def green_solve(spec: ModeSpec, h: LineFunction, profile: DecayProfile,
-                kappa: float | None = None, catalog: RootCatalog | None = None,
-                beta: float | None = None, check_tails: bool = True) -> LineFunction:
+                beta: float | None = None) -> LineFunction:
     """Particular solution of the per-mode equation for a decaying right side.
 
     The output carries envelope rate -beta: its bounded part is exact under
     the shifted multiplier, so apply_L0(green_solve(h)) == h to roundoff.
+    The right tail of h is checked against the declared rate first.
     """
-    if kappa is None:
-        kappa = constants(spec.n, spec.gamma).kappa
+    kappa = constants(spec.n, spec.gamma).kappa
     if spec.m != h.mode:
         raise ValidationError(f"mode mismatch: spec m={spec.m}, rhs m={h.mode}")
     if h.envelope_rate != 0.0:
         raise ValidationError("right-hand side must be given in plain samples")
-    if check_tails:
-        _check_declared_tails(h, profile)
-    if catalog is None:
-        catalog = _sigma_ladder_past(spec, profile.delta)
+    _check_declared_tails(h, profile)
+    catalog = _sigma_ladder_past(spec, profile.delta)
     if beta is None:
-        beta = _select_beta(spec, profile, catalog)
+        beta = _select_beta(profile, catalog)
 
     s = h.grid()
     g = h.values * np.exp(beta * s) if beta != 0.0 else np.asarray(h.values)
@@ -314,8 +296,10 @@ def green_solve(spec: ModeSpec, h: LineFunction, profile: DecayProfile,
                         envelope_rate=-beta)
 
 
-def resonant_window(tau: float, target_half: float = 30.0, N: int = 4096):
-    """Symmetric window whose length is an exact period multiple of cos(tau s)."""
+def resonant_window(tau: float):
+    """Symmetric window of 4096 points, half-length near 30, whose length is
+    an exact period multiple of cos(tau s)."""
+    target_half, N = 30.0, 4096
     if tau <= 0.0:
         return -target_half, 2.0 * target_half / N, N
     period = 2.0 * np.pi / tau
@@ -323,9 +307,7 @@ def resonant_window(tau: float, target_half: float = 30.0, N: int = 4096):
     return -L / 2.0, L / N, N
 
 
-def homogeneous_basis(spec: ModeSpec, catalog: RootCatalog | None = None,
-                      j_max: int = 2, target_half: float = 30.0,
-                      N: int = 4096) -> list:
+def homogeneous_basis(spec: ModeSpec, j_max: int = 2) -> list:
     """Sampled homogeneous solutions, one pair per indicial exponent.
 
     Decaying/growing pairs are carried as envelopes over cosine profiles, so
@@ -333,13 +315,10 @@ def homogeneous_basis(spec: ModeSpec, catalog: RootCatalog | None = None,
     periodization error.  Oscillatory profiles get their own window, resized
     to an exact period multiple.
     """
-    if catalog is None:
-        catalog = root_catalog(spec, j_max + 1)
-    if len(catalog.roots) < j_max + 1:
-        raise ValidationError(f"catalog too short for j_max = {j_max}")
+    catalog = root_catalog(spec, j_max + 1)
     out = []
-    for j, root in enumerate(catalog.roots[: j_max + 1]):
-        s0, ds, n_s = resonant_window(root.tau, target_half, N)
+    for root in catalog.roots[: j_max + 1]:
+        s0, ds, n_s = resonant_window(root.tau)
         s = s0 + ds * np.arange(n_s)
         profile = np.cos(root.tau * s) if root.tau != 0.0 else np.ones(n_s)
         if root.sigma == 0.0:
@@ -353,6 +332,21 @@ def homogeneous_basis(spec: ModeSpec, catalog: RootCatalog | None = None,
     return out
 
 
+def homogeneous_columns(catalog: RootCatalog, s) -> np.ndarray:
+    """Homogeneous solutions at the points s, one sup-normalised column each:
+    sin(tau s) and cos(tau s) for a root on the axis (sigma = 0), the pair
+    e^{-sigma s} cos(tau s), e^{+sigma s} cos(tau s) for any other root."""
+    cols = []
+    for root in catalog.roots:
+        if root.sigma == 0.0:
+            cols += [np.sin(root.tau * s), np.cos(root.tau * s)]
+        else:
+            cols += [np.exp(sign * root.sigma * s) * np.cos(root.tau * s)
+                     for sign in (-1.0, +1.0)]
+    A = np.stack(cols, axis=1)
+    return A / np.abs(A).max(axis=0)
+
+
 @dataclass
 class GrowthVerdict:
     verdict: str  # "trivial" | "non-admissible" | "liouville-violation"
@@ -362,19 +356,17 @@ class GrowthVerdict:
     notes: list = field(default_factory=list)
 
 
-def classify_growth(v: LineFunction, mu: float, spec: ModeSpec | None = None,
-                    catalog: RootCatalog | None = None, tol: float = 1e-6) -> GrowthVerdict:
+def classify_growth(v: LineFunction, mu: float, spec: ModeSpec,
+                    catalog: RootCatalog) -> GrowthVerdict:
     """Growth-class test for numerically annihilated line functions.
 
     Checks whether |v| fits under C * e^{mu |s|} with mu < 0 (C anchored to
     the central quarter).  A function in the numerical kernel that obeys the
-    bound must be trivial; a surviving non-trivial one is flagged, and its
-    least-squares coordinates in the homogeneous basis are reported.
+    bound must be trivial (sup at most 1e-6); a surviving non-trivial one is
+    flagged, and its least-squares coordinates in the homogeneous basis are
+    reported.
     """
-    if spec is None:
-        spec = ModeSpec(n=3, m=v.mode)
-    if catalog is None:
-        catalog = root_catalog(spec, 3)
+    tol = 1e-6
     bar = -(spec.n - 1) / 2.0
     if not (bar < mu < 0.0):
         raise ValidationError(f"weight rate {mu} outside ({bar}, 0)")
@@ -398,7 +390,8 @@ def classify_growth(v: LineFunction, mu: float, spec: ModeSpec | None = None,
     if sup <= tol:
         return GrowthVerdict("trivial", sup, 0.0)
 
-    resid = apply_L0(spec, v).sup(interior_frac=0.5)
+    k = int(0.25 * v.N)  # the central half of the window
+    resid = float(np.abs(apply_L0(spec, v).materialize())[k: v.N - k].max())
     if resid > 1e-4 * sup:
         raise ValidationError(
             f"input not numerically annihilated: |L0 v| = {resid:.2e} vs sup {sup:.2e}"
@@ -410,19 +403,8 @@ def classify_growth(v: LineFunction, mu: float, spec: ModeSpec | None = None,
     envelope = c_bound * np.exp(mu * np.abs(s))
     ok = bool(np.all(y <= envelope + tol))
 
-    # coordinates in the analytic homogeneous basis, columns sup-normalized
-    cols, labels = [], []
-    for j, root in enumerate(catalog.roots):
-        if root.sigma == 0.0:
-            cols += [np.sin(root.tau * s), np.cos(root.tau * s)]
-            labels += [f"sin{j}", f"cos{j}"]
-        else:
-            for sign in (-1.0, +1.0):
-                cols.append(np.exp(sign * root.sigma * s) * np.cos(root.tau * s))
-                labels.append(f"exp{'+' if sign > 0 else '-'}{j}")
-    A = np.stack(cols, axis=1)
-    scale = np.abs(A).max(axis=0)
-    coef, *_ = np.linalg.lstsq(A / scale, v.materialize(), rcond=None)
+    # coordinates in the analytic homogeneous basis
+    coef, *_ = np.linalg.lstsq(homogeneous_columns(catalog, s), v.materialize(), rcond=None)
 
     if not ok:
         return GrowthVerdict("non-admissible", sup, c_bound, coef)
@@ -430,20 +412,19 @@ def classify_growth(v: LineFunction, mu: float, spec: ModeSpec | None = None,
                          notes=["bounded by the weight yet not trivial"])
 
 
-def synthesize_kernel(spec: ModeSpec, s, catalog: RootCatalog | None = None,
-                      j_max: int = 6):
+def synthesize_kernel(spec: ModeSpec, s):
     """Even Green kernel from the indicial residue series, with truncation estimate.
 
-    The two half-lines are synthesized independently: s > 0 from the zeros
-    above the contour, s < 0 from the zeros below.  Agreement of the two
-    branches under s -> -s is therefore a genuine check of the four-fold
-    root symmetry and of the residue derivatives, not an identity of the
-    construction.  Returns (values, trunc) where trunc(s) bounds the first
-    omitted term.
+    The series sums the first seven decaying exponents.  The two half-lines
+    are synthesized independently: s > 0 from the zeros above the contour,
+    s < 0 from the zeros below.  Agreement of the two branches under
+    s -> -s is therefore a genuine check of the four-fold root symmetry and
+    of the residue derivatives, not an identity of the construction.
+    Returns (values, trunc) where trunc(s) bounds the first omitted term.
     """
+    j_max = 6
     s = np.asarray(s, dtype=float)
-    if catalog is None:
-        catalog = root_catalog(spec, j_max + 2)
+    catalog = root_catalog(spec, j_max + 2)
     decaying = [r for r in catalog.roots if r.sigma > 0.0]
     if len(decaying) <= j_max + 1:
         catalog = root_catalog(spec, j_max + 4)
@@ -470,13 +451,11 @@ def synthesize_kernel(spec: ModeSpec, s, catalog: RootCatalog | None = None,
     return vals, trunc
 
 
-def mode0_sine_coefficient(spec: ModeSpec, catalog: RootCatalog | None = None) -> float:
+def mode0_sine_coefficient(spec: ModeSpec) -> float:
     """Coefficient of the half-line sine tail of the mode-0 kernel."""
     if spec.m != 0:
         raise ValidationError("the oscillatory tail exists only for mode 0")
-    if catalog is None:
-        catalog = root_catalog(spec, 1)
-    r0 = catalog.roots[0]
+    r0 = root_catalog(spec, 1).roots[0]
     if r0.sigma != 0.0:
         raise NonConvergence(f"first mode-0 root not on the axis: {r0}")
     return 2.0 / abs(r0.dtheta)

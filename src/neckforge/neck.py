@@ -49,6 +49,9 @@ __all__ = [
     "error_sweep",
 ]
 
+CUTOFF_WIDTH = 1.0  # the partition chi switches from 1 to 0 over |s| < CUTOFF_WIDTH
+RAMP_WIDTH = 0.5  # smooth-max scale of the chart deviation profile
+
 
 @dataclass(frozen=True)
 class NeckConfig:
@@ -58,11 +61,8 @@ class NeckConfig:
     delta: float | None = None  # chart scale; default epsilon**0.25
     n_s: int = 4096
     pad: float = 4.0
-    cutoff_width: float = 1.0
     weight_convention: str = "centered"  # or "paper-literal"
-    cutoff_profile: str = "symmetric"  # or "asymmetric"
     perturbation: bool = True
-    ramp_width: float = 0.5  # smooth-max scale of the chart deviation profile
 
     def __post_init__(self):
         if not (0.0 < self.epsilon < 0.25):
@@ -75,10 +75,6 @@ class NeckConfig:
             raise ValidationError("pad must leave room for the caps (>= 2)")
         if self.weight_convention not in ("centered", "paper-literal"):
             raise ValidationError(f"unknown weight convention {self.weight_convention!r}")
-        if self.cutoff_profile not in ("symmetric", "asymmetric"):
-            raise ValidationError(f"unknown cutoff profile {self.cutoff_profile!r}")
-        if not self.cutoff_width > 0:
-            raise ValidationError("cutoff width must be positive")
 
     @property
     def S_eps(self) -> float:
@@ -147,40 +143,37 @@ def weighted_norm(norm: WeightedNormSpec, config: NeckConfig, v: LineFunction) -
     return total
 
 
-def _bump_density(t: np.ndarray, skew: float = 0.0) -> np.ndarray:
+def _bump_density(t: np.ndarray) -> np.ndarray:
     out = np.zeros_like(t)
     inside = np.abs(t) < 1.0
     ti = t[inside]
-    out[inside] = np.exp(-1.0 / (1.0 - ti * ti)) * (1.0 + skew * ti)
+    out[inside] = np.exp(-1.0 / (1.0 - ti * ti))
     return out
 
 
-def _cutoff(config: NeckConfig, s: np.ndarray) -> np.ndarray:
-    """Smooth cutoff: 1 for s <= -width, 0 for s >= width.
+def _cutoff(s: np.ndarray) -> np.ndarray:
+    """Smooth cutoff on the grid s: 1 for s <= -CUTOFF_WIDTH, 0 for
+    s >= CUTOFF_WIDTH, the normalized integral of a bump in between.
 
-    The symmetric profile is symmetrized so chi(s) + chi(-s) = 1 holds to
-    roundoff (an exact partition); the asymmetric option keeps the same
-    plateaus but deliberately breaks the partition inside the band.
+    The profile is symmetrized so chi(s) + chi(-s) = 1 holds to roundoff
+    (an exact partition).
     """
-    w = config.cutoff_width
-    skew = 0.0 if config.cutoff_profile == "symmetric" else 0.6
-    rho = _bump_density(s / w, skew=skew)
+    w = CUTOFF_WIDTH
+    rho = _bump_density(s / w)
     mass = np.cumsum(0.5 * (rho[1:] + rho[:-1]))
     chi = np.empty_like(s)
     chi[0] = 1.0
     chi[1:] = 1.0 - mass / mass[-1]
     chi[s <= -w] = 1.0
     chi[s >= w] = 0.0
-    if config.cutoff_profile == "symmetric":
-        flipped = np.interp(-s, s, chi)
-        chi = 0.5 * (chi + 1.0 - flipped)
-    return chi
+    flipped = np.interp(-s, s, chi)
+    return 0.5 * (chi + 1.0 - flipped)
 
 
-def _deviation_profile(config: NeckConfig, s: np.ndarray) -> np.ndarray:
+def _deviation_profile(s: np.ndarray) -> np.ndarray:
     """Chart deviation shape q: 1 frozen on the own-cap side (s -> -inf),
-    e^{-2s} decay into the opposite half; smooth-max ramp of width w."""
-    w = config.ramp_width
+    e^{-2s} decay into the opposite half; smooth-max ramp of width RAMP_WIDTH."""
+    w = RAMP_WIDTH
     ell = 0.5 * (s + np.sqrt(s * s + w * w))
     return np.exp(-2.0 * ell)
 
@@ -200,23 +193,17 @@ def build_glued_factor(config: NeckConfig, n: int) -> LineFunction:
             "the neck and chart regions overlap"
         )
     s = config.s_grid()
-    chi = _cutoff(config, s)
+    chi = _cutoff(s)
     if config.perturbation:
-        g1 = 1.0 + delta**2 * _deviation_profile(config, s)
-        g2 = 1.0 + delta**2 * _deviation_profile(config, -s)
+        g1 = 1.0 + delta**2 * _deviation_profile(s)
+        g2 = 1.0 + delta**2 * _deviation_profile(-s)
     else:
         g1 = np.ones_like(s)
         g2 = np.ones_like(s)
-    U = chi * g1 + _cutoff_flip(config, s, chi) * g2
+    U = chi * g1 + (1.0 - chi) * g2  # chi(-s) = 1 - chi(s), an exact partition
     if U.min() <= 0.0:
         raise NonPositiveConformalFactor("glued factor lost positivity")
     return config.line_function(U)
-
-
-def _cutoff_flip(config: NeckConfig, s: np.ndarray, chi: np.ndarray) -> np.ndarray:
-    if config.cutoff_profile == "symmetric":
-        return 1.0 - chi  # exact partition
-    return np.interp(-s, s, chi)
 
 
 def curvature(n: int, u, Pu):
@@ -257,11 +244,11 @@ def approximate_curvature_error(config: NeckConfig, n: int,
     return err, weighted_norm(norm, config, err)
 
 
-def covariance_selftest(config: NeckConfig, n: int, n_exact: int = 48) -> float:
+def covariance_selftest(config: NeckConfig, n: int) -> float:
     """Two-route curvature agreement on the conformally exact window.
 
     Route a applies the Gamma-formula symbol as the multiplier; route b
-    replaces the lowest |xi| multiplier bins -- which carry essentially all
+    replaces the 96 lowest |xi| multiplier bins -- which carry essentially all
     of the factor's spectrum -- by Dirichlet-to-Neumann values from the
     extension ODE solve.  Agreement bounds the covariance pipeline against
     an independent realization of the boundary operator.
@@ -273,7 +260,7 @@ def covariance_selftest(config: NeckConfig, n: int, n_exact: int = 48) -> float:
     u = np.asarray(U.values, dtype=float) ** exponent
     xi = 2.0 * np.pi * np.fft.fftfreq(U.N, d=U.ds)
     mult_a = theta_table(n, 0, U.N, U.ds)[0]
-    order = np.argsort(np.abs(xi), kind="stable")[: 2 * n_exact]
+    order = np.argsort(np.abs(xi), kind="stable")[:96]
     exact_xis = np.abs(xi[order])
     spec = ModeSpec(n=n, gamma=0.5, m=0)
     table = {x: dtn_cylinder(HalfCylinderProblem(spec, xi=x))

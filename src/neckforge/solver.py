@@ -456,15 +456,16 @@ def cylinder_smallest_multiplier(n: int, L: float, m_max: int, N_s: int) -> floa
 
 
 def uniform_invertibility_study(n: int, eps_list, mu: float, m_max: int = 3,
-                                N_s: int = 512, pad: float = 4.0) -> dict:
+                                N_s: int = 512) -> dict:
     """Smallest weighted singular value of the linearization at the glued
     factor, swept over epsilon on one fixed window.
 
-    The window is sized for the smallest epsilon and shared by the whole
-    sweep so singular values are comparable (a per-epsilon window would
-    move the frequency lattice and masquerade as an epsilon trend).  The
-    report carries per-epsilon values and the log-log slope; boundedness
-    away from zero — not monotonicity — is the claim under test.
+    The window is sized for the smallest epsilon, padded by 4 on each side
+    of its neck, and shared by the whole sweep so singular values are
+    comparable (a per-epsilon window would move the frequency lattice and
+    masquerade as an epsilon trend).  The report carries per-epsilon values
+    and the log-log slope; boundedness away from zero — not monotonicity —
+    is the claim under test.
 
     Two measures are reported per mode, both read from one inverse
     A^{-1} of the weight-conjugated matrix: the operator smallest singular
@@ -483,7 +484,7 @@ def uniform_invertibility_study(n: int, eps_list, mu: float, m_max: int = 3,
     if not -(n - 1) / 2 < mu < 0:
         raise ValidationError(f"mu={mu} outside the inversion range for n={n}")
     S_max = max(-np.log(e) for e in eps_list)
-    L = S_max + 2.0 * pad
+    L = S_max + 2.0 * 4.0
     # nudge the window off the mode-0 crossing if needed
     for j in range(200):
         trial = L * (1.0 + 0.003 * j)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from neckforge.cli import RunConfig, load_config, main
+from neckforge.cli import _SCHEMAS, COMMANDS, RunConfig, _build_parser, load_config, main
 from neckforge.errors import ParseError, ValidationError
 
 
@@ -170,6 +170,34 @@ def test_int_range_and_float_grid_syntax():
     rc2 = load_config(None, "symbol", overrides={"m": "2,5", "xi": "3"})
     assert rc2.parameters["m"] == [2, 5]
     assert rc2.parameters["xi"] == [3.0]
+
+
+# one raw value per schema key that its coercer accepts and that differs
+# from the default; the switch --sweep takes no value
+FLAG_SAMPLES = {
+    "n": "4", "gamma": "0.3", "m": "1..2", "xi": "0,1.5", "j_count": "2",
+    "m_max": "4", "j_max": "2", "tol_b": "1e-6", "delta": "0.75",
+    "half_window": "20", "points": "512", "beta": "0.1", "phi_grid": "256",
+    "scheme": "finite-difference", "sweep": None, "eps": "0.1,0.05",
+    "epsilon": "0.1", "mu": "-0.25", "n_s": "512", "pad": "3",
+    "perturbation": "false", "weight_convention": "paper-literal",
+    "modes": "1", "amplitude": "0.02", "method": "fixed-point", "tol": "1e-9",
+    "max_iter": "10", "criteria": "1,2",
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_every_schema_key_has_a_flag(command):
+    parser = _build_parser()
+    for key, (coerce, default) in _SCHEMAS[command].items():
+        raw = FLAG_SAMPLES[key]
+        argv = [command, "--" + key.replace("_", "-")] + ([] if raw is None else [raw])
+        ns = vars(parser.parse_args(argv))
+        overrides = {k: v for k, v in ns.items()
+                     if k not in ("command", "config") and v is not None}
+        assert set(overrides) == {key}
+        got = load_config(None, command, overrides=overrides).parameters[key]
+        assert got == coerce("true" if raw is None else raw, key) and got != default
 
 
 def test_unknown_command_rejected():

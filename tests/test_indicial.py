@@ -11,8 +11,7 @@ import pytest
 
 from neckforge import indicial
 from neckforge.errors import NonConvergence
-from neckforge.indicial import (_false_position, check_lemma, find_roots, first_root,
-                                root_catalog, sigma_ladder)
+from neckforge.indicial import _false_position, check_lemma, first_root, root_catalog
 from neckforge.symbol import ModeSpec, constants
 
 # mode-0 crossing frequency per dimension
@@ -102,8 +101,9 @@ def test_mode1_translation_exponent_every_order(n, gamma):
 
 @pytest.mark.parametrize("m,ladder", [(0, LADDER_M0), (1, LADDER_M1)])
 def test_sigma_ladders_n3(m, ladder):
-    got = sigma_ladder(ModeSpec(n=3, m=m), len(ladder))
-    assert np.max(np.abs(np.asarray(got[:len(ladder)]) - ladder)) <= 1e-10
+    roots = root_catalog(ModeSpec(n=3, m=m), len(ladder)).roots[:len(ladder)]
+    got = np.array([r.sigma for r in roots])
+    assert np.max(np.abs(got - ladder)) <= 1e-10
 
 
 @pytest.mark.parametrize("n,m", [(3, 0), (3, 1), (3, 2), (4, 0), (4, 1), (4, 2)])
@@ -145,16 +145,6 @@ def test_check_lemma_n3_all_clauses():
     assert rep.passed
     assert rep.clause_a and rep.clause_b and rep.clause_c and rep.clause_d
     assert abs(rep.tau0 - TAU0[3]) <= 1e-10
-
-
-def test_find_roots_box_encloses_expected_count():
-    # the mode-0 oscillatory pair: one root in the upper-right box, none in a
-    # box that stops short of tau0
-    cat = find_roots(ModeSpec(n=3, m=0), (0.0, 1.5, 0.0, 2.0))
-    assert len(cat.roots) == 1
-    assert abs(cat.roots[0].tau - TAU0[3]) <= 1e-10
-    empty = find_roots(ModeSpec(n=3, m=0), (0.3, 1.5, 0.0, 1.0))
-    assert len(empty.roots) == 0
 
 
 @pytest.mark.parametrize("n, m", [(3, 2), (5, 6)])

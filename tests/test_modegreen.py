@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from neckforge import modegreen
 from neckforge.errors import TailMismatch, ValidationError
 from neckforge.indicial import root_catalog
 from neckforge.modegreen import (DecayProfile, LineFunction, apply_L0,
@@ -41,6 +42,19 @@ def test_solution_inherits_declared_decay(m):
     v = green_solve(spec, _rhs(m), DecayProfile(delta=DELTA))
     assert abs(fit_tail_rate(v, "+") + DELTA) <= 0.05 * DELTA
     assert abs(fit_tail_rate(v, "-") - DELTA) <= 0.05 * DELTA
+
+
+def test_green_solve_fits_the_right_tail_once(monkeypatch):
+    # only the +inf rate is declared, so only the right tail is fitted
+    sides = []
+
+    def spy(v, side="+"):
+        sides.append(side)
+        return fit_tail_rate(v, side)
+
+    monkeypatch.setattr(modegreen, "fit_tail_rate", spy)
+    green_solve(ModeSpec(n=3, m=1), _rhs(1), DecayProfile(delta=DELTA))
+    assert sides == ["+"]
 
 
 def test_homogeneous_basis_annihilated():
@@ -90,7 +104,7 @@ def test_classify_growth_flags_homogeneous_content():
     # basis coordinates are recovered
     spec = ModeSpec(n=3, m=1)
     cat = root_catalog(spec, 3)
-    w = homogeneous_basis(spec, catalog=cat, j_max=1)[0]
+    w = homogeneous_basis(spec, j_max=1)[0]
     verdict = classify_growth(w, -0.5, spec, cat)
     assert verdict.verdict != "trivial"
     assert verdict.coefficients is not None

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neckforge.errors import ConfigOverlap, ValidationError
-from neckforge.neck import (NeckConfig, WeightedNormSpec,
+from neckforge.neck import (CUTOFF_WIDTH, NeckConfig, WeightedNormSpec,
                             approximate_curvature_error, build_glued_factor,
                             covariance_selftest, error_sweep, weight,
                             weighted_norm, _cutoff)
@@ -70,21 +70,12 @@ def test_norm_grid_mismatch_rejected():
 def test_partition_exact_for_symmetric_profile():
     cfg = NeckConfig(epsilon=0.05)
     s = cfg.s_grid()
-    chi = _cutoff(cfg, s)
+    chi = _cutoff(s)
     flipped = np.interp(-s, s, chi)
     assert np.max(np.abs(chi + flipped - 1.0)) <= 5e-15
     # plateaus: pure summand 1 beyond the seam band
-    assert np.all(chi[s < -cfg.cutoff_width] > 1.0 - 1e-12)
-    assert np.all(chi[s > cfg.cutoff_width] < 1e-12)
-
-
-def test_asymmetric_profile_breaks_partition_in_band_only():
-    cfg = NeckConfig(epsilon=0.05, cutoff_profile="asymmetric")
-    s = cfg.s_grid()
-    chi = _cutoff(cfg, s)
-    gap = np.abs(chi + np.interp(-s, s, chi) - 1.0)
-    assert np.max(gap) > 1e-3
-    assert np.max(gap[np.abs(s) > cfg.cutoff_width]) <= 1e-12
+    assert np.all(chi[s < -CUTOFF_WIDTH] > 1.0 - 1e-12)
+    assert np.all(chi[s > CUTOFF_WIDTH] < 1e-12)
 
 
 def test_factor_is_one_without_perturbation():
@@ -139,4 +130,4 @@ def test_epsilon_range_validated():
 @pytest.mark.parametrize("n", [2, 3])
 def test_covariance_selftest_tiny(n):
     cfg = NeckConfig(epsilon=0.05, n_s=1024)
-    assert covariance_selftest(cfg, n, n_exact=24) <= 1e-6
+    assert covariance_selftest(cfg, n) <= 1e-6

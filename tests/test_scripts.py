@@ -44,3 +44,13 @@ def test_catalog_digest_script_is_deterministic():
     first, second = (_run("catalog_digest.py", "--quick").split() for _ in range(2))
     assert first == second
     assert len(first[0]) == 64 and first[1:] == ["catalogs=48", "first_roots=24", "raised=0"]
+
+
+def test_option_count_script_runs():
+    lines = _run("option_count.py").splitlines()
+    modules = [ln for ln in lines if not ln.startswith((" ", "total:"))]
+    assert "cli" not in {ln.split(":")[0] for ln in modules}
+    counts = [[int(w) for w in ln.split() if w.isdigit()] for ln in modules]
+    total = [int(w) for w in lines[-1].split() if w.isdigit()]
+    assert total == [sum(c[0] for c in counts), sum(c[1] for c in counts)]
+    assert total[1] == sum(1 for ln in lines if ln.startswith("    "))
