@@ -14,7 +14,7 @@ sigma_min should stay put; together those are the numerical shadow of
 
 import numpy as np
 
-from neckforge.neck import WeightedNormSpec, error_sweep
+from neckforge.neck import error_sweep
 from neckforge.solver import uniform_invertibility_study
 
 EPS = (1e-1, 5e-2, 2.5e-2, 1.25e-2, 6.25e-3)
@@ -23,7 +23,7 @@ EPS = (1e-1, 5e-2, 2.5e-2, 1.25e-2, 6.25e-3)
 INV_MU = {2: -0.4, 3: -0.5}
 
 for n in (2, 3):
-    rows = error_sweep(n, EPS, WeightedNormSpec(mu=-0.5, k=0))
+    rows = error_sweep(n, EPS, mu=-0.5)
     inv = uniform_invertibility_study(n, list(EPS), mu=INV_MU[n],
                                       m_max=3, N_s=384)
     print(f"n={n}  (inversion mu={INV_MU[n]})")

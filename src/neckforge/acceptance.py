@@ -20,7 +20,7 @@ from .indicial import check_lemma, root_catalog
 from .modegreen import (DecayProfile, LineFunction, apply_L0, classify_growth,
                         fit_tail_rate, green_solve, homogeneous_basis,
                         homogeneous_columns, synthesize_kernel)
-from .neck import WeightedNormSpec, error_sweep
+from .neck import error_sweep
 from .solver import (PeriodicCylinderState, ball_newton_probe, newton_solve,
                      quadratic_remainder, state_norm, uniform_invertibility_study)
 from .symbol import ModeSpec, constants, theta
@@ -158,7 +158,7 @@ def criterion_6():
     details = []
     ok = True
     for n in (2, 3):
-        rows = error_sweep(n, EPS_SWEEP, WeightedNormSpec(mu=-0.5, k=0))
+        rows = error_sweep(n, EPS_SWEEP, mu=-0.5)
         E = [r["E"] for r in rows]
         decreasing = all(E[i] > E[i + 1] for i in range(len(E) - 1))
         ratio = E[-1] / E[0]
@@ -175,13 +175,12 @@ def criterion_7():
         f_hat[m, 1] += 0.5 * st1.N_s * 0.01
         f_hat[m, -1] += 0.5 * st1.N_s * 0.01
     start = st1.with_table(f_hat)
-    norm = WeightedNormSpec(mu=-0.5, k=0)
-    rep_n = newton_solve(start, norm, tol=1e-11, method="newton")
+    rep_n = newton_solve(start, tol=1e-11, method="newton")
     tail = [r for r in rep_n.residual_history if r > 1e-13][-3:]
     Cs = [tail[i + 1] / tail[i] ** 2 for i in range(len(tail) - 1)]
     quad_ok = len(Cs) >= 1 and max(Cs) / min(Cs) <= 3.0
     final_ok = rep_n.converged and rep_n.residual_history[-1] <= 1e-10
-    rep_f = newton_solve(start, norm, tol=1e-11, method="fixed-point")
+    rep_f = newton_solve(start, tol=1e-11, method="fixed-point")
     histf = [r for r in rep_f.residual_history if r > 1e-13]
     lin_ratios = [histf[i + 1] / histf[i] for i in range(len(histf) - 1)]
     lin_ok = rep_f.converged and max(lin_ratios) < 0.5
@@ -194,14 +193,13 @@ def criterion_7():
 def criterion_8():
     """Remainder after subtracting the linear part is quadratic."""
     st1 = PeriodicCylinderState.ones(3, m_max=8, N_s=256)
-    norm = WeightedNormSpec(mu=-0.5, k=0)
     rng = np.random.default_rng(20260813)
     worst_spread = 0.0
     for _ in range(20):
         direction = rng.standard_normal((st1.m_max + 1, st1.N_s))
         d_hat = np.fft.fft(direction, axis=1)
-        d_hat /= state_norm(st1, d_hat, norm)
-        ratios = [quadratic_remainder(st1, amp * d_hat, norm)
+        d_hat /= state_norm(st1, d_hat)
+        ratios = [quadratic_remainder(st1, amp * d_hat)
                   for amp in (1e-2, 1e-3, 1e-4)]
         worst_spread = max(worst_spread, max(ratios) / min(ratios))
     ok = worst_spread < 3.0
@@ -214,7 +212,7 @@ def criterion_9():
     model = BallModel(n=3, k_max=8)
     spec_ok = all(ball_linearized_eigenvalue(model, k) == float(k - 1)
                   for k in range(9))
-    outcome, msg, _hist = ball_newton_probe(3, k_max=8, amplitude=0.01, degree=1)
+    outcome, msg, _hist = ball_newton_probe(3)
     detect_ok = outcome in ("resonance", "stall")
     ok = spec_ok and detect_ok
     return ok, f"spectrum exact: {spec_ok}; degree-1 probe outcome: {outcome}"
@@ -249,7 +247,7 @@ def format_line(r: CriterionResult) -> str:
     return f"{tag} {r.index:2d} {r.name:<22s} ({r.elapsed:6.1f}s)  {r.detail}"
 
 
-def run_all(indices=None, echo: bool = True) -> list:
+def run_all(indices=None) -> list:
     results = []
     for idx, name, fn in CRITERIA:
         if indices is not None and idx not in indices:
@@ -262,6 +260,5 @@ def run_all(indices=None, echo: bool = True) -> list:
         res = CriterionResult(index=idx, name=name, passed=passed,
                               detail=detail, elapsed=time.perf_counter() - t0)
         results.append(res)
-        if echo:
-            print(format_line(res), flush=True)
+        print(format_line(res), flush=True)
     return results

@@ -47,9 +47,12 @@ def _as_int(raw, key):
 
 def _as_float(raw, key):
     try:
-        return float(str(raw).strip())
+        x = float(str(raw).strip())
     except ValueError:
         _fail(key, raw, "a number")
+    if not np.isfinite(x):
+        _fail(key, raw, "a finite number")
+    return x
 
 
 def _as_bool(raw, key):
@@ -184,7 +187,6 @@ _SCHEMAS = {
         "method": (_choice("newton", "fixed-point"), "newton"),
         "tol": (_as_float, 1e-11),
         "max_iter": (_pos_int, 40),
-        "mu": (_as_float, -0.5),
     },
     "accept": {
         "criteria": (_int_range, None),
@@ -213,27 +215,31 @@ def _parse_file(path: str) -> dict:
     """Raw sections: {section: {key: value-string}}; line numbers in errors."""
     sections: dict = {}
     current = "global"
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if line.startswith("["):
-                if not line.endswith("]") or len(line) < 3:
-                    raise ParseError(f"malformed section header {raw.strip()!r}",
-                                     line=lineno)
-                name = line[1:-1].strip()
-                if name != "global" and name not in COMMANDS:
-                    raise ValidationError(f"unknown section '{name}'"
-                                          f" (line {lineno})")
-                current = name
-                continue
-            key, eq, value = line.partition("=")
-            if not eq or not key.strip():
-                raise ParseError(f"expected 'key = value', got {raw.strip()!r}",
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read config file {path!r}: {exc}") from exc
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("["):
+            if not line.endswith("]") or len(line) < 3:
+                raise ParseError(f"malformed section header {raw.strip()!r}",
                                  line=lineno)
-            norm = key.strip().replace("-", "_")
-            sections.setdefault(current, {})[norm] = value.strip()
+            name = line[1:-1].strip()
+            if name != "global" and name not in COMMANDS:
+                raise ValidationError(f"unknown section '{name}'"
+                                      f" (line {lineno})")
+            current = name
+            continue
+        key, eq, value = line.partition("=")
+        if not eq or not key.strip():
+            raise ParseError(f"expected 'key = value', got {raw.strip()!r}",
+                             line=lineno)
+        norm = key.strip().replace("-", "_")
+        sections.setdefault(current, {})[norm] = value.strip()
     return sections
 
 
@@ -381,12 +387,16 @@ def _run_green(config: RunConfig) -> int:
             s0=-half, s1=half, N=N, mode=m)
         v = green_solve(spec, h, DecayProfile(delta=delta), beta=p["beta"])
         s, vals = v.grid(), v.materialize()
-        fit_p = fit_tail_rate(v, "+")
-        fit_m = fit_tail_rate(v, "-")
         for i in range(N):
             rows.append((m, s[i], h.values[i], vals[i]))
-        print(f"# mode {m}: fitted tail rates {_fmt(fit_m)} / {_fmt(fit_p)} "
-              f"(declared +/-{_fmt(delta)})", file=sys.stderr)
+        if m == 0:
+            print(f"# mode 0: fitted right-tail rate {_fmt(fit_tail_rate(v, '+'))} "
+                  f"(declared -{_fmt(delta)}); the left tail is the oscillatory "
+                  "sin(tau0 s)", file=sys.stderr)
+        else:
+            print(f"# mode {m}: fitted tail rates {_fmt(fit_tail_rate(v, '-'))} / "
+                  f"{_fmt(fit_tail_rate(v, '+'))} (declared +/-{_fmt(delta)})",
+                  file=sys.stderr)
     _emit(config, ("m", "s", "rhs", "solution"), rows)
     return 0
 
@@ -405,14 +415,13 @@ def _run_extension_validate(config: RunConfig) -> int:
 
 
 def _run_glue(config: RunConfig) -> int:
-    from .neck import WeightedNormSpec, error_sweep
+    from .neck import error_sweep
     p = config.parameters
     eps_list = [p["epsilon"]] if p["epsilon"] is not None else list(p["eps"])
     if not p["sweep"] and p["epsilon"] is None:
         eps_list = eps_list[:1]
-    norm = WeightedNormSpec(mu=p["mu"], k=0)
     rows = [(r["epsilon"], r["S_eps"], r["delta"], r["E"])
-            for r in error_sweep(p["n"], eps_list, norm,
+            for r in error_sweep(p["n"], eps_list, p["mu"],
                                  n_s=p["n_s"], pad=p["pad"],
                                  perturbation=p["perturbation"],
                                  weight_convention=p["weight_convention"])]
@@ -421,7 +430,6 @@ def _run_glue(config: RunConfig) -> int:
 
 
 def _run_solve(config: RunConfig) -> int:
-    from .neck import WeightedNormSpec
     from .solver import PeriodicCylinderState, newton_solve
     p = config.parameters
     state = PeriodicCylinderState.ones(p["n"], m_max=p["m_max"], N_s=p["n_s"])
@@ -432,8 +440,7 @@ def _run_solve(config: RunConfig) -> int:
         f_hat[m, 1] += 0.5 * state.N_s * p["amplitude"]
         f_hat[m, -1] += 0.5 * state.N_s * p["amplitude"]
     start = state.with_table(f_hat)
-    report = newton_solve(start, WeightedNormSpec(mu=p["mu"], k=0),
-                          tol=p["tol"], max_iter=p["max_iter"],
+    report = newton_solve(start, tol=p["tol"], max_iter=p["max_iter"],
                           method=p["method"])
     print(f"# method={report.method} iterations={report.iterations} "
           f"converged={report.converged}", file=sys.stderr)
@@ -448,7 +455,7 @@ def _run_accept(config: RunConfig) -> int:
     from .acceptance import format_line, run_all
     p = config.parameters
     indices = set(p["criteria"]) if p["criteria"] else None
-    results = run_all(indices=indices, echo=True)
+    results = run_all(indices=indices)
     if p.get("out"):
         with open(p["out"], "w", encoding="utf-8", newline="\n") as fh:
             fh.write(f"# neckforge {__version__} format={config.format_version} "

@@ -90,12 +90,10 @@ class LineFunction:
         return self.values * np.exp(self.envelope_rate * self.grid())
 
     @classmethod
-    def from_callable(cls, fn, s0: float, s1: float, N: int, mode: int = 0,
-                      envelope_rate: float = 0.0):
+    def from_callable(cls, fn, s0: float, s1: float, N: int, mode: int = 0):
         ds = (s1 - s0) / N
         s = s0 + ds * np.arange(N)
-        return cls(s0=s0, ds=ds, N=N, values=fn(s), mode=mode,
-                   envelope_rate=envelope_rate)
+        return cls(s0=s0, ds=ds, N=N, values=fn(s), mode=mode)
 
 
 @dataclass(frozen=True)
@@ -265,9 +263,8 @@ def green_solve(spec: ModeSpec, h: LineFunction, profile: DecayProfile,
     if h.envelope_rate != 0.0:
         raise ValidationError("right-hand side must be given in plain samples")
     _check_declared_tails(h, profile)
-    catalog = _sigma_ladder_past(spec, profile.delta)
     if beta is None:
-        beta = _select_beta(profile, catalog)
+        beta = _select_beta(profile, _sigma_ladder_past(spec, profile.delta))
 
     s = h.grid()
     g = h.values * np.exp(beta * s) if beta != 0.0 else np.asarray(h.values)

@@ -38,7 +38,6 @@ from .symbol import ModeSpec, constants, theta_table
 
 __all__ = [
     "NeckConfig",
-    "WeightedNormSpec",
     "weight",
     "weighted_norm",
     "build_glued_factor",
@@ -92,24 +91,10 @@ class NeckConfig:
         L = 2.0 * self.half_window
         return -self.half_window + (L / self.n_s) * np.arange(self.n_s)
 
-    def line_function(self, values: np.ndarray, mode: int = 0) -> LineFunction:
+    def line_function(self, values: np.ndarray) -> LineFunction:
         L = 2.0 * self.half_window
         return LineFunction(s0=-self.half_window, ds=L / self.n_s, N=self.n_s,
-                            values=values, mode=mode)
-
-
-@dataclass(frozen=True)
-class WeightedNormSpec:
-    """Exponent mu and derivative count k of the weighted sup norm."""
-
-    mu: float
-    k: int = 0
-
-    def __post_init__(self):
-        if self.k not in (0, 1):
-            raise ValidationError("k must be 0 or 1")
-        if not np.isfinite(self.mu):
-            raise ValidationError("mu must be finite")
+                            values=values)
 
 
 def weight(config: NeckConfig, s) -> np.ndarray:
@@ -129,18 +114,12 @@ def weight(config: NeckConfig, s) -> np.ndarray:
     return np.where(raw <= 1.0, raw, 2.0 - 1.0 / np.maximum(raw, 1.0))
 
 
-def weighted_norm(norm: WeightedNormSpec, config: NeckConfig, v: LineFunction) -> float:
-    """sup of weight^{-mu} |v|, plus the same for difference quotients at k=1."""
+def weighted_norm(mu: float, config: NeckConfig, v: LineFunction) -> float:
+    """sup of weight^{-mu} |v| on the config grid."""
     s = config.s_grid()
     if v.N != config.n_s or abs(v.s0 - s[0]) > 1e-9 or abs(v.ds - (s[1] - s[0])) > 1e-12:
         raise ValidationError("samples do not live on the config grid")
-    w = weight(config, s) ** (-norm.mu)
-    y = np.abs(v.materialize())
-    total = float(np.max(w * y))
-    if norm.k == 1:
-        dq = np.abs(np.diff(v.materialize())) / v.ds
-        total = max(total, float(np.max(w[:-1] * dq)))
-    return total
+    return float(np.max(weight(config, s) ** (-mu) * np.abs(v.materialize())))
 
 
 def _bump_density(t: np.ndarray) -> np.ndarray:
@@ -178,8 +157,9 @@ def _deviation_profile(s: np.ndarray) -> np.ndarray:
     return np.exp(-2.0 * ell)
 
 
-def build_glued_factor(config: NeckConfig, n: int) -> LineFunction:
-    """Conformal factor U of the glued metric over the model cylinder.
+def build_glued_factor(config: NeckConfig, n: int, s) -> np.ndarray:
+    """Conformal factor U of the glued metric over the model cylinder, at
+    the points s of an ascending uniform grid.
 
     U == 1 + O(delta^2) through the neck, exactly the summand chart factor
     beyond the transition band on either side.
@@ -192,7 +172,7 @@ def build_glued_factor(config: NeckConfig, n: int) -> LineFunction:
             f"chart scale {delta:.4g} not separated from sqrt(eps) = {eps**0.5:.4g}; "
             "the neck and chart regions overlap"
         )
-    s = config.s_grid()
+    s = np.asarray(s, dtype=float)
     chi = _cutoff(s)
     if config.perturbation:
         g1 = 1.0 + delta**2 * _deviation_profile(s)
@@ -203,7 +183,7 @@ def build_glued_factor(config: NeckConfig, n: int) -> LineFunction:
     U = chi * g1 + (1.0 - chi) * g2  # chi(-s) = 1 - chi(s), an exact partition
     if U.min() <= 0.0:
         raise NonPositiveConformalFactor("glued factor lost positivity")
-    return config.line_function(U)
+    return U
 
 
 def curvature(n: int, u, Pu):
@@ -219,29 +199,20 @@ def curvature_linearization(n: int, u, Pu):
     return curvature(n, u, 1.0), -N * u ** (-N - 1.0) * Pu
 
 
-def curvature_of_factor(config: NeckConfig, n: int, U: LineFunction) -> LineFunction:
-    """Boundary curvature Q of the metric U * g_cyl via conformal covariance."""
-    if np.min(U.values) <= 0.0:
-        raise NonPositiveConformalFactor("conformal factor must be positive")
-    exponent = (n - 1) / 4.0
-    u = config.line_function(np.asarray(U.values, dtype=float) ** exponent)
+def approximate_curvature_error(config: NeckConfig, n: int, mu: float | None = None):
+    """Pointwise construction error Q - c of the glued metric U * g_cyl, its
+    curvature Q from conformal covariance, and the weighted norm E(epsilon)
+    with exponent mu (default -(n-1)/4)."""
+    if mu is None:
+        mu = -(n - 1) / 4.0
+    if not (np.isfinite(mu) and mu < 0.0):
+        raise ValidationError(f"the error norm needs a finite negative weight exponent, "
+                              f"got {mu}")
+    U = build_glued_factor(config, n, config.s_grid())
+    u = config.line_function(U ** ((n - 1) / 4.0))
     Pu = np.real(np.fft.ifft(theta_table(n, 0, u.N, u.ds)[0] * np.fft.fft(u.values)))
-    return config.line_function(curvature(n, u.values, Pu))
-
-
-def approximate_curvature_error(config: NeckConfig, n: int,
-                                norm: WeightedNormSpec | None = None):
-    """Pointwise construction error Q - c of the glued metric and its
-    weighted norm E(epsilon)."""
-    if norm is None:
-        norm = WeightedNormSpec(mu=-(n - 1) / 4.0, k=0)
-    if not norm.mu < 0.0:
-        raise ValidationError("the error norm needs a negative weight exponent")
-    c = constants(n).c
-    U = build_glued_factor(config, n)
-    Q = curvature_of_factor(config, n, U)
-    err = config.line_function(Q.values - c)
-    return err, weighted_norm(norm, config, err)
+    err = config.line_function(curvature(n, u.values, Pu) - constants(n).c)
+    return err, weighted_norm(mu, config, err)
 
 
 def covariance_selftest(config: NeckConfig, n: int) -> float:
@@ -255,11 +226,9 @@ def covariance_selftest(config: NeckConfig, n: int) -> float:
     """
     from .extension import HalfCylinderProblem, dtn_cylinder
 
-    U = build_glued_factor(config, n)
-    exponent = (n - 1) / 4.0
-    u = np.asarray(U.values, dtype=float) ** exponent
-    xi = 2.0 * np.pi * np.fft.fftfreq(U.N, d=U.ds)
-    mult_a = theta_table(n, 0, U.N, U.ds)[0]
+    u = config.line_function(build_glued_factor(config, n, config.s_grid()) ** ((n - 1) / 4.0))
+    xi = 2.0 * np.pi * np.fft.fftfreq(u.N, d=u.ds)
+    mult_a = theta_table(n, 0, u.N, u.ds)[0]
     order = np.argsort(np.abs(xi), kind="stable")[:96]
     exact_xis = np.abs(xi[order])
     spec = ModeSpec(n=n, gamma=0.5, m=0)
@@ -268,19 +237,18 @@ def covariance_selftest(config: NeckConfig, n: int) -> float:
     mult_b = mult_a.copy()
     for k in order:
         mult_b[k] = table[round(abs(xi[k]), 12)]
-    uhat = np.fft.fft(u)
-    q_a = curvature(n, u, np.real(np.fft.ifft(mult_a * uhat)))
-    q_b = curvature(n, u, np.real(np.fft.ifft(mult_b * uhat)))
+    uhat = np.fft.fft(u.values)
+    q_a = curvature(n, u.values, np.real(np.fft.ifft(mult_a * uhat)))
+    q_b = curvature(n, u.values, np.real(np.fft.ifft(mult_b * uhat)))
     return float(np.max(np.abs(q_a - q_b)))
 
 
-def error_sweep(n: int, epsilons, norm: WeightedNormSpec | None = None,
-                **config_kw):
+def error_sweep(n: int, epsilons, mu: float | None = None, **config_kw):
     """E(epsilon) decay study; one row per epsilon."""
     rows = []
     for eps in epsilons:
         cfg = NeckConfig(epsilon=float(eps), **config_kw)
-        _, E = approximate_curvature_error(cfg, n, norm)
+        _, E = approximate_curvature_error(cfg, n, mu)
         rows.append({"epsilon": float(eps), "S_eps": cfg.S_eps,
                      "delta": cfg.resolved_delta, "E": E})
     return rows

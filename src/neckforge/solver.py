@@ -39,15 +39,15 @@ from .errors import (Diverged, NonConvergence, NonPositiveConformalFactor,
                      ResonanceError, ValidationError)
 from .extension import BallModel, ball_linearized_eigenvalue, dtn_ball_eigenvalue
 from .indicial import first_root
-from .neck import (NeckConfig, WeightedNormSpec, build_glued_factor, curvature,
-                   curvature_linearization, weight as neck_weight)
+from .neck import (NeckConfig, build_glued_factor, curvature, curvature_linearization,
+                   weight as neck_weight)
 from .symbol import ModeSpec, constants, theta_table
 
 __all__ = [
     "PeriodicCylinderState",
     "NewtonReport",
     "ZonalBasis",
-    "default_period",
+    "nonresonant_window",
     "apply_Q",
     "apply_linearized",
     "solve_linearized",
@@ -59,7 +59,6 @@ __all__ = [
     "ball_solve_linearized",
     "ball_newton_probe",
     "uniform_invertibility_study",
-    "cylinder_smallest_multiplier",
 ]
 
 RESONANCE_MARGIN = 1e-3
@@ -126,11 +125,21 @@ def _basis(n: int, m_max: int) -> ZonalBasis:
 # state
 
 
-def default_period(n: int) -> float:
-    """Non-resonant period: an irrational multiple of the mode-0
-    oscillation period 2*pi/tau_0."""
-    tau0 = first_root(ModeSpec(n=n, gamma=0.5, m=0)).tau
-    return 2.0 * np.pi / tau0 * (1.0 + 1.0 / np.sqrt(2.0))
+def _mode0_gap(n: int, L: float, N_s: int) -> float:
+    """Distance from kappa of the mode-0 multiplier on the period-L lattice."""
+    return float(np.min(np.abs(theta_table(n, 0, N_s, L / N_s)[0] - constants(n).kappa)))
+
+
+def nonresonant_window(n: int, L_min: float, N_s: int) -> float:
+    """First length L_min * (1 + 0.003 j), j < 200, whose N_s-point frequency
+    lattice keeps the mode-0 multiplier more than RESONANCE_MARGIN from
+    kappa: the mode-0 crossing of kappa is the oscillatory indicial pair,
+    and a lattice frequency on it makes the linearization singular."""
+    for j in range(200):
+        L = L_min * (1.0 + 0.003 * j)
+        if _mode0_gap(n, L, N_s) > RESONANCE_MARGIN:
+            return L
+    raise ResonanceError("could not find a non-resonant window length")
 
 
 def _multipliers(state: PeriodicCylinderState) -> np.ndarray:
@@ -162,18 +171,18 @@ class PeriodicCylinderState:
         if np.max(np.abs(self.f_hat - flipped)) > 1e-8 * scale:
             raise ValidationError("coefficients are not Hermitian-symmetric "
                                   "(state must be real-valued)")
-        mults = _multipliers(self)
-        kappa = constants(self.n).kappa
-        if np.min(np.abs(mults[0] - kappa)) <= RESONANCE_MARGIN:
+        if _mode0_gap(self.n, self.L, self.N_s) <= RESONANCE_MARGIN:
             raise ResonanceError(
                 f"period L={self.L:.6g} puts a lattice frequency on the mode-0 "
-                "crossing; pick an irrational multiple (default_period)")
+                "crossing; pick another length (nonresonant_window)")
 
     # -- constructors ------------------------------------------------------
     @classmethod
-    def ones(cls, n: int, L: float | None = None, m_max: int = 8,
-             N_s: int = 256) -> "PeriodicCylinderState":
-        L = default_period(n) if L is None else L
+    def ones(cls, n: int, m_max: int = 8, N_s: int = 256) -> "PeriodicCylinderState":
+        """The constant factor 1, on the first non-resonant period from an
+        irrational multiple of the mode-0 oscillation period 2*pi/tau_0."""
+        tau0 = first_root(ModeSpec(n=n, gamma=0.5, m=0)).tau
+        L = nonresonant_window(n, 2.0 * np.pi / tau0 * (1.0 + 1.0 / np.sqrt(2.0)), N_s)
         f_hat = np.zeros((m_max + 1, N_s), dtype=complex)
         f_hat[0, 0] = N_s  # fft of the constant 1
         return cls(n=n, L=L, m_max=m_max, N_s=N_s, f_hat=f_hat)
@@ -253,22 +262,11 @@ def _jacobian_matvec(state: PeriodicCylinderState):
 # norms and reports
 
 
-def state_norm(state: PeriodicCylinderState, table: np.ndarray,
-               norm: WeightedNormSpec) -> float:
-    """Sup norm of a coefficient table on the collocation grid.
-
-    The periodic model has no neck funnel, so the weight is identically 1
-    and mu is inert; k = 1 adds the s-difference-quotient sup, keeping the
-    interface of the neck norms.
-    """
+def state_norm(state: PeriodicCylinderState, table: np.ndarray) -> float:
+    """Sup norm of a coefficient table on the collocation grid (unweighted:
+    the periodic model has no neck funnel)."""
     basis = _basis(state.n, state.m_max)
-    vals = basis.to_grid(np.real(np.fft.ifft(table, axis=1)))
-    total = float(np.max(np.abs(vals)))
-    if norm.k == 1:
-        ds = state.L / state.N_s
-        dq = np.abs(np.diff(vals, axis=-1, append=vals[..., :1])) / ds
-        total = max(total, float(np.max(dq)))
-    return total
+    return float(np.max(np.abs(basis.to_grid(np.real(np.fft.ifft(table, axis=1))))))
 
 
 @dataclass(frozen=True)
@@ -287,9 +285,7 @@ def _residual_table(state: PeriodicCylinderState) -> np.ndarray:
     return out
 
 
-def newton_solve(state0: PeriodicCylinderState,
-                 norm: WeightedNormSpec = WeightedNormSpec(mu=-0.5, k=0),
-                 tol: float = 1e-11, max_iter: int = 40,
+def newton_solve(state0: PeriodicCylinderState, tol: float = 1e-11, max_iter: int = 40,
                  method: str = "fixed-point") -> NewtonReport:
     """Drive Q(f) to the constant c from a nearby start.
 
@@ -306,7 +302,7 @@ def newton_solve(state0: PeriodicCylinderState,
     rising = 0
     for it in range(max_iter + 1):
         res = _residual_table(state)
-        rnorm = state_norm(state, res, norm)
+        rnorm = state_norm(state, res)
         history.append(rnorm)
         if rnorm <= tol:
             return NewtonReport(iterations=it, residual_history=tuple(history),
@@ -355,18 +351,16 @@ def _newton_step(state: PeriodicCylinderState, res: np.ndarray) -> np.ndarray:
     return sol.reshape(shape)
 
 
-def quadratic_remainder(state1: PeriodicCylinderState, v_hat: np.ndarray,
-                        norm: WeightedNormSpec = WeightedNormSpec(mu=-0.5, k=0)
-                        ) -> float:
+def quadratic_remainder(state1: PeriodicCylinderState, v_hat: np.ndarray) -> float:
     """||Q(1+v) - c - Lv|| / ||v||^2 — the constant whose boundedness makes
     the remainder genuinely quadratic."""
     pert = state1.with_table(state1.f_hat + v_hat)
     res = _residual_table(pert)
     rem = res - apply_linearized(state1, v_hat)
-    vn = state_norm(state1, v_hat, norm)
+    vn = state_norm(state1, v_hat)
     if vn == 0.0:
         raise ValidationError("need a nonzero direction")
-    return state_norm(state1, rem, norm) / vn**2
+    return state_norm(state1, rem) / vn**2
 
 
 # ---------------------------------------------------------------------------
@@ -420,19 +414,18 @@ def ball_solve_linearized(state: BallState, h: np.ndarray) -> np.ndarray:
     return out
 
 
-def ball_newton_probe(n: int, k_max: int = 8, amplitude: float = 0.01,
-                      degree: int = 1, max_iter: int = 12):
-    """Fixed-point iteration on the ball from a single-degree perturbation.
+def ball_newton_probe(n: int):
+    """Fixed-point iteration on the ball (degrees 0..8) from a degree-1
+    perturbation of size 0.01, for at most 12 steps.
 
     Returns (outcome, message, residual_history) with outcome 'resonance'
     when the kernel blocks a solve, or 'stall' if iteration proceeds
     without the quadratic collapse — for degree 1 it must never converge
     quadratically.
     """
+    k_max, amplitude, degree, max_iter = 8, 0.01, 1, 12
     state = BallState.ones(n, k_max)
-    coeffs = state.coeffs.copy()
-    coeffs[degree] += amplitude
-    state = BallState(n=n, k_max=k_max, coeffs=coeffs)
+    state.coeffs[degree] += amplitude
     c_ball = dtn_ball_eigenvalue(BallModel(n=n, k_max=k_max), 0)
     history = []
     for _ in range(max_iter):
@@ -448,11 +441,6 @@ def ball_newton_probe(n: int, k_max: int = 8, amplitude: float = 0.01,
 
 # ---------------------------------------------------------------------------
 # uniform invertibility across the glueing sweep
-
-
-def cylinder_smallest_multiplier(n: int, L: float, m_max: int, N_s: int) -> float:
-    mults = theta_table(n, m_max, N_s, L / N_s)
-    return float(np.min(np.abs(mults - constants(n).kappa)))
 
 
 def uniform_invertibility_study(n: int, eps_list, mu: float, m_max: int = 3,
@@ -483,16 +471,10 @@ def uniform_invertibility_study(n: int, eps_list, mu: float, m_max: int = 3,
         raise ValidationError("need at least one epsilon")
     if not -(n - 1) / 2 < mu < 0:
         raise ValidationError(f"mu={mu} outside the inversion range for n={n}")
-    S_max = max(-np.log(e) for e in eps_list)
-    L = S_max + 2.0 * 4.0
-    # nudge the window off the mode-0 crossing if needed
-    for j in range(200):
-        trial = L * (1.0 + 0.003 * j)
-        if cylinder_smallest_multiplier(n, trial, 0, N_s) > RESONANCE_MARGIN:
-            L = trial
-            break
-    else:
-        raise ResonanceError("could not find a non-resonant window length")
+    if N_s < 256:
+        raise ValidationError("need at least 256 neck samples")
+    L = nonresonant_window(n, max(-np.log(e) for e in eps_list) + 2.0 * 4.0, N_s)
+    s = -L / 2 + (L / N_s) * np.arange(N_s)
     table = theta_table(n, m_max, N_s, L / N_s)
     # each mode's multiplier as the circulant of its kernel: entry (i, j) is k[(i - j) % N_s]
     lag = np.subtract.outer(np.arange(N_s), np.arange(N_s)) % N_s
@@ -502,13 +484,11 @@ def uniform_invertibility_study(n: int, eps_list, mu: float, m_max: int = 3,
 
     rows = []
     for eps in eps_list:
-        # this pad puts the config's s_grid() on the shared window [-L/2, L/2)
-        # (to within an ulp of L/2)
-        cfg = NeckConfig(epsilon=eps, n_s=N_s, pad=0.5 * (L + np.log(eps)))
-        u = build_glued_factor(cfg, n).values ** ((n - 1) / 4.0)
+        cfg = NeckConfig(epsilon=eps)  # epsilon and chart scale; the grid is s
+        u = build_glued_factor(cfg, n, s) ** ((n - 1) / 4.0)
         Pu = np.real(np.fft.ifft(table[0] * np.fft.fft(u)))
         a, b = curvature_linearization(n, u, Pu)
-        wl = neck_weight(cfg, cfg.s_grid()) ** (-mu)
+        wl = neck_weight(cfg, s) ** (-mu)
         per_mode = {}
         per_mode_l2 = {}
         for m in range(m_max + 1):

@@ -9,7 +9,7 @@ from neckforge.acceptance import run_all
 
 
 def _run(index):
-    [res] = run_all(indices=[index], echo=True)
+    [res] = run_all(indices=[index])
     assert res.passed, f"criterion {index} failed: {res.detail}"
 
 

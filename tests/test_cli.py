@@ -1,10 +1,15 @@
 """Front-end contract: config schema, overrides, CSV shape, exit codes."""
 
+import os
+import shlex
+
 import numpy as np
 import pytest
 
 from neckforge.cli import _SCHEMAS, COMMANDS, RunConfig, _build_parser, load_config, main
 from neckforge.errors import ParseError, ValidationError
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def _body(path):
@@ -223,3 +228,60 @@ def test_solve_notes_print_as_one_line(tmp_path, capsys):
     notes = [ln for ln in capsys.readouterr().err.splitlines()
              if ln.startswith("# ") and not ln.startswith("# method=")]
     assert notes == ["# max_iter reached"]
+
+
+@pytest.mark.parametrize("case", ["missing", "directory", "not-utf8"])
+def test_unreadable_config_file_exits_2(tmp_path, capsys, case):
+    path = tmp_path / "c.cfg"
+    if case == "directory":
+        path.mkdir()
+    elif case == "not-utf8":
+        path.write_bytes(b"[symbol]\nn = 3 # \xff\xfe\n")
+    assert main(["symbol", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and str(path) in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [["symbol", "--xi", "nan"], ["green", "--delta", "inf"],
+                                  ["solve", "--tol", "nan"], ["glue", "--mu=-inf"]],
+                         ids=["xi-nan", "delta-inf", "tol-nan", "mu-minus-inf"])
+def test_non_finite_number_exits_2(capsys, argv):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"key '{argv[1].lstrip('-').split('=')[0]}'" in err
+    assert "finite" in err and "Traceback" not in err
+
+
+def test_solve_has_no_weight_exponent(tmp_path, capsys):
+    # the periodic model has no neck funnel, so its residual norm takes no mu
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("[solve]\nmu = -0.5\n")
+    assert main(["solve", "--config", str(cfg)]) == 2
+    assert "unknown key 'mu'" in capsys.readouterr().err
+
+
+def test_green_mode0_reports_only_the_right_tail(tmp_path, capsys):
+    out = tmp_path / "g.csv"
+    assert main(["green", "--m", "0..1", "--points", "2048", "--deterministic",
+                 "--out", str(out)]) == 0
+    mode0, mode1 = capsys.readouterr().err.splitlines()
+    assert mode0.startswith("# mode 0: fitted right-tail rate -0.49")
+    assert mode0.endswith("(declared -0.5); the left tail is the oscillatory sin(tau0 s)")
+    assert mode1.startswith("# mode 1: fitted tail rates 0.49")
+    assert mode1.endswith("(declared +/-0.5)")
+
+
+def _readme_quick_start():
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        text = fh.read()
+    block = text.split("## Quick start", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(ln)[1:] for ln in block.splitlines() if ln.startswith("neckforge ")]
+
+
+def test_readme_quick_start_commands_run(tmp_path):
+    commands = [argv for argv in _readme_quick_start() if argv[0] != "accept"]
+    assert len(commands) == 6
+    for argv in commands:
+        code = main(argv + ["--deterministic", "--out", str(tmp_path / "out.csv")])
+        assert code == 0, argv

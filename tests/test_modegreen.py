@@ -1,5 +1,7 @@
 """Mode-wise line solves: inversion identities, tails, kernel symmetry."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -43,6 +45,18 @@ def test_solution_inherits_declared_decay(m):
     assert abs(fit_tail_rate(v, "+") + DELTA) <= 0.05 * DELTA
     assert abs(fit_tail_rate(v, "-") - DELTA) <= 0.05 * DELTA
 
+
+
+def test_explicit_beta_needs_no_indicial_ladder_past_delta():
+    # with beta given, the declared rate only gates the right-tail fit; a
+    # rate far above every tabulated exponent must not block the solve
+    spec = ModeSpec(n=3, m=1)
+    h = _rhs(1, delta=80.0)
+    v = green_solve(spec, h, DecayProfile(delta=80.0), beta=0.5)
+    back = apply_L0(spec, v).materialize()
+    interior = np.abs(v.grid()) <= 15.0
+    err = np.max(np.abs(back[interior] - h.values[interior]))
+    assert err <= 1e-10 * np.max(np.abs(h.values))
 
 def test_green_solve_fits_the_right_tail_once(monkeypatch):
     # only the +inf rate is declared, so only the right tail is fitted
@@ -112,8 +126,7 @@ def test_classify_growth_flags_homogeneous_content():
 
 
 def test_materialize_matches_envelope_algebra():
-    f = LineFunction.from_callable(np.cos, -4.0, 4.0, 256, mode=0,
-                                   envelope_rate=0.3)
+    f = replace(LineFunction.from_callable(np.cos, -4.0, 4.0, 256), envelope_rate=0.3)
     s = f.grid()
     assert np.allclose(f.materialize(), np.cos(s) * np.exp(0.3 * s), rtol=1e-14)
 
@@ -122,9 +135,9 @@ def test_materialize_matches_envelope_algebra():
 @given(rate=st.floats(-0.5, 0.5), scale=st.floats(0.1, 10.0))
 def test_apply_L0_is_linear_in_scale(rate, scale):
     spec = ModeSpec(n=3, m=1)
-    f = LineFunction.from_callable(lambda s: np.exp(-0.3 * s * s),
-                                   -10.0, 10.0, 512, mode=1,
-                                   envelope_rate=rate)
+    f = replace(LineFunction.from_callable(lambda s: np.exp(-0.3 * s * s),
+                                           -10.0, 10.0, 512, mode=1),
+                envelope_rate=rate)
     g = LineFunction(f.s0, f.ds, f.N, scale * f.values, 1, rate)
     a = apply_L0(spec, f)
     b = apply_L0(spec, g)

@@ -6,10 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neckforge.errors import ConfigOverlap, ValidationError
-from neckforge.neck import (CUTOFF_WIDTH, NeckConfig, WeightedNormSpec,
-                            approximate_curvature_error, build_glued_factor,
-                            covariance_selftest, error_sweep, weight,
-                            weighted_norm, _cutoff)
+from neckforge.neck import (CUTOFF_WIDTH, NeckConfig, approximate_curvature_error,
+                            build_glued_factor, covariance_selftest, error_sweep,
+                            weight, weighted_norm, _cutoff)
 
 
 def test_weight_anchors_centered():
@@ -43,7 +42,7 @@ def test_norm_monotone_toward_weaker_weight():
     # deliberately restricted to neck-supported data.
     cfg = NeckConfig(epsilon=0.05)
     v = cfg.line_function(np.exp(-4.0 * cfg.s_grid() ** 2))
-    norms = [weighted_norm(WeightedNormSpec(mu=mu, k=0), cfg, v)
+    norms = [weighted_norm(mu, cfg, v)
              for mu in (-0.3, -0.7, -1.2)]
     assert norms[0] > norms[1] > norms[2]
 
@@ -53,9 +52,8 @@ def test_norm_monotone_toward_weaker_weight():
 def test_norm_homogeneous(scale, mu):
     cfg = NeckConfig(epsilon=0.1, n_s=512)
     vals = np.cos(cfg.s_grid())
-    a = weighted_norm(WeightedNormSpec(mu=mu, k=0), cfg, cfg.line_function(vals))
-    b = weighted_norm(WeightedNormSpec(mu=mu, k=0), cfg,
-                      cfg.line_function(scale * vals))
+    a = weighted_norm(mu, cfg, cfg.line_function(vals))
+    b = weighted_norm(mu, cfg, cfg.line_function(scale * vals))
     assert abs(b - scale * a) <= 1e-12 * max(1.0, b)
 
 
@@ -64,7 +62,7 @@ def test_norm_grid_mismatch_rejected():
     other = NeckConfig(epsilon=0.1)
     v = other.line_function(np.ones(other.s_grid().size))
     with pytest.raises(ValidationError):
-        weighted_norm(WeightedNormSpec(mu=-0.5, k=0), cfg, v)
+        weighted_norm(-0.5, cfg, v)
 
 
 def test_partition_exact_for_symmetric_profile():
@@ -80,14 +78,14 @@ def test_partition_exact_for_symmetric_profile():
 
 def test_factor_is_one_without_perturbation():
     cfg = NeckConfig(epsilon=0.05, perturbation=False)
-    U = build_glued_factor(cfg, 3)
-    assert np.max(np.abs(U.values - 1.0)) <= 1e-14
+    U = build_glued_factor(cfg, 3, cfg.s_grid())
+    assert np.max(np.abs(U - 1.0)) <= 1e-14
 
 
 def test_perturbed_factor_size():
     cfg = NeckConfig(epsilon=0.05)
-    U = build_glued_factor(cfg, 3)
-    dev = np.max(np.abs(U.values - 1.0))
+    U = build_glued_factor(cfg, 3, cfg.s_grid())
+    dev = np.max(np.abs(U - 1.0))
     d2 = cfg.resolved_delta ** 2
     assert 0.1 * d2 <= dev <= 1.5 * d2
 
@@ -99,7 +97,7 @@ def test_unperturbed_error_is_roundoff():
 
 
 def test_error_sweep_decreasing():
-    rows = error_sweep(3, (1e-1, 2.5e-2), WeightedNormSpec(mu=-0.5, k=0))
+    rows = error_sweep(3, (1e-1, 2.5e-2), mu=-0.5)
     assert rows[0]["E"] > rows[1]["E"] > 0
 
 
@@ -116,8 +114,9 @@ def test_error_amplitude_tracks_perturbation_size():
 
 
 def test_chart_overlap_rejected():
+    cfg = NeckConfig(epsilon=0.2, delta=0.25)
     with pytest.raises(ConfigOverlap):
-        build_glued_factor(NeckConfig(epsilon=0.2, delta=0.25), 3)
+        build_glued_factor(cfg, 3, cfg.s_grid())
 
 
 def test_epsilon_range_validated():
@@ -131,3 +130,9 @@ def test_epsilon_range_validated():
 def test_covariance_selftest_tiny(n):
     cfg = NeckConfig(epsilon=0.05, n_s=1024)
     assert covariance_selftest(cfg, n) <= 1e-6
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.3, float("nan"), float("-inf")])
+def test_error_norm_needs_finite_negative_exponent(mu):
+    with pytest.raises(ValidationError, match="finite negative"):
+        approximate_curvature_error(NeckConfig(epsilon=0.05), 3, mu)

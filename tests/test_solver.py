@@ -5,20 +5,18 @@ import pytest
 import scipy.linalg
 import scipy.sparse.linalg
 
+from neckforge import solver
 from neckforge.acceptance import EPS_SWEEP
 from neckforge.errors import (Diverged, NonConvergence, NonPositiveConformalFactor,
                               ResonanceError, ValidationError)
-from neckforge.neck import WeightedNormSpec
+from neckforge.neck import build_glued_factor
 from neckforge.solver import (BallState, PeriodicCylinderState,
                               _jacobian_matvec, apply_linearized, apply_Q,
                               ball_apply_Q, ball_newton_probe, ball_solve_linearized,
-                              cylinder_smallest_multiplier, default_period,
                               newton_solve, quadratic_remainder,
                               solve_linearized, state_norm,
                               uniform_invertibility_study)
-from neckforge.symbol import constants
-
-NORM = WeightedNormSpec(mu=-0.5, k=0)
+from neckforge.symbol import constants, theta_table
 
 
 def _perturbed(n=3, m_max=8, N_s=256, modes=(1, 2), amp=0.01):
@@ -55,7 +53,7 @@ def test_linearized_matches_finite_difference():
     rng = np.random.default_rng(3)
     direction = rng.standard_normal((5, 128))
     d_hat = np.fft.fft(direction, axis=1)
-    d_hat /= state_norm(state, d_hat, NORM)
+    d_hat /= state_norm(state, d_hat)
     eps = 1e-6
     plus = apply_Q(state.with_table(state.f_hat + eps * d_hat))
     minus = apply_Q(state.with_table(state.f_hat - eps * d_hat))
@@ -70,7 +68,7 @@ def test_jacobian_matches_finite_difference():
     state = _perturbed()
     rng = np.random.default_rng(17)
     d_hat = np.fft.fft(rng.standard_normal(state.f_hat.shape), axis=1)
-    d_hat /= state_norm(state, d_hat, NORM)
+    d_hat /= state_norm(state, d_hat)
     eps = 1e-5
     plus = apply_Q(state.with_table(state.f_hat + eps * d_hat))
     minus = apply_Q(state.with_table(state.f_hat - eps * d_hat))
@@ -96,7 +94,7 @@ def test_resonant_period_rejected():
     tau0 = first_root(ModeSpec(n=3, m=0)).tau
     L_bad = 2.0 * np.pi / tau0
     with pytest.raises(ResonanceError):
-        PeriodicCylinderState.ones(3, L=L_bad)
+        PeriodicCylinderState.from_mode_values(3, L_bad, np.ones((1, 256)))
 
 
 def test_non_hermitian_table_rejected():
@@ -108,7 +106,7 @@ def test_non_hermitian_table_rejected():
 
 
 def test_newton_converges_quadratically():
-    rep = newton_solve(_perturbed(), NORM, tol=1e-11, method="newton")
+    rep = newton_solve(_perturbed(), tol=1e-11, method="newton")
     assert rep.converged
     assert rep.residual_history[-1] <= 1e-10
     assert rep.iterations <= 8
@@ -118,7 +116,7 @@ def test_newton_converges_quadratically():
 
 
 def test_fixed_point_converges_linearly():
-    rep = newton_solve(_perturbed(), NORM, tol=1e-11, method="fixed-point")
+    rep = newton_solve(_perturbed(), tol=1e-11, method="fixed-point")
     assert rep.converged
     hist = [r for r in rep.residual_history if r > 1e-13]
     ratios = [hist[i + 1] / hist[i] for i in range(len(hist) - 1)]
@@ -126,21 +124,21 @@ def test_fixed_point_converges_linearly():
 
 
 def test_zero_start_already_converged():
-    rep = newton_solve(PeriodicCylinderState.ones(3), NORM)
+    rep = newton_solve(PeriodicCylinderState.ones(3))
     assert rep.converged and rep.iterations == 0
 
 
 def test_large_amplitude_leaves_positivity():
     with pytest.raises((NonPositiveConformalFactor, Diverged)):
-        newton_solve(_perturbed(amp=0.6), NORM, method="fixed-point")
+        newton_solve(_perturbed(amp=0.6), method="fixed-point")
 
 
 def test_quadratic_remainder_stable_across_amplitudes():
     state = PeriodicCylinderState.ones(3, m_max=6, N_s=128)
     rng = np.random.default_rng(5)
     d_hat = np.fft.fft(rng.standard_normal((7, 128)), axis=1)
-    d_hat /= state_norm(state, d_hat, NORM)
-    vals = [quadratic_remainder(state, a * d_hat, NORM)
+    d_hat /= state_norm(state, d_hat)
+    vals = [quadratic_remainder(state, a * d_hat)
             for a in (1e-2, 1e-3, 1e-4)]
     assert max(vals) / min(vals) < 3.0
 
@@ -161,7 +159,7 @@ def test_ball_kernel_blocks_inversion():
 
 
 def test_ball_probe_reports_resonance():
-    outcome, msg, hist = ball_newton_probe(3, k_max=8, amplitude=0.01, degree=1)
+    outcome, msg, hist = ball_newton_probe(3)
     assert outcome in ("resonance", "stall")
     assert len(hist) >= 1
 
@@ -169,7 +167,8 @@ def test_ball_probe_reports_resonance():
 def test_smallest_multiplier_at_default_period():
     # frozen from the invertibility study; also the margin the resonance
     # check enforces at construction
-    got = cylinder_smallest_multiplier(3, default_period(3), 8, 256)
+    L = PeriodicCylinderState.ones(3).L
+    got = float(np.min(np.abs(theta_table(3, 8, 256, L / 256) - constants(3).kappa)))
     assert abs(got - 0.18757289797052445) <= 1e-12
 
 
@@ -257,6 +256,29 @@ def test_invertibility_study_deterministic():
     runs = [uniform_invertibility_study(3, [0.1, 0.025], mu=-0.5, m_max=2,
                                         N_s=256)["rows"] for _ in range(2)]
     assert runs[0] == runs[1]
+
+
+def test_invertibility_study_samples_the_exact_window_grid(monkeypatch):
+    # every epsilon samples the factor on the multiplier table's own grid,
+    # step exactly L/N_s (0.03 once landed an ulp off it through a pad)
+    grids = []
+
+    def spy(config, n, s):
+        grids.append(np.array(s))
+        return build_glued_factor(config, n, s)
+
+    monkeypatch.setattr(solver, "build_glued_factor", spy)
+    rep = uniform_invertibility_study(3, [0.03, 0.025], mu=-0.5, m_max=2, N_s=256)
+    L = rep["L"]
+    want = -L / 2 + (L / 256) * np.arange(256)
+    assert len(grids) == 2
+    for s in grids:
+        assert np.array_equal(s, want)
+
+
+def test_invertibility_study_rejects_coarse_grid():
+    with pytest.raises(ValidationError, match="256"):
+        uniform_invertibility_study(3, [0.1], mu=-0.5, m_max=2, N_s=128)
 
 
 def test_invertibility_study_lanczos_failure_is_typed(monkeypatch):
