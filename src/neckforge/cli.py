@@ -26,8 +26,6 @@ from .errors import (ConfigError, Diverged, NeckforgeError, NumericalError,
                      ParseError, ValidationError)
 
 FORMAT_VERSION = 1
-COMMANDS = ("symbol", "indicial", "check-lemma", "green",
-            "extension-validate", "glue", "solve", "accept")
 
 
 # --------------------------------------------------------------------------
@@ -126,79 +124,16 @@ def _pos_int(raw, key):
     return v
 
 
-# schema: key -> (coercer, default).  None default = computed or optional.
+# keys every command takes; the per-command schemas sit in _TABLE, after the runners
 _GLOBAL = {
     "out": (_as_str, None),
     "deterministic": (_as_bool, False),
 }
 
-_SCHEMAS = {
-    "symbol": {
-        "n": (_pos_int, 3),
-        "gamma": (_float_in(0.0, 1.0), 0.5),
-        "m": (_int_range, [0]),
-        "xi": (_float_grid, [0.0]),
-    },
-    "indicial": {
-        "n": (_pos_int, 3),
-        "gamma": (_float_in(0.0, 1.0), 0.5),
-        "m": (_int_range, [0]),
-        "j_count": (_pos_int, 3),
-    },
-    "check-lemma": {
-        "n": (_int_range, [2, 3, 4, 5]),
-        "m_max": (_pos_int, 6),
-        "j_max": (_pos_int, 3),
-        "tol_b": (_as_float, 1e-8),
-    },
-    "green": {
-        "n": (_pos_int, 3),
-        "gamma": (_float_in(0.0, 1.0), 0.5),
-        "m": (_int_range, [0]),
-        "delta": (_as_float, 0.5),
-        "half_window": (_as_float, 30.0),
-        "points": (_pos_int, 4096),
-        "beta": (_as_float, None),
-    },
-    "extension-validate": {
-        "n": (_int_range, [2, 3]),
-        "m": (_int_range, [0, 1, 2, 3, 4]),
-        "xi": (_float_grid, [0.0, 0.5, 1.0, 2.0, 4.0]),
-        "phi_grid": (_pos_int, 1024),
-        "scheme": (_choice("collocation-ODE", "finite-difference"), "collocation-ODE"),
-    },
-    "glue": {
-        "sweep": (_as_bool, False),
-        "eps": (_float_grid, [1e-1, 5e-2, 2.5e-2, 1.25e-2, 6.25e-3]),
-        "epsilon": (_float_in(0.0, 0.25), None),
-        "n": (_pos_int, 3),
-        "mu": (_as_float, -0.5),
-        "n_s": (_pos_int, 4096),
-        "pad": (_as_float, 4.0),
-        "perturbation": (_as_bool, True),
-        "weight_convention": (_choice("centered", "paper-literal"), "centered"),
-    },
-    "solve": {
-        "n": (_pos_int, 3),
-        "m_max": (_pos_int, 8),
-        "n_s": (_pos_int, 256),
-        "modes": (_int_range, [1, 2]),
-        "amplitude": (_as_float, 0.01),
-        "method": (_choice("newton", "fixed-point"), "newton"),
-        "tol": (_as_float, 1e-11),
-        "max_iter": (_pos_int, 40),
-    },
-    "accept": {
-        "criteria": (_int_range, None),
-    },
-}
-
-
 @dataclass(frozen=True)
 class RunConfig:
     command: str
     parameters: dict = field(default_factory=dict)
-    format_version: int = FORMAT_VERSION
 
     def __post_init__(self):
         if self.command not in COMMANDS:
@@ -315,7 +250,7 @@ def _emit(config: RunConfig, columns, rows, stream=None):
         else:
             stream = sys.stdout
     try:
-        stream.write(f"# neckforge {__version__} format={config.format_version} "
+        stream.write(f"# neckforge {__version__} format={FORMAT_VERSION} "
                      f"command={config.command}\n")
         stream.write(f"# config: {_config_text(config)}\n")
         if not config.parameters.get("deterministic"):
@@ -458,27 +393,81 @@ def _run_accept(config: RunConfig) -> int:
     results = run_all(indices=indices)
     if p.get("out"):
         with open(p["out"], "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(f"# neckforge {__version__} format={config.format_version} "
+            fh.write(f"# neckforge {__version__} format={FORMAT_VERSION} "
                      f"command=accept\n")
             for r in results:
                 fh.write(format_line(r) + "\n")
     return 0 if results and all(r.passed for r in results) else 4
 
 
-_RUNNERS = {
-    "symbol": _run_symbol,
-    "indicial": _run_indicial,
-    "check-lemma": _run_check_lemma,
-    "green": _run_green,
-    "extension-validate": _run_extension_validate,
-    "glue": _run_glue,
-    "solve": _run_solve,
-    "accept": _run_accept,
+# one row per command: name -> (help, schema, runner); schema maps each key
+# to (coercer, default), a None default meaning computed or optional
+_TABLE = {
+    "symbol": ("evaluate the boundary symbol on a frequency grid", {
+        "n": (_pos_int, 3),
+        "gamma": (_float_in(0.0, 1.0), 0.5),
+        "m": (_int_range, [0]),
+        "xi": (_float_grid, [0.0]),
+    }, _run_symbol),
+    "indicial": ("tabulate certified indicial roots", {
+        "n": (_pos_int, 3),
+        "gamma": (_float_in(0.0, 1.0), 0.5),
+        "m": (_int_range, [0]),
+        "j_count": (_pos_int, 3),
+    }, _run_indicial),
+    "check-lemma": ("run the exponent-lemma clause suite", {
+        "n": (_int_range, [2, 3, 4, 5]),
+        "m_max": (_pos_int, 6),
+        "j_max": (_pos_int, 3),
+        "tol_b": (_float_in(0.0, np.inf), 1e-8),
+    }, _run_check_lemma),
+    "green": ("solve the mode-wise line problem for a canonical source", {
+        "n": (_pos_int, 3),
+        "gamma": (_float_in(0.0, 1.0), 0.5),
+        "m": (_int_range, [0]),
+        "delta": (_as_float, 0.5),
+        "half_window": (_as_float, 30.0),
+        "points": (_pos_int, 4096),
+        "beta": (_as_float, None),
+    }, _run_green),
+    "extension-validate": ("cross-check the symbol against the bulk ODE", {
+        "n": (_int_range, [2, 3]),
+        "m": (_int_range, [0, 1, 2, 3, 4]),
+        "xi": (_float_grid, [0.0, 0.5, 1.0, 2.0, 4.0]),
+        "phi_grid": (_pos_int, 1024),
+        "scheme": (_choice("collocation-ODE", "finite-difference"), "collocation-ODE"),
+    }, _run_extension_validate),
+    "glue": ("approximate-curvature error for glued necks", {
+        "sweep": (_as_bool, False),
+        "eps": (_float_grid, [1e-1, 5e-2, 2.5e-2, 1.25e-2, 6.25e-3]),
+        "epsilon": (_float_in(0.0, 0.25), None),
+        "n": (_pos_int, 3),
+        "mu": (_as_float, -0.5),
+        "n_s": (_pos_int, 4096),
+        "pad": (_as_float, 4.0),
+        "perturbation": (_as_bool, True),
+        "weight_convention": (_choice("centered", "paper-literal"), "centered"),
+    }, _run_glue),
+    "solve": ("nonlinear curvature solve on the periodic cylinder", {
+        "n": (_pos_int, 3),
+        "m_max": (_pos_int, 8),
+        "n_s": (_pos_int, 256),
+        "modes": (_int_range, [1, 2]),
+        "amplitude": (_as_float, 0.01),
+        "method": (_choice("newton", "fixed-point"), "newton"),
+        "tol": (_float_in(0.0, np.inf), 1e-11),
+        "max_iter": (_pos_int, 40),
+    }, _run_solve),
+    "accept": ("run the acceptance suite", {
+        "criteria": (_int_range, None),
+    }, _run_accept),
 }
+COMMANDS = tuple(_TABLE)
+_SCHEMAS = {name: schema for name, (_, schema, _) in _TABLE.items()}
 
 
 def run(config: RunConfig) -> int:
-    return _RUNNERS[config.command](config)
+    return _TABLE[config.command][2](config)
 
 
 # --------------------------------------------------------------------------
@@ -498,21 +487,11 @@ def _build_parser() -> argparse.ArgumentParser:
                         version=f"neckforge {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    helps = {
-        "symbol": "evaluate the boundary symbol on a frequency grid",
-        "indicial": "tabulate certified indicial roots",
-        "check-lemma": "run the exponent-lemma clause suite",
-        "green": "solve the mode-wise line problem for a canonical source",
-        "extension-validate": "cross-check the symbol against the bulk ODE",
-        "glue": "approximate-curvature error for glued necks",
-        "solve": "nonlinear curvature solve on the periodic cylinder",
-        "accept": "run the acceptance suite",
-    }
     # one flag per schema key, '--' + key with '_' -> '-'; values are coerced
     # by load_config, so every flag takes its raw string except the switch --sweep
-    for name in COMMANDS:
-        sp = sub.add_parser(name, parents=[common], help=helps[name])
-        for key in _SCHEMAS[name]:
+    for name, (help_text, schema, _) in _TABLE.items():
+        sp = sub.add_parser(name, parents=[common], help=help_text)
+        for key in schema:
             flag = "--" + key.replace("_", "-")
             if key == "sweep":
                 sp.add_argument(flag, action="store_const", const="true")

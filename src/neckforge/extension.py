@@ -24,12 +24,6 @@ flux by Clenshaw-Curtis quadrature of the integral form of
 (w chi')' = w V chi, w = phi^(2m) sin^(n-1) phi, whose integrand is positive.
 "finite-difference" is a second-order solve on `phi_grid` points, for
 grid-convergence studies.
-
-The flat unit ball is the companion closed-form model: the harmonic
-extension of a degree-k spherical harmonic is r^k Y_k, so its boundary
-operator is diagonal with eigenvalue k + (n-1)/2 and the linearized
-operator has eigenvalue k - 1 -- an exact kernel at degree 1, used as the
-negative (resonant) test case downstream.
 """
 
 from __future__ import annotations
@@ -43,9 +37,7 @@ from scipy.linalg import solve_banded
 from .errors import ResolutionTooCoarse, SingularBVP, ValidationError
 from .symbol import ModeSpec, theta
 
-__all__ = ["HalfCylinderProblem", "BallModel", "dtn_cylinder", "dtn_halfdisk_2d",
-           "dtn_ball_eigenvalue", "ball_linearized_eigenvalue", "ball_kernel_degrees",
-           "cross_validate"]
+__all__ = ["HalfCylinderProblem", "dtn_cylinder", "dtn_halfdisk_2d", "cross_validate"]
 
 _SCHEMES = ("collocation-ODE", "finite-difference")
 
@@ -66,18 +58,6 @@ class HalfCylinderProblem:
             raise ValidationError(f"unknown scheme {self.scheme!r}; pick from {_SCHEMES}")
         if not np.isfinite(self.xi):
             raise ValidationError("xi must be finite")
-
-
-@dataclass(frozen=True)
-class BallModel:
-    n: int
-    k_max: int = 8
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValidationError(f"need n >= 2, got {self.n}")
-        if self.k_max < 1:
-            raise ValidationError("k_max must be at least 1")
 
 
 def _potential(spec: ModeSpec, xi: float, phi: np.ndarray) -> np.ndarray:
@@ -236,30 +216,6 @@ def dtn_halfdisk_2d(xi: float, m: int) -> float:
     dpsi = (3.0 * grid[M - 1] - 4.0 * grid[M - 2] + grid[M - 3]) / (2.0 * h)
     # project onto the driving harmonic (normalized cos(m theta) coefficient)
     return float((dpsi * data).sum() / (data * data).sum())
-
-
-def dtn_ball_eigenvalue(model: BallModel, k: int) -> float:
-    """Boundary-operator eigenvalue of the flat unit ball at harmonic degree k.
-
-    The harmonic extension of Y_k is r^k Y_k: normal derivative k, plus the
-    mean-curvature term (n-1)/2 of the unit sphere.
-    """
-    if not 0 <= k <= model.k_max:
-        raise ValidationError(f"degree {k} outside [0, {model.k_max}]")
-    return float(k) + 0.5 * (model.n - 1)
-
-
-def ball_linearized_eigenvalue(model: BallModel, k: int) -> float:
-    """Eigenvalue k - 1 of the linearized ball operator (exact in floats)."""
-    n = model.n
-    ratio = (n + 1) / (n - 1)
-    return dtn_ball_eigenvalue(model, k) - ratio * 0.5 * (n - 1)
-
-
-def ball_kernel_degrees(model: BallModel) -> tuple:
-    """Harmonic degrees where the linearized ball operator vanishes: exactly {1}."""
-    return tuple(k for k in range(model.k_max + 1)
-                 if ball_linearized_eigenvalue(model, k) == 0.0)
 
 
 def cross_validate(n: int, modes, xis, phi_grid: int = 1024,

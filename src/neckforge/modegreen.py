@@ -190,6 +190,9 @@ def fit_tail_rate(v: LineFunction, side: str = "+") -> float | None:
     return float(np.polyfit(np.array(xs), np.array(ys), 1)[0]) + v.envelope_rate
 
 
+_BETA_MARGIN = 1e-3  # least distance of a contour shift from any indicial exponent
+
+
 def _sigma_ladder_past(spec: ModeSpec, delta: float) -> RootCatalog:
     j = 6
     while True:
@@ -197,7 +200,7 @@ def _sigma_ladder_past(spec: ModeSpec, delta: float) -> RootCatalog:
         if cat.roots[-1].sigma > delta or j >= 30:
             if cat.roots[-1].sigma <= delta:
                 raise ResonanceError(
-                    f"declared rate {delta} beyond the tabulated indicial ladder"
+                    f"rate {delta} beyond the tabulated indicial ladder"
                 )
             return cat
         j += 6
@@ -236,7 +239,7 @@ def _select_beta(profile: DecayProfile, catalog: RootCatalog):
     # solution sheds its left tail (wrap control), distance to hi how fast
     # the shifted right side decays
     beta = lo + 0.4 * (hi - lo)
-    return min(max(beta, lo + 1e-3), hi - 1e-3)
+    return min(max(beta, lo + _BETA_MARGIN), hi - _BETA_MARGIN)
 
 
 def _check_declared_tails(h: LineFunction, profile: DecayProfile):
@@ -255,7 +258,9 @@ def green_solve(spec: ModeSpec, h: LineFunction, profile: DecayProfile,
 
     The output carries envelope rate -beta: its bounded part is exact under
     the shifted multiplier, so apply_L0(green_solve(h)) == h to roundoff.
-    The right tail of h is checked against the declared rate first.
+    The right tail of h is checked against the declared rate first.  An
+    explicit beta within 1e-3 of +-sigma of an indicial exponent raises
+    ResonanceError.
     """
     kappa = constants(spec.n, spec.gamma).kappa
     if spec.m != h.mode:
@@ -265,6 +270,13 @@ def green_solve(spec: ModeSpec, h: LineFunction, profile: DecayProfile,
     _check_declared_tails(h, profile)
     if beta is None:
         beta = _select_beta(profile, _sigma_ladder_past(spec, profile.delta))
+    else:
+        # the lattice can miss a root's tau, so the grid minimum below need not see it
+        near = [r.sigma for r in _sigma_ladder_past(spec, abs(beta)).roots
+                if abs(abs(beta) - r.sigma) < _BETA_MARGIN]
+        if near:
+            raise ResonanceError(f"contour {beta} within {_BETA_MARGIN} of the indicial "
+                                 f"exponent +/-{near[0]}")
 
     s = h.grid()
     g = h.values * np.exp(beta * s) if beta != 0.0 else np.asarray(h.values)

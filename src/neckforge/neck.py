@@ -41,6 +41,7 @@ __all__ = [
     "weight",
     "weighted_norm",
     "build_glued_factor",
+    "glued_u",
     "curvature",
     "curvature_linearization",
     "approximate_curvature_error",
@@ -87,14 +88,15 @@ class NeckConfig:
     def half_window(self) -> float:
         return 0.5 * self.S_eps + self.pad
 
+    @property
+    def ds(self) -> float:
+        return 2.0 * self.half_window / self.n_s
+
     def s_grid(self) -> np.ndarray:
-        L = 2.0 * self.half_window
-        return -self.half_window + (L / self.n_s) * np.arange(self.n_s)
+        return -self.half_window + self.ds * np.arange(self.n_s)
 
     def line_function(self, values: np.ndarray) -> LineFunction:
-        L = 2.0 * self.half_window
-        return LineFunction(s0=-self.half_window, ds=L / self.n_s, N=self.n_s,
-                            values=values)
+        return LineFunction(s0=-self.half_window, ds=self.ds, N=self.n_s, values=values)
 
 
 def weight(config: NeckConfig, s) -> np.ndarray:
@@ -186,6 +188,16 @@ def build_glued_factor(config: NeckConfig, n: int, s) -> np.ndarray:
     return U
 
 
+def glued_u(config: NeckConfig, n: int, s, ds: float):
+    """The conformally covariant factor u = U^{(n-1)/4} of the glued metric
+    on the uniform periodic grid s of step ds, and P0 u: the mode-0 row of
+    `theta_table` applied as a Fourier multiplier.  The step is passed, not
+    read off s, so every caller hits the multiplier table of its own grid."""
+    u = build_glued_factor(config, n, s) ** ((n - 1) / 4.0)
+    Pu = np.real(np.fft.ifft(theta_table(n, 0, u.size, ds)[0] * np.fft.fft(u)))
+    return u, Pu
+
+
 def curvature(n: int, u, Pu):
     """Conformal covariance: the boundary curvature of u^{4/(n-1)} g is
     Q(u) = u^{-N} P u with N = (n+1)/(n-1), from samples of u and P u."""
@@ -208,10 +220,8 @@ def approximate_curvature_error(config: NeckConfig, n: int, mu: float | None = N
     if not (np.isfinite(mu) and mu < 0.0):
         raise ValidationError(f"the error norm needs a finite negative weight exponent, "
                               f"got {mu}")
-    U = build_glued_factor(config, n, config.s_grid())
-    u = config.line_function(U ** ((n - 1) / 4.0))
-    Pu = np.real(np.fft.ifft(theta_table(n, 0, u.N, u.ds)[0] * np.fft.fft(u.values)))
-    err = config.line_function(curvature(n, u.values, Pu) - constants(n).c)
+    u, Pu = glued_u(config, n, config.s_grid(), config.ds)
+    err = config.line_function(curvature(n, u, Pu) - constants(n).c)
     return err, weighted_norm(mu, config, err)
 
 
@@ -226,21 +236,18 @@ def covariance_selftest(config: NeckConfig, n: int) -> float:
     """
     from .extension import HalfCylinderProblem, dtn_cylinder
 
-    u = config.line_function(build_glued_factor(config, n, config.s_grid()) ** ((n - 1) / 4.0))
-    xi = 2.0 * np.pi * np.fft.fftfreq(u.N, d=u.ds)
-    mult_a = theta_table(n, 0, u.N, u.ds)[0]
+    u, Pu_a = glued_u(config, n, config.s_grid(), config.ds)
+    xi = 2.0 * np.pi * np.fft.fftfreq(config.n_s, d=config.ds)
     order = np.argsort(np.abs(xi), kind="stable")[:96]
     exact_xis = np.abs(xi[order])
     spec = ModeSpec(n=n, gamma=0.5, m=0)
     table = {x: dtn_cylinder(HalfCylinderProblem(spec, xi=x))
              for x in set(np.round(exact_xis, 12))}
-    mult_b = mult_a.copy()
+    mult_b = theta_table(n, 0, config.n_s, config.ds)[0].copy()
     for k in order:
         mult_b[k] = table[round(abs(xi[k]), 12)]
-    uhat = np.fft.fft(u.values)
-    q_a = curvature(n, u.values, np.real(np.fft.ifft(mult_a * uhat)))
-    q_b = curvature(n, u.values, np.real(np.fft.ifft(mult_b * uhat)))
-    return float(np.max(np.abs(q_a - q_b)))
+    Pu_b = np.real(np.fft.ifft(mult_b * np.fft.fft(u)))
+    return float(np.max(np.abs(curvature(n, u, Pu_a) - curvature(n, u, Pu_b))))
 
 
 def error_sweep(n: int, epsilons, mu: float | None = None, **config_kw):

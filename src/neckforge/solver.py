@@ -17,9 +17,9 @@ reappears on a periodic domain as a near-resonant grid frequency).
 
 The iteration solves Q(1 + v) = c either in the frozen fixed-point form
 v <- v - G(Q(1+v) - c) or by full Newton steps (re-linearized, solved
-iteratively with G as preconditioner).  A flat-ball variant with the same
-zonal machinery exhibits the degree-1 kernel of the linearized operator;
-its inversion must fail loudly, never silently.
+iteratively with G as preconditioner).  The closed-form flat-ball spectrum,
+run through the same zonal machinery, exhibits the degree-1 kernel of the
+linearized operator; its inversion must fail loudly, never silently.
 
 Per-mode work inside a step is vectorized; steps themselves are
 sequential and pure.
@@ -37,9 +37,8 @@ from scipy.special import eval_chebyt, eval_gegenbauer, roots_jacobi
 
 from .errors import (Diverged, NonConvergence, NonPositiveConformalFactor,
                      ResonanceError, ValidationError)
-from .extension import BallModel, ball_linearized_eigenvalue, dtn_ball_eigenvalue
 from .indicial import first_root
-from .neck import (NeckConfig, build_glued_factor, curvature, curvature_linearization,
+from .neck import (NeckConfig, curvature, curvature_linearization, glued_u,
                    weight as neck_weight)
 from .symbol import ModeSpec, constants, theta_table
 
@@ -54,9 +53,7 @@ __all__ = [
     "newton_solve",
     "state_norm",
     "quadratic_remainder",
-    "BallState",
-    "ball_apply_Q",
-    "ball_solve_linearized",
+    "ball_spectrum",
     "ball_newton_probe",
     "uniform_invertibility_study",
 ]
@@ -297,6 +294,8 @@ def newton_solve(state0: PeriodicCylinderState, tol: float = 1e-11, max_iter: in
     """
     if method not in ("fixed-point", "newton"):
         raise ValidationError(f"unknown method {method!r}")
+    if not tol > 0.0:
+        raise ValidationError(f"tolerance must be positive, got {tol}")
     state = state0
     history = []
     rising = 0
@@ -364,54 +363,19 @@ def quadratic_remainder(state1: PeriodicCylinderState, v_hat: np.ndarray) -> flo
 
 
 # ---------------------------------------------------------------------------
-# flat-ball variant (degenerate linearization)
+# flat-ball model (degenerate linearization)
 
 
-@dataclass(frozen=True)
-class BallState:
-    """Zonal factor on the flat-ball boundary sphere; one real coefficient
-    per spherical-harmonic degree."""
-
-    n: int
-    k_max: int
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        if self.coeffs.shape != (self.k_max + 1,):
-            raise ValidationError("coefficient count must be k_max + 1")
-
-    @classmethod
-    def ones(cls, n: int, k_max: int = 8) -> "BallState":
-        c = np.zeros(k_max + 1)
-        c[0] = 1.0
-        return cls(n=n, k_max=k_max, coeffs=c)
-
-
-def ball_apply_Q(state: BallState) -> np.ndarray:
-    basis = _basis(state.n, state.k_max)
-    model = BallModel(n=state.n, k_max=state.k_max)
-    eig = np.array([dtn_ball_eigenvalue(model, k) for k in range(state.k_max + 1)])
-    f_grid = basis.to_grid(state.coeffs)
-    if np.min(f_grid) <= 0.0:
-        raise NonPositiveConformalFactor("ball factor lost positivity")
-    Pf_grid = basis.to_grid(eig * state.coeffs)
-    return basis.to_modes(curvature(state.n, f_grid, Pf_grid))
-
-
-def ball_solve_linearized(state: BallState, h: np.ndarray) -> np.ndarray:
-    """Division by the linearized spectrum k - 1; the degree-1 kernel is a
-    hard resonance whenever the data has degree-1 content."""
-    model = BallModel(n=state.n, k_max=state.k_max)
-    lam = np.array([ball_linearized_eigenvalue(model, k)
-                    for k in range(state.k_max + 1)])
-    kernel = np.abs(lam) <= RESONANCE_MARGIN
-    if np.any(kernel & (np.abs(h) > 1e-14 * max(np.max(np.abs(h)), 1.0))):
-        k_bad = int(np.flatnonzero(kernel)[0])
-        raise ResonanceError(
-            f"linearized ball operator has kernel at degree {k_bad}; "
-            "data with that content cannot be inverted")
-    out = np.where(kernel, 0.0, h / np.where(kernel, 1.0, lam))
-    return out
+def ball_spectrum(n: int):
+    """Closed-form flat unit ball, harmonic degrees k = 0..8: the harmonic
+    extension of Y_k is r^k Y_k, so the boundary operator has eigenvalue
+    eig = k + (n-1)/2 (normal derivative plus the sphere's mean-curvature
+    term), and the linearization of Q at the constant factor has eigenvalue
+    lam = a*eig + b = k - 1 -- a kernel at degree 1, the conformal motions.
+    Returns (eig, lam)."""
+    eig = np.arange(9) + 0.5 * (n - 1)
+    a, b = curvature_linearization(n, 1.0, eig[0])
+    return eig, a * eig + b
 
 
 def ball_newton_probe(n: int):
@@ -419,23 +383,28 @@ def ball_newton_probe(n: int):
     perturbation of size 0.01, for at most 12 steps.
 
     Returns (outcome, message, residual_history) with outcome 'resonance'
-    when the kernel blocks a solve, or 'stall' if iteration proceeds
-    without the quadratic collapse — for degree 1 it must never converge
-    quadratically.
+    when the residual has content on the kernel of the linearization, so a
+    step would divide by zero, or 'stall' if iteration proceeds without the
+    quadratic collapse -- for degree 1 it must never converge quadratically.
     """
-    k_max, amplitude, degree, max_iter = 8, 0.01, 1, 12
-    state = BallState.ones(n, k_max)
-    state.coeffs[degree] += amplitude
-    c_ball = dtn_ball_eigenvalue(BallModel(n=n, k_max=k_max), 0)
+    eig, lam = ball_spectrum(n)
+    basis = _basis(n, eig.size - 1)
+    kernel = np.abs(lam) <= RESONANCE_MARGIN
+    coeffs = np.zeros(eig.size)
+    coeffs[0], coeffs[1] = 1.0, 0.01
     history = []
-    for _ in range(max_iter):
-        res = ball_apply_Q(state) - c_ball * np.eye(k_max + 1)[0]
+    for _ in range(12):
+        f_grid = basis.to_grid(coeffs)
+        if np.min(f_grid) <= 0.0:
+            raise NonPositiveConformalFactor("ball factor lost positivity")
+        res = basis.to_modes(curvature(n, f_grid, basis.to_grid(eig * coeffs)))
+        res[0] -= eig[0]
         history.append(float(np.max(np.abs(res))))
-        try:
-            step = ball_solve_linearized(state, res)
-        except ResonanceError as exc:
-            return "resonance", str(exc), tuple(history)
-        state = BallState(n=n, k_max=k_max, coeffs=state.coeffs - step)
+        if np.any(kernel & (np.abs(res) > 1e-14 * max(np.max(np.abs(res)), 1.0))):
+            k_bad = int(np.flatnonzero(kernel)[0])
+            return "resonance", (f"linearized ball operator has kernel at degree {k_bad}; "
+                                 "data with that content cannot be inverted"), tuple(history)
+        coeffs = coeffs - np.where(kernel, 0.0, res / np.where(kernel, 1.0, lam))
     return "stall", "no quadratic collapse", tuple(history)
 
 
@@ -485,8 +454,7 @@ def uniform_invertibility_study(n: int, eps_list, mu: float, m_max: int = 3,
     rows = []
     for eps in eps_list:
         cfg = NeckConfig(epsilon=eps)  # epsilon and chart scale; the grid is s
-        u = build_glued_factor(cfg, n, s) ** ((n - 1) / 4.0)
-        Pu = np.real(np.fft.ifft(table[0] * np.fft.fft(u)))
+        u, Pu = glued_u(cfg, n, s, L / N_s)
         a, b = curvature_linearization(n, u, Pu)
         wl = neck_weight(cfg, s) ** (-mu)
         per_mode = {}

@@ -144,8 +144,21 @@ def test_out_of_range_epsilon_rejected(tmp_path):
         load_config(str(cfg), "glue")
 
 
-def test_exit_code_2_for_config_error():
+def test_exit_code_2_for_config_error(capsys):
     assert main(["glue", "--epsilon", "0.7"]) == 2
+    # tolerances are open below at 0: a zero or negative one names its key
+    for argv in (["solve", "--tol", "0"], ["solve", "--tol", "-1"],
+                 ["check-lemma", "--tol-b", "0"]):
+        capsys.readouterr()
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert f"key '{argv[1][2:].replace('-', '_')}'" in err and "Traceback" not in err
+
+
+def test_green_beta_on_an_indicial_exponent_exits_3(capsys):
+    assert main(["green", "--m", "0", "--beta", "0"]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "indicial exponent" in err
 
 
 def test_exit_code_4_for_failed_lemma_subset(tmp_path, capsys):

@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 
 from neckforge.errors import ResolutionTooCoarse, ValidationError
-from neckforge.extension import (BallModel, HalfCylinderProblem,
-                                 ball_kernel_degrees,
-                                 ball_linearized_eigenvalue, cross_validate,
-                                 dtn_ball_eigenvalue, dtn_cylinder,
+from neckforge.extension import (HalfCylinderProblem, cross_validate, dtn_cylinder,
                                  dtn_halfdisk_2d)
+from neckforge.solver import RESONANCE_MARGIN, ball_spectrum
 from neckforge.symbol import ModeSpec, theta
 
 
@@ -74,15 +72,17 @@ def test_halfdisk_matrix_pinned(xi, m, want):
 
 
 def test_ball_eigenvalues_exact():
-    model = BallModel(n=3, k_max=8)
-    for k in range(9):
-        assert dtn_ball_eigenvalue(model, k) == float(k + 1)
-        assert ball_linearized_eigenvalue(model, k) == float(k - 1)
+    k = np.arange(9)
+    for n in range(2, 13):
+        eig, lam = ball_spectrum(n)
+        assert np.array_equal(eig, k + (n - 1) / 2)
+        assert np.array_equal(lam, k - 1)
 
 
 def test_ball_kernel_is_degree_one():
-    assert ball_kernel_degrees(BallModel(n=3, k_max=8)) == (1,)
-    assert ball_kernel_degrees(BallModel(n=5, k_max=6)) == (1,)
+    for n in range(2, 13):
+        _, lam = ball_spectrum(n)
+        assert tuple(np.flatnonzero(np.abs(lam) <= RESONANCE_MARGIN)) == (1,)
 
 
 def test_cross_validate_rows_complete():

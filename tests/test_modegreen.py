@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neckforge import modegreen
-from neckforge.errors import TailMismatch, ValidationError
+from neckforge.errors import ResonanceError, TailMismatch, ValidationError
 from neckforge.indicial import root_catalog
 from neckforge.modegreen import (DecayProfile, LineFunction, apply_L0,
                                  classify_growth, fit_tail_rate, green_solve,
@@ -57,6 +57,18 @@ def test_explicit_beta_needs_no_indicial_ladder_past_delta():
     interior = np.abs(v.grid()) <= 15.0
     err = np.max(np.abs(back[interior] - h.values[interior]))
     assert err <= 1e-10 * np.max(np.abs(h.values))
+
+
+@pytest.mark.parametrize("m,beta,delta", [(0, 0.0, DELTA), (1, 1.0005, 1.5),
+                                          (1, -0.9995, 1.5)])
+def test_explicit_beta_on_an_indicial_exponent_rejected(m, beta, delta):
+    # n = 3: mode 0 has sigma = 0 (the oscillatory pair, whose tau0 the
+    # lattice misses), mode 1 has sigma = 1; on these contours the grid minimum
+    # of the shifted multiplier stays above its floor, so only the margin stops them
+    with pytest.raises(ResonanceError, match="indicial exponent"):
+        green_solve(ModeSpec(n=3, m=m), _rhs(m, delta=delta), DecayProfile(delta=delta),
+                    beta=beta)
+
 
 def test_green_solve_fits_the_right_tail_once(monkeypatch):
     # only the +inf rate is declared, so only the right tail is fitted

@@ -5,14 +5,14 @@ import pytest
 import scipy.linalg
 import scipy.sparse.linalg
 
-from neckforge import solver
+from neckforge import neck
 from neckforge.acceptance import EPS_SWEEP
 from neckforge.errors import (Diverged, NonConvergence, NonPositiveConformalFactor,
                               ResonanceError, ValidationError)
 from neckforge.neck import build_glued_factor
-from neckforge.solver import (BallState, PeriodicCylinderState,
+from neckforge.solver import (PeriodicCylinderState,
                               _jacobian_matvec, apply_linearized, apply_Q,
-                              ball_apply_Q, ball_newton_probe, ball_solve_linearized,
+                              ball_newton_probe, ball_spectrum,
                               newton_solve, quadratic_remainder,
                               solve_linearized, state_norm,
                               uniform_invertibility_study)
@@ -143,25 +143,24 @@ def test_quadratic_remainder_stable_across_amplitudes():
     assert max(vals) / min(vals) < 3.0
 
 
-def test_ball_constant_curvature():
-    st = BallState.ones(3, k_max=6)
-    q = ball_apply_Q(st)
-    assert abs(q[0] - (3 - 1) / 2.0) <= 1e-13
-    assert np.max(np.abs(q[1:])) <= 1e-10
-
-
 def test_ball_kernel_blocks_inversion():
-    st = BallState.ones(3, k_max=6)
-    h = np.zeros(7)
-    h[1] = 1e-3  # content exactly on the degenerate degree
-    with pytest.raises(ResonanceError):
-        ball_solve_linearized(st, h)
+    # the degree-1 eigenvalue of the linearization is exactly zero, so the
+    # probe must refuse the step rather than divide by it
+    _, lam = ball_spectrum(3)
+    assert lam[1] == 0.0
+    outcome, msg, _ = ball_newton_probe(3)
+    assert outcome == "resonance"
+    assert "kernel at degree 1" in msg
 
 
 def test_ball_probe_reports_resonance():
-    outcome, msg, hist = ball_newton_probe(3)
-    assert outcome in ("resonance", "stall")
-    assert len(hist) >= 1
+    # the degree-1 direction has no first-order residual, and what is left
+    # sits on the kernel: the first step already refuses to divide
+    for n in range(2, 9):
+        outcome, msg, hist = ball_newton_probe(n)
+        assert outcome == "resonance" and "degree 1" in msg
+        assert len(hist) == 1
+        assert 0.5 * 0.01**2 <= hist[0] <= 2.0 * 0.01**2
 
 
 def test_smallest_multiplier_at_default_period():
@@ -267,7 +266,7 @@ def test_invertibility_study_samples_the_exact_window_grid(monkeypatch):
         grids.append(np.array(s))
         return build_glued_factor(config, n, s)
 
-    monkeypatch.setattr(solver, "build_glued_factor", spy)
+    monkeypatch.setattr(neck, "build_glued_factor", spy)
     rep = uniform_invertibility_study(3, [0.03, 0.025], mu=-0.5, m_max=2, N_s=256)
     L = rep["L"]
     want = -L / 2 + (L / 256) * np.arange(256)
@@ -294,3 +293,9 @@ def test_invertibility_study_lanczos_failure_is_typed(monkeypatch):
 def test_bad_weight_rate_rejected():
     with pytest.raises(ValidationError):
         uniform_invertibility_study(3, [1e-1], mu=-2.0, m_max=2, N_s=256)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+def test_newton_rejects_nonpositive_tolerance(tol):
+    with pytest.raises(ValidationError, match="tolerance"):
+        newton_solve(_perturbed(), tol=tol)
