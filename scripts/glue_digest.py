@@ -1,0 +1,141 @@
+"""One SHA-256 over a sweep of glued-neck errors, invertibility studies and solves.
+
+Every output of the sweep is written out exactly: numbers with `repr`, arrays
+as their raw bytes with shape and dtype, or the error type and message when
+the call raises.  Two checkouts that print the same digest return the same
+neck and solver numbers bit for bit, so the script checks that a change to
+the glue layer is a pure refactor.  It is the glue-layer counterpart of
+`catalog_digest.py`.
+
+Sweep:
+    error      E and the pointwise error Q - c for n 2..4, epsilon in
+               EPS_SWEEP + (0.2, 0.003), mu default and -0.5, under the
+               default config and one variant of each CLI-settable option
+               (n_s 512, pad 3, no perturbation, paper-literal weight)
+    selftest   covariance_selftest for n 2, 3 at two epsilons
+    study      per-mode sigmas of the criterion-10 study and of 12
+               single-epsilon studies (n 2 and 3, six epsilons each)
+    ball       ball_newton_probe histories for n 2..4
+    solve      criterion 7's Newton and fixed-point histories with their
+               final tables, and apply_Q at its start
+`--quick` runs a small subset of each (a few seconds).
+
+Usage: python scripts/glue_digest.py [--quick]
+"""
+
+import hashlib
+import sys
+from itertools import product
+
+import numpy as np
+
+from neckforge.acceptance import EPS_SWEEP
+from neckforge.errors import NeckforgeError
+from neckforge.neck import NeckConfig, approximate_curvature_error, covariance_selftest
+from neckforge.solver import (PeriodicCylinderState, apply_Q, ball_newton_probe,
+                              newton_solve, uniform_invertibility_study)
+
+VARIANTS = ({}, {"n_s": 512}, {"pad": 3.0}, {"perturbation": False},
+            {"weight_convention": "paper-literal"})
+STUDY_MU = {2: -0.4, 3: -0.5}
+FULL = {
+    "error": dict(n=(2, 3, 4), eps=EPS_SWEEP + (0.2, 0.003), mu=(None, -0.5),
+                  variant=range(len(VARIANTS))),
+    "selftest": dict(n=(2, 3), eps=(0.1, 0.0125)),
+    "study": dict(n=(2, 3), eps=(0.2, 0.1, 0.04, 0.015, 0.006, 0.003)),
+    "c10": dict(N_s=(384,)),
+    "ball": dict(n=(2, 3, 4)),
+    "solve": dict(method=("newton", "fixed-point")),
+}
+QUICK = {
+    "error": dict(n=(2, 3), eps=(0.1, 0.003), mu=(None,), variant=(0, 4)),
+    "selftest": dict(n=(3,), eps=(0.1,)),
+    "study": dict(n=(3,), eps=(0.025,)),
+    "c10": dict(N_s=()),
+    "ball": dict(n=(3,)),
+    "solve": dict(method=("fixed-point",)),
+}
+
+
+def _error(n, eps, mu, variant):
+    cfg = NeckConfig(epsilon=eps, **VARIANTS[variant])
+    err, E = approximate_curvature_error(cfg, n, mu)
+    return getattr(err, "values", err), E  # a LineFunction in older checkouts
+
+
+def _selftest(n, eps):
+    return covariance_selftest(NeckConfig(epsilon=eps, n_s=1024), n)
+
+
+def _rows(rep):
+    return [(r["epsilon"], r["per_mode"], r["per_mode_l2"]) for r in rep["rows"]]
+
+
+def _study(n, eps):
+    rep = uniform_invertibility_study(n, [eps], mu=STUDY_MU[n], m_max=2, N_s=256)
+    return rep["L"], _rows(rep)
+
+
+def _c10(N_s):
+    rep = uniform_invertibility_study(3, list(EPS_SWEEP), mu=-0.5, m_max=3, N_s=N_s)
+    return rep["L"], rep["slope"], rep["slope_l2"], _rows(rep)
+
+
+def _ball(n):
+    return ball_newton_probe(n)
+
+
+def _solve(method):
+    """Criterion 7: modes 1 and 2 of the constant factor raised by 0.01 at k = 1."""
+    st1 = PeriodicCylinderState.ones(3, m_max=8, N_s=256)
+    f_hat = st1.f_hat.copy()
+    for m in (1, 2):
+        f_hat[m, 1] += 0.5 * st1.N_s * 0.01
+        f_hat[m, -1] += 0.5 * st1.N_s * 0.01
+    start = st1.with_table(f_hat)
+    rep = newton_solve(start, tol=1e-11, method=method)
+    return apply_Q(start), rep.iterations, rep.residual_history, rep.final_f.f_hat
+
+
+KINDS = {"error": _error, "selftest": _selftest, "study": _study, "c10": _c10,
+         "ball": _ball, "solve": _solve}
+
+
+def _feed(h, out):
+    """Hash arrays by their bytes and everything else by repr, recursively;
+    dicts as their item lists, numpy scalars as the Python numbers they equal."""
+    if isinstance(out, np.generic):
+        out = out.item()
+    elif isinstance(out, dict):
+        out = list(out.items())
+    if isinstance(out, np.ndarray):
+        h.update(repr((out.shape, out.dtype.str)).encode())
+        h.update(np.ascontiguousarray(out).tobytes())
+    elif isinstance(out, (tuple, list)):
+        h.update(f"[{len(out)}".encode())
+        for item in out:
+            _feed(h, item)
+        h.update(b"]")
+    else:
+        h.update(repr(out).encode())
+
+
+def digest(sweep):
+    h = hashlib.sha256()
+    counts = dict.fromkeys(KINDS, 0) | {"raised": 0}
+    for kind, fn in KINDS.items():
+        axes = sweep[kind]
+        for args in product(*axes.values()):
+            try:
+                out = fn(*args)
+            except NeckforgeError as err:
+                out = (type(err).__name__, str(err))
+                counts["raised"] += 1
+            _feed(h, (kind, args, out))
+            counts[kind] += 1
+    return h.hexdigest(), counts
+
+
+if __name__ == "__main__":
+    hexdigest, counts = digest(QUICK if "--quick" in sys.argv[1:] else FULL)
+    print(hexdigest, " ".join(f"{k}={v}" for k, v in counts.items()))

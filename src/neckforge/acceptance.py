@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ValidationError
 from .extension import cross_validate
 from .indicial import check_lemma, root_catalog
 from .modegreen import (DecayProfile, LineFunction, apply_L0, classify_growth,
@@ -248,6 +249,9 @@ def format_line(r: CriterionResult) -> str:
 
 
 def run_all(indices=None) -> list:
+    unknown = sorted(set(indices or ()) - {idx for idx, _, _ in CRITERIA})
+    if unknown:
+        raise ValidationError(f"unknown criteria {unknown}; the suite has 1..{len(CRITERIA)}")
     results = []
     for idx, name, fn in CRITERIA:
         if indices is not None and idx not in indices:

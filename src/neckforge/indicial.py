@@ -47,7 +47,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ContourThroughRoot, NonConvergence, PoleError
+from .errors import ContourThroughRoot, NonConvergence, PoleError, ValidationError
 from .symbol import ModeSpec, constants, theta, theta_analytic, theta_log_derivative
 
 __all__ = [
@@ -484,6 +484,8 @@ class LemmaReport:
 def check_lemma(n: int, gamma: float = 0.5, m_max: int = 6, j_max: int = 3,
                 tol_b: float = 1e-8) -> LemmaReport:
     """Verify the structural picture of the indicial set for one dimension n."""
+    if not tol_b > 0.0:
+        raise ValidationError(f"tol_b must be positive, got {tol_b}")
     report = LemmaReport(n=n, gamma=gamma, m_max=m_max, j_max=j_max)
 
     r0 = first_root(ModeSpec(n=n, gamma=gamma, m=0))

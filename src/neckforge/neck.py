@@ -33,11 +33,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigOverlap, NonPositiveConformalFactor, ValidationError
-from .modegreen import LineFunction
 from .symbol import ModeSpec, constants, theta_table
 
 __all__ = [
     "NeckConfig",
+    "window",
     "weight",
     "weighted_norm",
     "build_glued_factor",
@@ -85,18 +85,14 @@ class NeckConfig:
         return self.epsilon**0.25 if self.delta is None else self.delta
 
     @property
-    def half_window(self) -> float:
-        return 0.5 * self.S_eps + self.pad
+    def L(self) -> float:
+        """Window length: the neck S_eps with a cap pad on either side."""
+        return self.S_eps + 2.0 * self.pad
 
-    @property
-    def ds(self) -> float:
-        return 2.0 * self.half_window / self.n_s
 
-    def s_grid(self) -> np.ndarray:
-        return -self.half_window + self.ds * np.arange(self.n_s)
-
-    def line_function(self, values: np.ndarray) -> LineFunction:
-        return LineFunction(s0=-self.half_window, ds=self.ds, N=self.n_s, values=values)
+def window(L: float, N: int) -> np.ndarray:
+    """The N points -L/2 + (L/N) k of the centered periodic window of length L."""
+    return -L / 2 + (L / N) * np.arange(N)
 
 
 def weight(config: NeckConfig, s) -> np.ndarray:
@@ -116,12 +112,9 @@ def weight(config: NeckConfig, s) -> np.ndarray:
     return np.where(raw <= 1.0, raw, 2.0 - 1.0 / np.maximum(raw, 1.0))
 
 
-def weighted_norm(mu: float, config: NeckConfig, v: LineFunction) -> float:
-    """sup of weight^{-mu} |v| on the config grid."""
-    s = config.s_grid()
-    if v.N != config.n_s or abs(v.s0 - s[0]) > 1e-9 or abs(v.ds - (s[1] - s[0])) > 1e-12:
-        raise ValidationError("samples do not live on the config grid")
-    return float(np.max(weight(config, s) ** (-mu) * np.abs(v.materialize())))
+def weighted_norm(mu: float, config: NeckConfig, s, values) -> float:
+    """sup of weight^{-mu} |values| over the points s."""
+    return float(np.max(weight(config, s) ** (-mu) * np.abs(values)))
 
 
 def _bump_density(t: np.ndarray) -> np.ndarray:
@@ -188,13 +181,12 @@ def build_glued_factor(config: NeckConfig, n: int, s) -> np.ndarray:
     return U
 
 
-def glued_u(config: NeckConfig, n: int, s, ds: float):
+def glued_u(config: NeckConfig, n: int, L: float, N: int):
     """The conformally covariant factor u = U^{(n-1)/4} of the glued metric
-    on the uniform periodic grid s of step ds, and P0 u: the mode-0 row of
-    `theta_table` applied as a Fourier multiplier.  The step is passed, not
-    read off s, so every caller hits the multiplier table of its own grid."""
-    u = build_glued_factor(config, n, s) ** ((n - 1) / 4.0)
-    Pu = np.real(np.fft.ifft(theta_table(n, 0, u.size, ds)[0] * np.fft.fft(u)))
+    on window(L, N), and P0 u: the mode-0 row of `theta_table` with step
+    L/N applied as a Fourier multiplier."""
+    u = build_glued_factor(config, n, window(L, N)) ** ((n - 1) / 4.0)
+    Pu = np.real(np.fft.ifft(theta_table(n, 0, N, L / N)[0] * np.fft.fft(u)))
     return u, Pu
 
 
@@ -212,17 +204,18 @@ def curvature_linearization(n: int, u, Pu):
 
 
 def approximate_curvature_error(config: NeckConfig, n: int, mu: float | None = None):
-    """Pointwise construction error Q - c of the glued metric U * g_cyl, its
-    curvature Q from conformal covariance, and the weighted norm E(epsilon)
-    with exponent mu (default -(n-1)/4)."""
+    """Pointwise construction error Q - c of the glued metric U * g_cyl on
+    window(config.L, config.n_s), its curvature Q from conformal covariance,
+    and the weighted norm E(epsilon) with exponent mu (default -(n-1)/4)."""
     if mu is None:
         mu = -(n - 1) / 4.0
     if not (np.isfinite(mu) and mu < 0.0):
         raise ValidationError(f"the error norm needs a finite negative weight exponent, "
                               f"got {mu}")
-    u, Pu = glued_u(config, n, config.s_grid(), config.ds)
-    err = config.line_function(curvature(n, u, Pu) - constants(n).c)
-    return err, weighted_norm(mu, config, err)
+    L, N = config.L, config.n_s
+    u, Pu = glued_u(config, n, L, N)
+    err = curvature(n, u, Pu) - constants(n).c
+    return err, weighted_norm(mu, config, window(L, N), err)
 
 
 def covariance_selftest(config: NeckConfig, n: int) -> float:
@@ -236,14 +229,15 @@ def covariance_selftest(config: NeckConfig, n: int) -> float:
     """
     from .extension import HalfCylinderProblem, dtn_cylinder
 
-    u, Pu_a = glued_u(config, n, config.s_grid(), config.ds)
-    xi = 2.0 * np.pi * np.fft.fftfreq(config.n_s, d=config.ds)
+    L, N = config.L, config.n_s
+    u, Pu_a = glued_u(config, n, L, N)
+    xi = 2.0 * np.pi * np.fft.fftfreq(N, d=L / N)
     order = np.argsort(np.abs(xi), kind="stable")[:96]
     exact_xis = np.abs(xi[order])
     spec = ModeSpec(n=n, gamma=0.5, m=0)
     table = {x: dtn_cylinder(HalfCylinderProblem(spec, xi=x))
              for x in set(np.round(exact_xis, 12))}
-    mult_b = theta_table(n, 0, config.n_s, config.ds)[0].copy()
+    mult_b = theta_table(n, 0, N, L / N)[0].copy()
     for k in order:
         mult_b[k] = table[round(abs(xi[k]), 12)]
     Pu_b = np.real(np.fft.ifft(mult_b * np.fft.fft(u)))

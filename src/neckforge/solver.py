@@ -28,7 +28,7 @@ sequential and pure.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 import scipy.linalg
@@ -39,13 +39,12 @@ from .errors import (Diverged, NonConvergence, NonPositiveConformalFactor,
                      ResonanceError, ValidationError)
 from .indicial import first_root
 from .neck import (NeckConfig, curvature, curvature_linearization, glued_u,
-                   weight as neck_weight)
+                   weight as neck_weight, window)
 from .symbol import ModeSpec, constants, theta_table
 
 __all__ = [
     "PeriodicCylinderState",
     "NewtonReport",
-    "ZonalBasis",
     "nonresonant_window",
     "apply_Q",
     "apply_linearized",
@@ -65,57 +64,37 @@ RESONANCE_MARGIN = 1e-3
 # zonal collocation
 
 
-@dataclass(frozen=True)
-class ZonalBasis:
-    """Discrete zonal transform on S^{n-1}.
-
-    Rows of `table` sample the degree-m zonal functions at Gauss nodes of
-    the cross-section measure (1-x^2)^{(n-3)/2} dx; they are normalized so
-    the constant function is exactly mode 0 with coefficient 1, and the
-    Gauss quadrature makes the discrete projection exact on products of
-    two truncated expansions.
-    """
-
-    n: int
-    m_max: int
-    nodes: np.ndarray
-    weights: np.ndarray
-    table: np.ndarray  # (m_max+1, n_nodes)
-
-    @classmethod
-    def build(cls, n: int, m_max: int) -> "ZonalBasis":
-        if n < 2:
-            raise ValidationError(f"need n >= 2, got {n}")
-        if m_max < 0:
-            raise ValidationError("m_max must be nonnegative")
-        J = 2 * (m_max + 1)
-        a = (n - 3) / 2.0
-        x, w = roots_jacobi(J, a, a)
-        rows = np.empty((m_max + 1, J))
-        for m in range(m_max + 1):
-            if n == 2:
-                rows[m] = eval_chebyt(m, x)
-            else:
-                rows[m] = eval_gegenbauer(m, (n - 2) / 2.0, x)
-        # normalize to <E_m, E_m>_w = total mass, so E_0 == 1
-        mass = float(np.sum(w))
-        norms = np.sqrt(np.sum(w * rows * rows, axis=1) / mass)
-        rows /= norms[:, None]
-        return cls(n=n, m_max=m_max, nodes=x, weights=w, table=rows)
-
-    def to_grid(self, mode_values: np.ndarray) -> np.ndarray:
-        """(m_max+1, ...) per-mode samples -> (n_nodes, ...) grid values."""
-        return np.tensordot(self.table.T, mode_values, axes=1)
-
-    def to_modes(self, grid_values: np.ndarray) -> np.ndarray:
-        mass = float(np.sum(self.weights))
-        proj = self.table * self.weights[None, :] / mass
-        return np.tensordot(proj, grid_values, axes=1)
-
-
 @lru_cache(maxsize=64)
-def _basis(n: int, m_max: int) -> ZonalBasis:
-    return ZonalBasis.build(n, m_max)
+def _zonal(n: int, m_max: int):
+    """Discrete zonal transform on S^{n-1} as the pair (to_grid, to_modes).
+
+    to_grid maps (m_max+1, ...) per-mode samples to (n_nodes, ...) values at
+    the Gauss nodes of the cross-section measure (1-x^2)^{(n-3)/2} dx, and
+    to_modes projects back.  The degree-m zonal rows are normalized so the
+    constant function is exactly mode 0 with coefficient 1, and the Gauss
+    quadrature makes the projection exact on products of two truncated
+    expansions.
+    """
+    if n < 2:
+        raise ValidationError(f"need n >= 2, got {n}")
+    if m_max < 0:
+        raise ValidationError("m_max must be nonnegative")
+    J = 2 * (m_max + 1)
+    a = (n - 3) / 2.0
+    x, w = roots_jacobi(J, a, a)
+    rows = np.empty((m_max + 1, J))
+    for m in range(m_max + 1):
+        if n == 2:
+            rows[m] = eval_chebyt(m, x)
+        else:
+            rows[m] = eval_gegenbauer(m, (n - 2) / 2.0, x)
+    # normalize to <E_m, E_m>_w = total mass, so E_0 == 1
+    mass = float(np.sum(w))
+    norms = np.sqrt(np.sum(w * rows * rows, axis=1) / mass)
+    rows /= norms[:, None]
+    proj = rows * w[None, :] / mass
+    rows.flags.writeable = proj.flags.writeable = False
+    return partial(np.tensordot, rows.T, axes=1), partial(np.tensordot, proj, axes=1)
 
 
 # ---------------------------------------------------------------------------
@@ -196,9 +175,6 @@ class PeriodicCylinderState:
     def mode_values(self) -> np.ndarray:
         return np.real(np.fft.ifft(self.f_hat, axis=1))
 
-    def s_grid(self) -> np.ndarray:
-        return (self.L / self.N_s) * np.arange(self.N_s)
-
     def with_table(self, f_hat: np.ndarray) -> "PeriodicCylinderState":
         return replace(self, f_hat=f_hat)
 
@@ -210,15 +186,15 @@ class PeriodicCylinderState:
 def apply_Q(state: PeriodicCylinderState) -> np.ndarray:
     """Curvature map Q(f) = f^{-(n+1)/(n-1)} (P f) as a coefficient table."""
     mults = _multipliers(state)
-    basis = _basis(state.n, state.m_max)
+    to_grid, to_modes = _zonal(state.n, state.m_max)
     f_vals = state.mode_values()
     Pf_vals = np.real(np.fft.ifft(mults * state.f_hat, axis=1))
-    f_grid = basis.to_grid(f_vals)
+    f_grid = to_grid(f_vals)
     if np.min(f_grid) <= 0.0:
         raise NonPositiveConformalFactor(
             f"factor reaches {np.min(f_grid):.3g} on the collocation grid")
-    Q_grid = curvature(state.n, f_grid, basis.to_grid(Pf_vals))
-    return np.fft.fft(basis.to_modes(Q_grid), axis=1)
+    Q_grid = curvature(state.n, f_grid, to_grid(Pf_vals))
+    return np.fft.fft(to_modes(Q_grid), axis=1)
 
 
 def apply_linearized(state: PeriodicCylinderState, v_hat: np.ndarray) -> np.ndarray:
@@ -241,16 +217,16 @@ def _jacobian_matvec(state: PeriodicCylinderState):
     """Exact derivative of apply_Q at the given state, as a matvec on
     coefficient tables: DQ(f) w = f^{-N} P w - N f^{-N-1} (P f) w."""
     mults = _multipliers(state)
-    basis = _basis(state.n, state.m_max)
-    f_grid = basis.to_grid(state.mode_values())
-    Pf_grid = basis.to_grid(np.real(np.fft.ifft(mults * state.f_hat, axis=1)))
+    to_grid, to_modes = _zonal(state.n, state.m_max)
+    f_grid = to_grid(state.mode_values())
+    Pf_grid = to_grid(np.real(np.fft.ifft(mults * state.f_hat, axis=1)))
     coef_a, coef_b = curvature_linearization(state.n, f_grid, Pf_grid)
 
     def matvec(w_hat: np.ndarray) -> np.ndarray:
-        Pw_grid = basis.to_grid(np.real(np.fft.ifft(mults * w_hat, axis=1)))
-        w_grid = basis.to_grid(np.real(np.fft.ifft(w_hat, axis=1)))
+        Pw_grid = to_grid(np.real(np.fft.ifft(mults * w_hat, axis=1)))
+        w_grid = to_grid(np.real(np.fft.ifft(w_hat, axis=1)))
         out_grid = coef_a * Pw_grid + coef_b * w_grid
-        return np.fft.fft(basis.to_modes(out_grid), axis=1)
+        return np.fft.fft(to_modes(out_grid), axis=1)
 
     return matvec
 
@@ -262,8 +238,8 @@ def _jacobian_matvec(state: PeriodicCylinderState):
 def state_norm(state: PeriodicCylinderState, table: np.ndarray) -> float:
     """Sup norm of a coefficient table on the collocation grid (unweighted:
     the periodic model has no neck funnel)."""
-    basis = _basis(state.n, state.m_max)
-    return float(np.max(np.abs(basis.to_grid(np.real(np.fft.ifft(table, axis=1))))))
+    to_grid, _ = _zonal(state.n, state.m_max)
+    return float(np.max(np.abs(to_grid(np.real(np.fft.ifft(table, axis=1))))))
 
 
 @dataclass(frozen=True)
@@ -388,16 +364,16 @@ def ball_newton_probe(n: int):
     quadratic collapse -- for degree 1 it must never converge quadratically.
     """
     eig, lam = ball_spectrum(n)
-    basis = _basis(n, eig.size - 1)
+    to_grid, to_modes = _zonal(n, eig.size - 1)
     kernel = np.abs(lam) <= RESONANCE_MARGIN
     coeffs = np.zeros(eig.size)
     coeffs[0], coeffs[1] = 1.0, 0.01
     history = []
     for _ in range(12):
-        f_grid = basis.to_grid(coeffs)
+        f_grid = to_grid(coeffs)
         if np.min(f_grid) <= 0.0:
             raise NonPositiveConformalFactor("ball factor lost positivity")
-        res = basis.to_modes(curvature(n, f_grid, basis.to_grid(eig * coeffs)))
+        res = to_modes(curvature(n, f_grid, to_grid(eig * coeffs)))
         res[0] -= eig[0]
         history.append(float(np.max(np.abs(res))))
         if np.any(kernel & (np.abs(res) > 1e-14 * max(np.max(np.abs(res)), 1.0))):
@@ -417,12 +393,12 @@ def uniform_invertibility_study(n: int, eps_list, mu: float, m_max: int = 3,
     """Smallest weighted singular value of the linearization at the glued
     factor, swept over epsilon on one fixed window.
 
-    The window is sized for the smallest epsilon, padded by 4 on each side
-    of its neck, and shared by the whole sweep so singular values are
-    comparable (a per-epsilon window would move the frequency lattice and
-    masquerade as an epsilon trend).  The report carries per-epsilon values
-    and the log-log slope; boundedness away from zero — not monotonicity —
-    is the claim under test.
+    The window is the smallest epsilon's NeckConfig window, moved off
+    resonance by `nonresonant_window` and shared by the whole sweep so
+    singular values are comparable (a per-epsilon window would move the
+    frequency lattice and masquerade as an epsilon trend).  The report
+    carries per-epsilon values and the log-log slope; boundedness away from
+    zero — not monotonicity — is the claim under test.
 
     Two measures are reported per mode, both read from one inverse
     A^{-1} of the weight-conjugated matrix: the operator smallest singular
@@ -442,8 +418,8 @@ def uniform_invertibility_study(n: int, eps_list, mu: float, m_max: int = 3,
         raise ValidationError(f"mu={mu} outside the inversion range for n={n}")
     if N_s < 256:
         raise ValidationError("need at least 256 neck samples")
-    L = nonresonant_window(n, max(-np.log(e) for e in eps_list) + 2.0 * 4.0, N_s)
-    s = -L / 2 + (L / N_s) * np.arange(N_s)
+    L = nonresonant_window(n, NeckConfig(epsilon=min(eps_list)).L, N_s)
+    s = window(L, N_s)
     table = theta_table(n, m_max, N_s, L / N_s)
     # each mode's multiplier as the circulant of its kernel: entry (i, j) is k[(i - j) % N_s]
     lag = np.subtract.outer(np.arange(N_s), np.arange(N_s)) % N_s
@@ -453,8 +429,8 @@ def uniform_invertibility_study(n: int, eps_list, mu: float, m_max: int = 3,
 
     rows = []
     for eps in eps_list:
-        cfg = NeckConfig(epsilon=eps)  # epsilon and chart scale; the grid is s
-        u, Pu = glued_u(cfg, n, s, L / N_s)
+        cfg = NeckConfig(epsilon=eps)  # epsilon and chart scale; the window is L
+        u, Pu = glued_u(cfg, n, L, N_s)
         a, b = curvature_linearization(n, u, Pu)
         wl = neck_weight(cfg, s) ** (-mu)
         per_mode = {}

@@ -161,6 +161,14 @@ def test_green_beta_on_an_indicial_exponent_exits_3(capsys):
     assert "numerical failure" in err and "indicial exponent" in err
 
 
+@pytest.mark.parametrize("criteria, unknown", [("11", "[11]"), ("0..20", "[0, 11, 12, ")])
+def test_accept_unknown_criteria_exit_2(capsys, criteria, unknown):
+    assert main(["accept", "--criteria", criteria]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""                    # no criterion ran
+    assert "criteria" in captured.err and unknown in captured.err
+
+
 def test_exit_code_4_for_failed_lemma_subset(tmp_path, capsys):
     # lemma suite passes for real dimensions, so exercise the plumbing with
     # the full accepted range and assert success instead

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from neckforge import indicial
-from neckforge.errors import NonConvergence
+from neckforge.errors import NonConvergence, ValidationError
 from neckforge.indicial import _false_position, check_lemma, first_root, root_catalog
 from neckforge.symbol import ModeSpec, constants
 
@@ -145,6 +145,16 @@ def test_check_lemma_n3_all_clauses():
     assert rep.passed
     assert rep.clause_a and rep.clause_b and rep.clause_c and rep.clause_d
     assert abs(rep.tau0 - TAU0[3]) <= 1e-10
+
+
+@pytest.mark.parametrize("tol_b", [0.0, -1.0, float("nan")])
+def test_check_lemma_rejects_nonpositive_tol_b(monkeypatch, tol_b):
+    def no_root_work(*args, **kwargs):
+        raise AssertionError("root work before the tolerance check")
+    monkeypatch.setattr(indicial, "first_root", no_root_work)
+    monkeypatch.setattr(indicial, "root_catalog", no_root_work)
+    with pytest.raises(ValidationError, match="tol_b"):
+        check_lemma(3, tol_b=tol_b)
 
 
 @pytest.mark.parametrize("n, m", [(3, 2), (5, 6)])

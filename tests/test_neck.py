@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from neckforge.acceptance import EPS_SWEEP
 from neckforge.errors import ConfigOverlap, ValidationError
 from neckforge.neck import (CUTOFF_WIDTH, NeckConfig, approximate_curvature_error,
                             build_glued_factor, covariance_selftest, error_sweep,
-                            weight, weighted_norm, _cutoff)
+                            weight, weighted_norm, window, _cutoff)
 
 
 def test_weight_anchors_centered():
@@ -21,7 +22,7 @@ def test_weight_anchors_centered():
 
 def test_weight_cap_and_symmetry():
     cfg = NeckConfig(epsilon=0.05)
-    s = np.linspace(-cfg.half_window, cfg.half_window, 1001)
+    s = np.linspace(-cfg.L / 2, cfg.L / 2, 1001)
     w = weight(cfg, s)
     assert np.all(w > 0) and np.all(w < 2.0)    # capped extension outside
     assert np.max(np.abs(w - w[::-1])) <= 5e-15
@@ -41,8 +42,8 @@ def test_norm_monotone_toward_weaker_weight():
     # outside the neck the capped weight exceeds 1, so the comparison is
     # deliberately restricted to neck-supported data.
     cfg = NeckConfig(epsilon=0.05)
-    v = cfg.line_function(np.exp(-4.0 * cfg.s_grid() ** 2))
-    norms = [weighted_norm(mu, cfg, v)
+    s = window(cfg.L, cfg.n_s)
+    norms = [weighted_norm(mu, cfg, s, np.exp(-4.0 * s ** 2))
              for mu in (-0.3, -0.7, -1.2)]
     assert norms[0] > norms[1] > norms[2]
 
@@ -51,23 +52,25 @@ def test_norm_monotone_toward_weaker_weight():
 @given(scale=st.floats(0.1, 50.0), mu=st.floats(-1.4, -0.1))
 def test_norm_homogeneous(scale, mu):
     cfg = NeckConfig(epsilon=0.1, n_s=512)
-    vals = np.cos(cfg.s_grid())
-    a = weighted_norm(mu, cfg, cfg.line_function(vals))
-    b = weighted_norm(mu, cfg, cfg.line_function(scale * vals))
+    s = window(cfg.L, cfg.n_s)
+    a = weighted_norm(mu, cfg, s, np.cos(s))
+    b = weighted_norm(mu, cfg, s, scale * np.cos(s))
     assert abs(b - scale * a) <= 1e-12 * max(1.0, b)
 
 
-def test_norm_grid_mismatch_rejected():
-    cfg = NeckConfig(epsilon=0.05)
-    other = NeckConfig(epsilon=0.1)
-    v = other.line_function(np.ones(other.s_grid().size))
-    with pytest.raises(ValidationError):
-        weighted_norm(-0.5, cfg, v)
+def test_window_is_the_config_grid():
+    # L = S + 2 pad is exactly twice the half window 0.5 S + pad, so the
+    # window starts at -(0.5 S + pad) and steps by L / n_s
+    for eps, pad in ((0.1, 4.0), (0.025, 3.0), (6.25e-3, 2.5)):
+        cfg = NeckConfig(epsilon=eps, pad=pad, n_s=512)
+        s = window(cfg.L, cfg.n_s)
+        assert s[0] == -(0.5 * cfg.S_eps + pad)
+        assert np.array_equal(s, s[0] + (cfg.L / 512) * np.arange(512))
 
 
 def test_partition_exact_for_symmetric_profile():
     cfg = NeckConfig(epsilon=0.05)
-    s = cfg.s_grid()
+    s = window(cfg.L, cfg.n_s)
     chi = _cutoff(s)
     flipped = np.interp(-s, s, chi)
     assert np.max(np.abs(chi + flipped - 1.0)) <= 5e-15
@@ -78,13 +81,13 @@ def test_partition_exact_for_symmetric_profile():
 
 def test_factor_is_one_without_perturbation():
     cfg = NeckConfig(epsilon=0.05, perturbation=False)
-    U = build_glued_factor(cfg, 3, cfg.s_grid())
+    U = build_glued_factor(cfg, 3, window(cfg.L, cfg.n_s))
     assert np.max(np.abs(U - 1.0)) <= 1e-14
 
 
 def test_perturbed_factor_size():
     cfg = NeckConfig(epsilon=0.05)
-    U = build_glued_factor(cfg, 3, cfg.s_grid())
+    U = build_glued_factor(cfg, 3, window(cfg.L, cfg.n_s))
     dev = np.max(np.abs(U - 1.0))
     d2 = cfg.resolved_delta ** 2
     assert 0.1 * d2 <= dev <= 1.5 * d2
@@ -94,6 +97,36 @@ def test_unperturbed_error_is_roundoff():
     cfg = NeckConfig(epsilon=0.05, perturbation=False)
     _, E = approximate_curvature_error(cfg, 3)
     assert E <= 1e-10
+
+
+# E(epsilon) over EPS_SWEEP at the default exponent mu = -(n-1)/4, frozen
+# from the construction on the config grid -(S/2 + pad) + ((S + 2 pad)/n_s) k
+E_PINNED = {
+    2: (0.0404368121182527, 0.028172446931771792, 0.019217963840512206,
+        0.013603259175997017, 0.009854051048782312),
+    3: (0.11185752635715819, 0.0837321086291093, 0.06180741833554071,
+        0.04512719397562394, 0.032674428603774314),
+}
+# the same for n_s = 512, pad = 3 and the paper-literal weight
+VARIANT = dict(n_s=512, pad=3.0, weight_convention="paper-literal")
+E_PINNED_VARIANT = {
+    2: (0.03233512701439693, 0.024029247343376147, 0.017520344039440673,
+        0.012545454464520937, 0.008802058693006926),
+    3: (0.1061600118226597, 0.07805530001963186, 0.05609444559547057,
+        0.03935825845952572, 0.026744172379313653),
+}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_error_norm_values_pinned(n):
+    for kw, pinned in (({}, E_PINNED[n]), (VARIANT, E_PINNED_VARIANT[n])):
+        for eps, ref in zip(EPS_SWEEP, pinned):
+            _, E = approximate_curvature_error(NeckConfig(epsilon=eps, **kw), n)
+            assert abs(E - ref) <= 1e-13 * ref, (kw, eps)
+    # without the perturbation U == 1, and P0 1 = c comes out exact
+    for eps in EPS_SWEEP:
+        cfg = NeckConfig(epsilon=eps, perturbation=False, **VARIANT)
+        assert approximate_curvature_error(cfg, n)[1] == 0.0
 
 
 def test_error_sweep_decreasing():
@@ -108,7 +141,7 @@ def test_error_amplitude_tracks_perturbation_size():
     err, E = approximate_curvature_error(cfg, 3)
     from neckforge.symbol import constants
     scale = constants(3).c * cfg.resolved_delta ** 2 / 2.0
-    sup = np.max(np.abs(err.values))
+    sup = np.max(np.abs(err))
     assert 0.5 * scale <= sup <= 2.0 * scale
     assert E > 0
 
@@ -116,7 +149,7 @@ def test_error_amplitude_tracks_perturbation_size():
 def test_chart_overlap_rejected():
     cfg = NeckConfig(epsilon=0.2, delta=0.25)
     with pytest.raises(ConfigOverlap):
-        build_glued_factor(cfg, 3, cfg.s_grid())
+        build_glued_factor(cfg, 3, window(cfg.L, cfg.n_s))
 
 
 def test_epsilon_range_validated():

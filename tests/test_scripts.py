@@ -46,6 +46,13 @@ def test_catalog_digest_script_is_deterministic():
     assert len(first[0]) == 64 and first[1:] == ["catalogs=48", "first_roots=24", "raised=0"]
 
 
+def test_glue_digest_script_is_deterministic():
+    first, second = (_run("glue_digest.py", "--quick").split() for _ in range(2))
+    assert first == second
+    assert len(first[0]) == 64 and first[1:] == [
+        "error=8", "selftest=1", "study=1", "c10=0", "ball=1", "solve=1", "raised=0"]
+
+
 def test_option_count_script_runs():
     lines = _run("option_count.py").splitlines()
     modules = [ln for ln in lines if not ln.startswith((" ", "total:"))]
