@@ -18,7 +18,10 @@ Sweep:
     ball       ball_newton_probe histories for n 2..4
     solve      criterion 7's Newton and fixed-point histories with their
                final tables, and apply_Q at its start
-`--quick` runs a small subset of each (a few seconds).
+`--quick` runs a small subset of each (a few seconds).  The first line is
+the digest of the whole sweep with the call counts; one line per kind
+follows with the digest of that kind alone, so a change that moves some
+outputs shows which.
 
 Usage: python scripts/glue_digest.py [--quick]
 """
@@ -121,9 +124,13 @@ def _feed(h, out):
 
 
 def digest(sweep):
+    """SHA-256 over the whole sweep, the count of calls per kind, and one
+    SHA-256 per kind over that kind's calls alone."""
     h = hashlib.sha256()
+    by_kind = {}
     counts = dict.fromkeys(KINDS, 0) | {"raised": 0}
     for kind, fn in KINDS.items():
+        hk = by_kind[kind] = hashlib.sha256()
         axes = sweep[kind]
         for args in product(*axes.values()):
             try:
@@ -132,10 +139,13 @@ def digest(sweep):
                 out = (type(err).__name__, str(err))
                 counts["raised"] += 1
             _feed(h, (kind, args, out))
+            _feed(hk, (kind, args, out))
             counts[kind] += 1
-    return h.hexdigest(), counts
+    return h.hexdigest(), counts, {k: hk.hexdigest() for k, hk in by_kind.items()}
 
 
 if __name__ == "__main__":
-    hexdigest, counts = digest(QUICK if "--quick" in sys.argv[1:] else FULL)
+    hexdigest, counts, by_kind = digest(QUICK if "--quick" in sys.argv[1:] else FULL)
     print(hexdigest, " ".join(f"{k}={v}" for k, v in counts.items()))
+    for kind, kind_digest in by_kind.items():
+        print(f"{kind:<9}{kind_digest}")

@@ -33,7 +33,7 @@ def module_report(mod) -> tuple:
     """(callables, settable values), each a list of qualified names."""
     callables, values = [], []
     for name, obj in _public(mod):
-        if inspect.isfunction(obj):
+        if inspect.isfunction(inspect.unwrap(obj)):  # lru_cache wrappers too
             callables.append(name)
             values += [f"{name}({p})" for p in _defaulted(obj)]
         elif inspect.isclass(obj) and not issubclass(obj, BaseException):

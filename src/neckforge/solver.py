@@ -33,10 +33,11 @@ from functools import lru_cache, partial
 import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import eval_chebyt, eval_gegenbauer, roots_jacobi
 
 from .errors import (Diverged, NonConvergence, NonPositiveConformalFactor,
-                     ResonanceError, ValidationError)
+                     NumericalError, ResonanceError, ValidationError)
 from .indicial import first_root
 from .neck import (NeckConfig, curvature, curvature_linearization, glued_u,
                    weight as neck_weight, window)
@@ -400,16 +401,22 @@ def uniform_invertibility_study(n: int, eps_list, mu: float, m_max: int = 3,
     carries per-epsilon values and the log-log slope; boundedness away from
     zero — not monotonicity — is the claim under test.
 
-    Two measures are reported per mode, both read from one inverse
-    A^{-1} of the weight-conjugated matrix: the operator smallest singular
-    value between the weighted sup-norm spaces (1/||A^{-1}|| with the
-    max-row-sum operator norm) — the quantity matching the sup-norm
-    estimates the inversion theory runs on — and, as an auxiliary
-    diagnostic, the smallest l2 singular value 1/sqrt(lambda_max) of
-    A^{-T} A^{-1}, its largest eigenvalue found by implicitly restarted
-    Lanczos (ARPACK) from a fixed start vector.  The slope in the report
-    refers to the sup-norm measure.  A Lanczos run that does not converge
-    raises NonConvergence.
+    Each mode's weight-conjugated matrix A commutes with the reflection
+    s -> -s (grid index k -> -k mod N_s): the glued factor, the cosh neck
+    weight and the symbol kernel are all even.  So A splits into an even
+    block on the indices 0..N_s/2 and an odd block on the paired indices
+    1..N_s/2-1 (the Toeplitz-plus-Hankel fold of its circulant), and A^{-1}
+    is read from the two block inverses; a factor that is not even raises
+    NumericalError.  Two measures are reported per mode: the operator
+    smallest singular value between the weighted sup-norm spaces
+    (1/||A^{-1}|| with the max-row-sum operator norm) — the quantity
+    matching the sup-norm estimates the inversion theory runs on — and, as
+    an auxiliary diagnostic, the smallest l2 singular value
+    1/sqrt(lambda_max) of A^{-T} A^{-1}, its largest eigenvalue found by
+    implicitly restarted Lanczos (ARPACK) on the two blocks in orthonormal
+    coordinates from a fixed start vector.  The slope in the report refers
+    to the sup-norm measure.  A Lanczos run that does not converge raises
+    NonConvergence.
     """
     eps_list = [float(e) for e in eps_list]
     if not eps_list:
@@ -418,32 +425,62 @@ def uniform_invertibility_study(n: int, eps_list, mu: float, m_max: int = 3,
         raise ValidationError(f"mu={mu} outside the inversion range for n={n}")
     if N_s < 256:
         raise ValidationError("need at least 256 neck samples")
+    if N_s % 2:
+        raise ValidationError(f"need an even number of neck samples, got {N_s}")
     L = nonresonant_window(n, NeckConfig(epsilon=min(eps_list)).L, N_s)
     s = window(L, N_s)
-    table = theta_table(n, m_max, N_s, L / N_s)
-    # each mode's multiplier as the circulant of its kernel: entry (i, j) is k[(i - j) % N_s]
-    lag = np.subtract.outer(np.arange(N_s), np.arange(N_s)) % N_s
-    dense = np.real(np.fft.ifft(table, axis=1))[:, lag]
-    diag = np.diag_indices(N_s)
+    h = N_s // 2
+    mirror = (-np.arange(N_s)) % N_s
+    kern = np.real(np.fft.ifft(theta_table(n, m_max, N_s, L / N_s), axis=1))
+    # fold each circulant kern[(i - j) % N_s] onto the half window: an even
+    # vector is its values at 0..h, an odd one its values at 1..h-1, and the
+    # pair j, N_s - j enters as kern[i - j] +- kern[i + j]
+    t = np.arange(N_s + 1)
+    lag = sliding_window_view(kern[:, (h - t) % N_s], h + 1, axis=1)[:, ::-1]
+    lead = sliding_window_view(kern[:, t % N_s], h + 1, axis=1)
+    even = lag + lead
+    even[:, :, [0, h]] *= 0.5  # 0 and h are their own mirrors
+    odd = lag[:, 1:h, 1:h] - lead[:, 1:h, 1:h]
+    # Lanczos runs in the orthonormal basis e_0, e_h, (e_j +- e_{N_s-j})/sqrt 2:
+    # the even inverse gets its pair rows times sqrt 2 and its pair columns
+    # over it, the odd one is unchanged
+    pair = np.ones(h + 1)
+    pair[1:h] = np.sqrt(2.0)
+    to_orthonormal = pair[:, None] / pair
     v0 = np.ones(N_s)  # a fixed Lanczos start keeps the l2 values reproducible
 
     rows = []
     for eps in eps_list:
         cfg = NeckConfig(epsilon=eps)  # epsilon and chart scale; the window is L
         u, Pu = glued_u(cfg, n, L, N_s)
-        a, b = curvature_linearization(n, u, Pu)
-        wl = neck_weight(cfg, s) ** (-mu)
+        if np.max(np.abs(u - u[mirror])) > 1e-13 * np.max(u):
+            raise NumericalError(f"glued factor at epsilon {eps:g} is not reflection-even; "
+                                 "the study's half-window fold does not apply")
+        a, b = curvature_linearization(n, u[:h + 1], Pu[:h + 1])
+        wl = neck_weight(cfg, s[:h + 1]) ** (-mu)
+        blocks = []
+        for fold, idx in ((even, slice(None)), (odd, slice(1, h))):
+            Aw = (wl * a)[idx, None] * fold
+            Aw /= wl[idx]
+            diag = np.arange(Aw.shape[-1])
+            Aw[:, diag, diag] += b[idx]
+            blocks.append(scipy.linalg.inv(Aw))
+        Einv, Oinv = blocks
+        # on rows 0..h, columns j and N_s - j of A^{-1} hold (E +- O)/2 (O is
+        # zero on rows 0 and h), and |x + y| + |x - y| = 2 max(|x|, |y|);
+        # rows i and N_s - i share a sum
+        absO = np.zeros_like(Einv)
+        absO[:, 1:h, 1:h] = np.abs(Oinv)
+        row_sums = np.sum(np.maximum(np.abs(Einv), absO), axis=2)
         per_mode = {}
         per_mode_l2 = {}
         for m in range(m_max + 1):
-            Aw = (wl * a)[:, None] * dense[m]
-            Aw /= wl
-            Aw[diag] += b
-            Ainv = scipy.linalg.inv(Aw)
-            per_mode[m] = float(1.0 / np.max(np.sum(np.abs(Ainv), axis=1)))
+            per_mode[m] = float(1.0 / np.max(row_sums[m]))
+            Eo, Om = Einv[m] * to_orthonormal, Oinv[m]
             gram = scipy.sparse.linalg.LinearOperator(
-                (N_s, N_s), matvec=lambda x: Ainv.T @ (Ainv @ x),
-                dtype=float)
+                (N_s, N_s), dtype=float,
+                matvec=lambda x, Eo=Eo, Om=Om: np.concatenate(
+                    (Eo.T @ (Eo @ x[:h + 1]), Om.T @ (Om @ x[h + 1:]))))
             try:
                 lam = scipy.sparse.linalg.eigsh(gram, k=1, which="LA", v0=v0,
                                                 return_eigenvectors=False)

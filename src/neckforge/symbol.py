@@ -120,9 +120,13 @@ def theta(spec: ModeSpec, xi):
 def theta_table(n: int, m_max: int, N: int, ds: float) -> np.ndarray:
     """Read-only (m_max+1, N) table of Theta_m(|xi_k|) at gamma = 1/2 on the
     FFT frequencies xi = 2*pi*fftfreq(N, ds) of an N-point grid of step ds:
-    row m is the Fourier multiplier of the boundary operator on mode m."""
-    xi = np.abs(2.0 * np.pi * np.fft.fftfreq(N, d=ds))
-    out = np.array([theta(ModeSpec(n=n, gamma=0.5, m=m), xi) for m in range(m_max + 1)])
+    row m is the Fourier multiplier of the boundary operator on mode m.
+    Index k and N - k carry the same |xi|, so each row is evaluated on the
+    N//2 + 1 distinct values and mirrored."""
+    xi = np.abs(2.0 * np.pi * np.fft.fftfreq(N, d=ds))[:N // 2 + 1]
+    k = np.arange(N)
+    half = np.array([theta(ModeSpec(n=n, gamma=0.5, m=m), xi) for m in range(m_max + 1)])
+    out = half[:, np.minimum(k, N - k)]
     out.setflags(write=False)
     return out
 
@@ -169,6 +173,7 @@ def theta_log_derivative(spec: ModeSpec, zeta):
     return 0.5j * (psi(a + h) - psi(a - h) - psi(b + h) + psi(b - h))
 
 
+@lru_cache(maxsize=64)
 def constants(n: int, gamma: float = 0.5) -> Constants:
     """Cylinder curvature constant c_g = Theta_0(0) and the linearization
     shift kappa_g = (n + 2 gamma)/(n - 2 gamma) * c_g."""

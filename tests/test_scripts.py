@@ -47,10 +47,15 @@ def test_catalog_digest_script_is_deterministic():
 
 
 def test_glue_digest_script_is_deterministic():
-    first, second = (_run("glue_digest.py", "--quick").split() for _ in range(2))
+    first, second = (_run("glue_digest.py", "--quick").splitlines() for _ in range(2))
     assert first == second
-    assert len(first[0]) == 64 and first[1:] == [
+    total = first[0].split()
+    assert len(total[0]) == 64 and total[1:] == [
         "error=8", "selftest=1", "study=1", "c10=0", "ball=1", "solve=1", "raised=0"]
+    # then one digest per kind
+    assert [ln.split()[0] for ln in first[1:]] == [
+        "error", "selftest", "study", "c10", "ball", "solve"]
+    assert all(len(ln.split()[1]) == 64 for ln in first[1:])
 
 
 def test_option_count_script_runs():

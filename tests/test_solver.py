@@ -5,11 +5,12 @@ import pytest
 import scipy.linalg
 import scipy.sparse.linalg
 
-from neckforge import neck
+from neckforge import neck, solver
 from neckforge.acceptance import EPS_SWEEP
 from neckforge.errors import (Diverged, NonConvergence, NonPositiveConformalFactor,
-                              ResonanceError, ValidationError)
-from neckforge.neck import build_glued_factor
+                              NumericalError, ResonanceError, ValidationError)
+from neckforge.neck import (NeckConfig, build_glued_factor, curvature_linearization,
+                            glued_u, window)
 from neckforge.solver import (PeriodicCylinderState,
                               _jacobian_matvec, apply_linearized, apply_Q,
                               ball_newton_probe, ball_spectrum,
@@ -233,22 +234,42 @@ def test_invertibility_study_values_pinned():
                 assert abs(row["per_mode_l2"][m] - l2[m]) <= 1e-11 * l2[m]
 
 
-def test_invertibility_study_l2_matches_full_svd(monkeypatch):
-    # oracle: the smallest singular value of every matrix the study inverts,
-    # from a full SVD of that same matrix
-    smallest = []
-    inv = scipy.linalg.inv
+def _full_matrix_measures(rep, n, mu):
+    """Each (study value, oracle value) pair of a study report, sup-norm
+    then l2.  The oracle is the full N_s x N_s weight-conjugated matrix of
+    each mode, its circulant built entry by entry: the sup measure from the
+    row sums of its explicit inverse, the l2 one from a full SVD."""
+    L, N_s, m_max = rep["L"], rep["N_s"], rep["m_max"]
+    s = window(L, N_s)
+    lag = np.subtract.outer(np.arange(N_s), np.arange(N_s)) % N_s
+    dense = np.real(np.fft.ifft(theta_table(n, m_max, N_s, L / N_s), axis=1))[:, lag]
+    pairs = []
+    for row in rep["rows"]:
+        cfg = NeckConfig(epsilon=row["epsilon"])
+        u, Pu = glued_u(cfg, n, L, N_s)
+        a, b = curvature_linearization(n, u, Pu)
+        wl = neck.weight(cfg, s) ** (-mu)
+        for m in range(m_max + 1):
+            Aw = (wl * a)[:, None] * dense[m] / wl + np.diag(b)
+            sup = 1.0 / np.max(np.sum(np.abs(scipy.linalg.inv(Aw)), axis=1))
+            pairs.append((row["per_mode"][m], sup))
+            pairs.append((row["per_mode_l2"][m], scipy.linalg.svdvals(Aw)[-1]))
+    return pairs
 
-    def spy(a, *args, **kwargs):
-        smallest.append(scipy.linalg.svdvals(a)[-1])
-        return inv(a, *args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "inv", spy)
-    rows = _c10_study()["rows"]
-    got = [row["per_mode_l2"][m] for row in rows for m in range(4)]
-    assert len(smallest) == len(got) == 4 * len(EPS_SWEEP)
-    for g, want in zip(got, smallest):
-        assert abs(g - want) <= 1e-11 * want
+def test_invertibility_study_l2_matches_full_svd():
+    # both measures of the half-window fold against the full matrix, for the
+    # criterion-10 study and two other dimensions
+    cases = [(3, -0.5, _c10_study()),
+             (2, -0.4, uniform_invertibility_study(2, [0.1, 0.025], mu=-0.4,
+                                                   m_max=3, N_s=256)),
+             (4, -0.75, uniform_invertibility_study(4, [0.1, 0.025], mu=-0.75,
+                                                    m_max=3, N_s=256))]
+    for n, mu, rep in cases:
+        pairs = _full_matrix_measures(rep, n, mu)
+        assert len(pairs) == 2 * 4 * len(rep["rows"])
+        for got, want in pairs:
+            assert abs(got - want) <= 1e-11 * want
 
 
 def test_invertibility_study_deterministic():
@@ -278,6 +299,22 @@ def test_invertibility_study_samples_the_exact_window_grid(monkeypatch):
 def test_invertibility_study_rejects_coarse_grid():
     with pytest.raises(ValidationError, match="256"):
         uniform_invertibility_study(3, [0.1], mu=-0.5, m_max=2, N_s=128)
+
+
+def test_invertibility_study_rejects_odd_grid():
+    with pytest.raises(ValidationError, match="even"):
+        uniform_invertibility_study(3, [0.1], mu=-0.5, m_max=2, N_s=257)
+
+
+def test_invertibility_study_rejects_asymmetric_factor(monkeypatch):
+    # the fold assumes the glued factor is even under s -> -s
+    def tilted(config, n, L, N):
+        u, Pu = glued_u(config, n, L, N)
+        return u * (1.0 + 1e-6 * window(L, N)), Pu
+
+    monkeypatch.setattr(solver, "glued_u", tilted)
+    with pytest.raises(NumericalError, match="reflection-even"):
+        uniform_invertibility_study(3, [0.1], mu=-0.5, m_max=2, N_s=256)
 
 
 def test_invertibility_study_lanczos_failure_is_typed(monkeypatch):

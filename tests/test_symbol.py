@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neckforge.errors import DegenerateSpec, PoleError
-from neckforge.symbol import ModeSpec, constants, theta, theta_analytic
+from neckforge.symbol import ModeSpec, constants, theta, theta_analytic, theta_table
 
 
 def test_constant_anchor_n3():
@@ -18,6 +18,18 @@ def test_constant_anchor_n3():
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_constant_is_symbol_at_zero(n):
     assert abs(constants(n).c - theta(ModeSpec(n=n, m=0), 0.0)) <= 1e-14
+
+
+@pytest.mark.parametrize("N", [256, 257, 384, 1001])
+def test_theta_table_rows_equal_pointwise_theta(N):
+    # the table evaluates N//2 + 1 distinct |xi| and mirrors them; each row
+    # must be bit-equal to theta on the full frequency grid
+    for n in (2, 3, 5):
+        for ds in (0.037, 0.2113):
+            table = theta_table(n, 3, N, ds)
+            xi = np.abs(2.0 * np.pi * np.fft.fftfreq(N, d=ds))
+            for m in range(4):
+                assert np.array_equal(table[m], theta(ModeSpec(n=n, m=m), xi))
 
 
 def test_degenerate_spec_raises():
