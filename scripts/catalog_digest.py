@@ -5,7 +5,9 @@ with `repr` (exact floats): roots, `dtheta`, residuals, multiplicities,
 search boxes and `certified` flags, or the error type and message when the
 call raises.  Two checkouts that print the same digest return the same
 catalogs bit for bit, so the script checks that a change to the root
-machinery is a pure refactor.
+machinery is a pure refactor.  After the total line it prints one digest
+per kind (`catalog`, `first`), so a change that moves first roots alone
+shows the catalogs unchanged.
 
 Sweep:
     root_catalog  gamma {0.5, 0.3, 0.8}, n 2..8, m 0..7, j_count {1, 2, 4, 6},
@@ -51,8 +53,10 @@ def _first(gamma, n, m):
 
 def digest(sweep):
     h = hashlib.sha256()
+    by_kind = {}
     counts = {"catalog": 0, "first": 0, "raised": 0}
     for kind, fn in (("catalog", _catalog), ("first", _first)):
+        hk = by_kind[kind] = hashlib.sha256()
         axes = sweep[kind]
         for args in product(*axes.values()):
             try:
@@ -60,12 +64,16 @@ def digest(sweep):
             except NeckforgeError as err:
                 out = (type(err).__name__, str(err))
                 counts["raised"] += 1
-            h.update(repr((kind, args, out)).encode())
+            record = repr((kind, args, out)).encode()
+            h.update(record)
+            hk.update(record)
             counts[kind] += 1
-    return h.hexdigest(), counts
+    return h.hexdigest(), counts, {k: hk.hexdigest() for k, hk in by_kind.items()}
 
 
 if __name__ == "__main__":
-    hexdigest, counts = digest(QUICK if "--quick" in sys.argv[1:] else FULL)
+    hexdigest, counts, by_kind = digest(QUICK if "--quick" in sys.argv[1:] else FULL)
     print(f"{hexdigest}  catalogs={counts['catalog']} first_roots={counts['first']} "
           f"raised={counts['raised']}")
+    for kind, kind_digest in by_kind.items():
+        print(f"{kind:<9}{kind_digest}")

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -239,19 +240,31 @@ def _config_text(config: RunConfig) -> str:
     return "; ".join(parts)
 
 
-def _emit(config: RunConfig, columns, rows, stream=None):
-    """CSV with a comment header recording the full config and version."""
-    out_path = config.parameters.get("out")
-    close = False
-    if stream is None:
-        if out_path:
-            stream = open(out_path, "w", encoding="utf-8", newline="\n")
-            close = True
-        else:
-            stream = sys.stdout
+@contextmanager
+def _output(config: RunConfig, default=None):
+    """The `out` file, or `default` when none is set, with the format header
+    line written; a path that cannot be opened for writing is a ConfigError
+    naming the key.  Yields None when there is neither."""
+    path = config.parameters.get("out")
+    stream = default
+    if path:
+        try:
+            stream = open(path, "w", encoding="utf-8", newline="\n")
+        except OSError as exc:
+            raise ConfigError(f"key 'out': cannot write {path!r}: {exc.strerror}") from exc
     try:
-        stream.write(f"# neckforge {__version__} format={FORMAT_VERSION} "
-                     f"command={config.command}\n")
+        if stream is not None:
+            stream.write(f"# neckforge {__version__} format={FORMAT_VERSION} "
+                         f"command={config.command}\n")
+        yield stream
+    finally:
+        if path:
+            stream.close()
+
+
+def _emit(config: RunConfig, columns, rows):
+    """CSV with a comment header recording the full config and version."""
+    with _output(config, sys.stdout) as stream:
         stream.write(f"# config: {_config_text(config)}\n")
         if not config.parameters.get("deterministic"):
             now = datetime.datetime.now(datetime.timezone.utc).isoformat()
@@ -259,9 +272,6 @@ def _emit(config: RunConfig, columns, rows, stream=None):
         stream.write(",".join(columns) + "\n")
         for row in rows:
             stream.write(",".join(_fmt(v) for v in row) + "\n")
-    finally:
-        if close:
-            stream.close()
 
 
 # --------------------------------------------------------------------------
@@ -390,13 +400,10 @@ def _run_accept(config: RunConfig) -> int:
     from .acceptance import format_line, run_all
     p = config.parameters
     indices = set(p["criteria"]) if p["criteria"] else None
-    results = run_all(indices=indices)
-    if p.get("out"):
-        with open(p["out"], "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(f"# neckforge {__version__} format={FORMAT_VERSION} "
-                     f"command=accept\n")
-            for r in results:
-                fh.write(format_line(r) + "\n")
+    with _output(config) as fh:  # opened first: a bad path fails before any criterion runs
+        results = run_all(indices=indices)
+        if fh is not None:
+            fh.writelines(format_line(r) + "\n" for r in results)
     return 0 if results and all(r.passed for r in results) else 4
 
 

@@ -298,43 +298,6 @@ def _subdivide_search(F, spec, box, tol, kappa_scale, depth=0):
     raise last_err
 
 
-def first_root(spec: ModeSpec) -> IndicialRoot:
-    """Smallest-sigma indicial root.
-
-    Mode 0: the purely oscillatory pair (sigma = 0, tau > 0), located by
-    false position on Theta_0(tau) = kappa on the real frequency axis.
-    Mode >= 1: the first real root, bracketed in (0, 2B) where the symbol
-    continuation falls from Theta_m(0) > kappa to 0 with no pole between.
-    Both are polished by Newton to |F| <= 1e-12.
-    """
-    kappa = constants(spec.n, spec.gamma).kappa
-    tol = 1e-12
-    F = _char_fn(spec, kappa)
-    if spec.m == 0:
-        g = lambda t: theta(spec, t) - kappa
-        hi = 2.0
-        g_hi = g(hi)
-        while g_hi < 0.0:
-            hi *= 2.0
-            if hi > 1e6:
-                raise NonConvergence("mode-0 first root bracket not found")
-            g_hi = g(hi)
-        tau0 = float(_false_position(g, [0.0], [hi], [g(0.0)], [g_hi])[0])
-        lam, res, dtheta = _newton_polish(F, 1j * tau0, tol)
-        return IndicialRoot(sigma=_fold(lam.real), tau=abs(lam.imag), residual=res, dtheta=dtheta)
-    upper = 2.0 * spec.b_offset
-    grid = np.linspace(1e-9, upper - 1e-9, 400)
-    vals = np.real(F(grid))
-    idx = np.nonzero(np.signbit(vals[1:]) != np.signbit(vals[:-1]))[0]
-    if len(idx) == 0:
-        raise NonConvergence(f"no real first root found in (0, {upper}) for {spec}")
-    i = idx[:1]
-    sig0 = float(_false_position(lambda x: np.real(F(x)), grid[i], grid[i + 1],
-                                 vals[i], vals[i + 1])[0])
-    lam, res, dtheta = _newton_polish(F, complex(sig0), tol)
-    return IndicialRoot(sigma=lam.real, tau=_fold(abs(lam.imag)), residual=res, dtheta=dtheta)
-
-
 def _axis_roots_real(F, spec, sigma_max, tol):
     """Sign-change roots of the real-valued restriction F(lambda), lambda real > 0,
     scanned between the poles in one call of F."""
@@ -362,6 +325,24 @@ def _axis_roots_imag(F, spec, kappa, tau_max, tol):
     t0 = _false_position(lambda t: theta(spec, t) - kappa, grid[i], grid[i + 1],
                          vals[i], vals[i + 1])
     return [_make_root(F, 1j * float(t), tol) for t in t0]
+
+
+def first_root(spec: ModeSpec) -> IndicialRoot:
+    """Smallest-sigma indicial root: the lowest root of the catalog's own
+    axis scan, polished by Newton to |F| <= 1e-12.  Mode 0 scans the real
+    frequency axis up to tau = 20 for the oscillatory pair (sigma = 0,
+    tau > 0); mode >= 1 scans (0, 2B) on the real axis, where the symbol
+    continuation falls from Theta_m(0) > kappa to 0.
+    """
+    kappa = constants(spec.n, spec.gamma).kappa
+    F = _char_fn(spec, kappa)
+    if spec.m == 0:
+        roots = _axis_roots_imag(F, spec, kappa, 20.0, 1e-12)
+    else:
+        roots = _axis_roots_real(F, spec, 2.0 * spec.b_offset, 1e-12)
+    if not roots:
+        raise NonConvergence(f"no real first root found by the axis scan for {spec}")
+    return roots[0]
 
 
 def _interior_roots(F, spec, sigma_max, tau_max, tol, kappa):
@@ -487,29 +468,22 @@ def check_lemma(n: int, gamma: float = 0.5, m_max: int = 6, j_max: int = 3,
     if not tol_b > 0.0:
         raise ValidationError(f"tol_b must be positive, got {tol_b}")
     report = LemmaReport(n=n, gamma=gamma, m_max=m_max, j_max=j_max)
-
-    r0 = first_root(ModeSpec(n=n, gamma=gamma, m=0))
-    report.tau0 = r0.tau
-    report.clause_a = (r0.sigma == 0.0) and (r0.tau > 0.0)
-    if not report.clause_a:
-        report.notes.append(f"mode-0 first root not purely oscillatory: {r0}")
-
-    for m in range(1, max(m_max, 1) + 1):
-        rm = first_root(ModeSpec(n=n, gamma=gamma, m=m))
-        report.sigma_first[m] = rm.sigma
-        if rm.tau != 0.0:
-            report.notes.append(f"mode-{m} first root unexpectedly off-axis: {rm}")
-    report.clause_b = abs(report.sigma_first.get(1, float("nan")) - 1.0) <= tol_b
-
-    sigmas = [report.sigma_first[m] for m in range(1, m_max + 1)]
-    report.clause_c = all(b > a for a, b in zip(sigmas[:-1], sigmas[1:]))
-    if not report.clause_c:
-        report.notes.append(f"first exponents not increasing: {sigmas}")
-
-    ok_d = True
-    bar = (n - 1) / 2.0
-    for m in range(0, m_max + 1):
+    ok_d, bar = True, (n - 1) / 2.0
+    # mode 1 is read even when m_max = 0: clause b needs its first exponent
+    for m in range(0, max(m_max, 1) + 1):
         cat = root_catalog(ModeSpec(n=n, gamma=gamma, m=m), j_max + 1)
+        r0 = cat.roots[0]
+        if m == 0:
+            report.tau0 = r0.tau
+            report.clause_a = (r0.sigma == 0.0) and (r0.tau > 0.0)
+            if not report.clause_a:
+                report.notes.append(f"mode-0 first root not purely oscillatory: {r0}")
+        else:
+            report.sigma_first[m] = r0.sigma
+            if r0.tau != 0.0:
+                report.notes.append(f"mode-{m} first root unexpectedly off-axis: {r0}")
+        if m > m_max:
+            continue
         report.ladders[m] = [(r.sigma, r.tau) for r in cat.roots[: j_max + 1]]
         if not cat.certified:
             report.notes.append(f"mode-{m} catalog count not certified")
@@ -519,5 +493,11 @@ def check_lemma(n: int, gamma: float = 0.5, m_max: int = 6, j_max: int = 3,
                 report.notes.append(
                     f"mode {m} root j={j} has sigma {cat.roots[j].sigma} <= {bar}"
                 )
+    report.clause_b = abs(report.sigma_first[1] - 1.0) <= tol_b
+
+    sigmas = [report.sigma_first[m] for m in range(1, m_max + 1)]
+    report.clause_c = all(b > a for a, b in zip(sigmas[:-1], sigmas[1:]))
+    if not report.clause_c:
+        report.notes.append(f"first exponents not increasing: {sigmas}")
     report.clause_d = ok_d
     return report

@@ -17,8 +17,8 @@ declared decay profile of the right-hand side (beta = 0 when no real
 zeros block the axis), the shifted multiplier is divided out, and the
 shift is returned as the output envelope.  Mode 0 always needs a shift:
 its first indicial pair sits on the axis and produces the half-line
-oscillatory tail sin(tau_0 s) on the left; the coefficient of that tail
-is 2/|Theta_0'(tau_0)| and is cross-checked against this contour shift.
+oscillatory tail sin(tau_0 s) on the left, with coefficient
+2/|Theta_0'(tau_0)|.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ import numpy as np
 
 from .errors import (
     AliasWarning,
-    NonConvergence,
     ResonanceError,
     TailMismatch,
     ValidationError,
@@ -49,7 +48,6 @@ __all__ = [
     "homogeneous_columns",
     "classify_growth",
     "synthesize_kernel",
-    "mode0_sine_coefficient",
     "fit_tail_rate",
     "resonant_window",
 ]
@@ -162,6 +160,8 @@ def fit_tail_rate(v: LineFunction, side: str = "+") -> float | None:
     part (where the FFT noise floor is uniform) and the envelope rate is
     added back; block maxima make it stable for oscillatory tails.
     """
+    if side not in ("+", "-"):
+        raise ValidationError(f"tail side must be '+' or '-', got {side!r}")
     band, floor_rel, blocks = (0.45, 0.82), 1e-12, 8
     s = v.grid()
     y = np.abs(np.asarray(v.values))
@@ -316,6 +316,16 @@ def resonant_window(tau: float):
     return -L / 2.0, L / N, N
 
 
+def _homogeneous_pair(root, s):
+    """The two homogeneous solutions of one root at the points s, each as
+    (profile, rate) for profile(s) * e^{rate s}: sin(tau s) and cos(tau s)
+    for a root on the axis (sigma = 0), cos(tau s) under e^{-sigma s} and
+    e^{+sigma s} for any other root."""
+    if root.sigma == 0.0:
+        return [(np.sin(root.tau * s), 0.0), (np.cos(root.tau * s), 0.0)]
+    return [(np.cos(root.tau * s), sign * root.sigma) for sign in (-1.0, +1.0)]
+
+
 def homogeneous_basis(spec: ModeSpec, j_max: int = 2) -> list:
     """Sampled homogeneous solutions, one pair per indicial exponent.
 
@@ -324,35 +334,21 @@ def homogeneous_basis(spec: ModeSpec, j_max: int = 2) -> list:
     periodization error.  Oscillatory profiles get their own window, resized
     to an exact period multiple.
     """
-    catalog = root_catalog(spec, j_max + 1)
     out = []
-    for root in catalog.roots[: j_max + 1]:
+    for root in root_catalog(spec, j_max + 1).roots[: j_max + 1]:
         s0, ds, n_s = resonant_window(root.tau)
         s = s0 + ds * np.arange(n_s)
-        profile = np.cos(root.tau * s) if root.tau != 0.0 else np.ones(n_s)
-        if root.sigma == 0.0:
-            # oscillatory pair on the axis (first exponent of mode 0)
-            out.append(LineFunction(s0, ds, n_s, np.sin(root.tau * s), spec.m, 0.0))
-            out.append(LineFunction(s0, ds, n_s, profile.copy(), spec.m, 0.0))
-            continue
-        for sign in (-1.0, +1.0):
-            out.append(LineFunction(s0, ds, n_s, profile.copy(), spec.m,
-                                    sign * root.sigma))
+        out += [LineFunction(s0, ds, n_s, w, spec.m, rate)
+                for w, rate in _homogeneous_pair(root, s)]
     return out
 
 
 def homogeneous_columns(catalog: RootCatalog, s) -> np.ndarray:
-    """Homogeneous solutions at the points s, one sup-normalised column each:
-    sin(tau s) and cos(tau s) for a root on the axis (sigma = 0), the pair
-    e^{-sigma s} cos(tau s), e^{+sigma s} cos(tau s) for any other root."""
-    cols = []
-    for root in catalog.roots:
-        if root.sigma == 0.0:
-            cols += [np.sin(root.tau * s), np.cos(root.tau * s)]
-        else:
-            cols += [np.exp(sign * root.sigma * s) * np.cos(root.tau * s)
-                     for sign in (-1.0, +1.0)]
-    A = np.stack(cols, axis=1)
+    """Homogeneous solutions at the points s, one sup-normalised column per
+    solution of each root's pair."""
+    A = np.stack([w if rate == 0.0 else np.exp(rate * s) * w
+                  for root in catalog.roots for w, rate in _homogeneous_pair(root, s)],
+                 axis=1)
     return A / np.abs(A).max(axis=0)
 
 
@@ -458,13 +454,3 @@ def synthesize_kernel(spec: ModeSpec, s):
     else:
         trunc = np.full_like(s, np.nan)
     return vals, trunc
-
-
-def mode0_sine_coefficient(spec: ModeSpec) -> float:
-    """Coefficient of the half-line sine tail of the mode-0 kernel."""
-    if spec.m != 0:
-        raise ValidationError("the oscillatory tail exists only for mode 0")
-    r0 = root_catalog(spec, 1).roots[0]
-    if r0.sigma != 0.0:
-        raise NonConvergence(f"first mode-0 root not on the axis: {r0}")
-    return 2.0 / abs(r0.dtheta)

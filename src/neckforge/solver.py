@@ -78,8 +78,6 @@ def _zonal(n: int, m_max: int):
     """
     if n < 2:
         raise ValidationError(f"need n >= 2, got {n}")
-    if m_max < 0:
-        raise ValidationError("m_max must be nonnegative")
     J = 2 * (m_max + 1)
     a = (n - 3) / 2.0
     x, w = roots_jacobi(J, a, a)
@@ -100,6 +98,11 @@ def _zonal(n: int, m_max: int):
 
 # ---------------------------------------------------------------------------
 # state
+
+
+def _check_m_max(m_max: int):
+    if m_max < 0:
+        raise ValidationError(f"m_max must be nonnegative, got {m_max}")
 
 
 def _mode0_gap(n: int, L: float, N_s: int) -> float:
@@ -135,6 +138,7 @@ class PeriodicCylinderState:
     f_hat: np.ndarray
 
     def __post_init__(self):
+        _check_m_max(self.m_max)
         if self.L <= 0:
             raise ValidationError("period must be positive")
         if self.N_s < 8 or self.N_s % 2:
@@ -158,6 +162,7 @@ class PeriodicCylinderState:
     def ones(cls, n: int, m_max: int = 8, N_s: int = 256) -> "PeriodicCylinderState":
         """The constant factor 1, on the first non-resonant period from an
         irrational multiple of the mode-0 oscillation period 2*pi/tau_0."""
+        _check_m_max(m_max)
         tau0 = first_root(ModeSpec(n=n, gamma=0.5, m=0)).tau
         L = nonresonant_window(n, 2.0 * np.pi / tau0 * (1.0 + 1.0 / np.sqrt(2.0)), N_s)
         f_hat = np.zeros((m_max + 1, N_s), dtype=complex)
@@ -421,6 +426,7 @@ def uniform_invertibility_study(n: int, eps_list, mu: float, m_max: int = 3,
     eps_list = [float(e) for e in eps_list]
     if not eps_list:
         raise ValidationError("need at least one epsilon")
+    _check_m_max(m_max)
     if not -(n - 1) / 2 < mu < 0:
         raise ValidationError(f"mu={mu} outside the inversion range for n={n}")
     if N_s < 256:

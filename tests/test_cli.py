@@ -169,6 +169,26 @@ def test_accept_unknown_criteria_exit_2(capsys, criteria, unknown):
     assert "criteria" in captured.err and unknown in captured.err
 
 
+def test_unwritable_out_path_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.csv"
+    assert main(["symbol", "--out", str(out), "--deterministic"]) == 2
+    err = capsys.readouterr().err
+    assert "key 'out'" in err and str(out) in err and "Traceback" not in err
+
+
+def test_accept_checks_out_path_before_any_criterion(tmp_path, capsys, monkeypatch):
+    from neckforge import acceptance
+
+    def no_criterion(indices=None):
+        raise AssertionError("a criterion ran before the out path was checked")
+    monkeypatch.setattr(acceptance, "run_all", no_criterion)
+    out = tmp_path / "missing" / "accept.txt"
+    assert main(["accept", "--criteria", "1", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "key 'out'" in captured.err and str(out) in captured.err
+
+
 def test_exit_code_4_for_failed_lemma_subset(tmp_path, capsys):
     # lemma suite passes for real dimensions, so exercise the plumbing with
     # the full accepted range and assert success instead

@@ -9,11 +9,10 @@ from hypothesis import strategies as st
 
 from neckforge import modegreen
 from neckforge.errors import ResonanceError, TailMismatch, ValidationError
-from neckforge.indicial import root_catalog
+from neckforge.indicial import first_root, root_catalog
 from neckforge.modegreen import (DecayProfile, LineFunction, apply_L0,
                                  classify_growth, fit_tail_rate, green_solve,
-                                 homogeneous_basis, mode0_sine_coefficient,
-                                 synthesize_kernel)
+                                 homogeneous_basis, synthesize_kernel)
 from neckforge.symbol import ModeSpec, constants
 
 DELTA = 0.5
@@ -45,6 +44,13 @@ def test_solution_inherits_declared_decay(m):
     assert abs(fit_tail_rate(v, "+") + DELTA) <= 0.05 * DELTA
     assert abs(fit_tail_rate(v, "-") - DELTA) <= 0.05 * DELTA
 
+
+@pytest.mark.parametrize("side", ["right", "left", "", "+-", None])
+def test_fit_tail_rate_rejects_unknown_side(side):
+    # any side but '+' once read as the left tail: 'right' fitted +0.5 on e^{-0.5|s|}
+    v = LineFunction.from_callable(lambda s: np.exp(-0.5 * np.abs(s)), -30.0, 30.0, 1024)
+    with pytest.raises(ValidationError, match="side"):
+        fit_tail_rate(v, side)
 
 
 def test_explicit_beta_needs_no_indicial_ladder_past_delta():
@@ -103,7 +109,7 @@ def test_kernel_even_and_normalized():
 
 def test_mode0_sine_coefficient_value():
     # 2 / Theta'(tau0) at n = 3, frozen from a 40-digit mpmath derivative
-    got = mode0_sine_coefficient(ModeSpec(n=3, m=0))
+    got = 2.0 / abs(first_root(ModeSpec(n=3, m=0)).dtheta)
     assert abs(got - 2.2971976106098572) <= 1e-13
 
 

@@ -41,9 +41,13 @@ def test_root_atlas_script_runs():
 
 
 def test_catalog_digest_script_is_deterministic():
-    first, second = (_run("catalog_digest.py", "--quick").split() for _ in range(2))
+    first, second = (_run("catalog_digest.py", "--quick").splitlines() for _ in range(2))
     assert first == second
-    assert len(first[0]) == 64 and first[1:] == ["catalogs=48", "first_roots=24", "raised=0"]
+    total = first[0].split()
+    assert len(total[0]) == 64 and total[1:] == ["catalogs=48", "first_roots=24", "raised=0"]
+    # then one digest per kind
+    assert [ln.split()[0] for ln in first[1:]] == ["catalog", "first"]
+    assert all(len(ln.split()[1]) == 64 for ln in first[1:])
 
 
 def test_glue_digest_script_is_deterministic():

@@ -106,6 +106,16 @@ def test_non_hermitian_table_rejected():
         state.with_table(bad)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: PeriodicCylinderState.ones(3, m_max=-1),
+    lambda: PeriodicCylinderState(n=3, L=10.0, m_max=-1, N_s=64, f_hat=np.zeros((0, 64))),
+    lambda: uniform_invertibility_study(3, [0.05], mu=-0.5, m_max=-1),
+], ids=["ones", "direct", "study"])
+def test_negative_m_max_rejected(build):
+    with pytest.raises(ValidationError, match="m_max"):
+        build()
+
+
 def test_newton_converges_quadratically():
     rep = newton_solve(_perturbed(), tol=1e-11, method="newton")
     assert rep.converged
