@@ -1,13 +1,13 @@
 """One SHA-256 over a sweep of indicial root catalogs and first roots.
 
 Every `root_catalog` and every `first_root` of the sweep is written out
-with `repr` (exact floats): roots, `dtheta`, residuals, multiplicities,
-search boxes and `certified` flags, or the error type and message when the
-call raises.  Two checkouts that print the same digest return the same
-catalogs bit for bit, so the script checks that a change to the root
-machinery is a pure refactor.  After the total line it prints one digest
-per kind (`catalog`, `first`), so a change that moves first roots alone
-shows the catalogs unchanged.
+with `repr` (exact floats): roots, `dtheta`, residuals, search boxes and
+`certified` flags, or the error type and message when the call raises.
+Two checkouts that print the same digest return the same catalogs bit for
+bit, so the script checks that a change to the root machinery is a pure
+refactor.  After the total line it prints one digest per kind (`catalog`,
+`first`), so a change that moves first roots alone shows the catalogs
+unchanged.
 
 Sweep:
     root_catalog  gamma {0.5, 0.3, 0.8}, n 2..8, m 0..7, j_count {1, 2, 4, 6},
@@ -39,7 +39,7 @@ QUICK = {
 
 
 def _root(r):
-    return (r.sigma, r.tau, r.residual, r.dtheta, r.multiplicity)
+    return (r.sigma, r.tau, r.residual, r.dtheta)
 
 
 def _catalog(gamma, n, m, j_count, tau_max):

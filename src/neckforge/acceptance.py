@@ -61,7 +61,8 @@ def criterion_2():
         if not rep.passed:
             clauses = {"a": rep.clause_a, "b": rep.clause_b,
                        "c": rep.clause_c, "d": rep.clause_d}
-            fails.append(f"n={n} failed {[k for k, v in clauses.items() if not v]}")
+            fails.append(f"n={n} failed {[k for k, v in clauses.items() if not v]}"
+                         + "".join(f"; {note}" for note in rep.notes))
     return not fails, "; ".join(fails + taus)
 
 

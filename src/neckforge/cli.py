@@ -241,43 +241,44 @@ def _config_text(config: RunConfig) -> str:
 
 
 @contextmanager
-def _output(config: RunConfig, default=None):
-    """The `out` file, or `default` when none is set, with the format header
-    line written; a path that cannot be opened for writing is a ConfigError
-    naming the key.  Yields None when there is neither."""
+def _out_file(config: RunConfig):
+    """The `out` file opened for writing, or None when no path is set; a
+    path that cannot be opened is a ConfigError naming the key."""
     path = config.parameters.get("out")
-    stream = default
-    if path:
-        try:
-            stream = open(path, "w", encoding="utf-8", newline="\n")
-        except OSError as exc:
-            raise ConfigError(f"key 'out': cannot write {path!r}: {exc.strerror}") from exc
+    if not path:
+        yield None
+        return
     try:
-        if stream is not None:
-            stream.write(f"# neckforge {__version__} format={FORMAT_VERSION} "
-                         f"command={config.command}\n")
+        stream = open(path, "w", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise ConfigError(f"key 'out': cannot write {path!r}: {exc.strerror}") from exc
+    with stream:
         yield stream
-    finally:
-        if path:
-            stream.close()
 
 
-def _emit(config: RunConfig, columns, rows):
-    """CSV with a comment header recording the full config and version."""
-    with _output(config, sys.stdout) as stream:
-        stream.write(f"# config: {_config_text(config)}\n")
-        if not config.parameters.get("deterministic"):
-            now = datetime.datetime.now(datetime.timezone.utc).isoformat()
-            stream.write(f"# generated: {now}\n")
-        stream.write(",".join(columns) + "\n")
-        for row in rows:
-            stream.write(",".join(_fmt(v) for v in row) + "\n")
+def _header(config: RunConfig, stream):
+    stream.write(f"# neckforge {__version__} format={FORMAT_VERSION} "
+                 f"command={config.command}\n")
+
+
+def _emit(config: RunConfig, out, columns, rows):
+    """CSV on `out` (stdout when None) with a comment header recording the
+    full config and version."""
+    stream = sys.stdout if out is None else out
+    _header(config, stream)
+    stream.write(f"# config: {_config_text(config)}\n")
+    if not config.parameters.get("deterministic"):
+        now = datetime.datetime.now(datetime.timezone.utc).isoformat()
+        stream.write(f"# generated: {now}\n")
+    stream.write(",".join(columns) + "\n")
+    for row in rows:
+        stream.write(",".join(_fmt(v) for v in row) + "\n")
 
 
 # --------------------------------------------------------------------------
-# command runners: parameters dict -> exit code
+# command runners: (config, open `out` file or None) -> exit code
 
-def _run_symbol(config: RunConfig) -> int:
+def _run_symbol(config: RunConfig, out) -> int:
     from .symbol import ModeSpec, theta
     p = config.parameters
     rows = []
@@ -285,11 +286,11 @@ def _run_symbol(config: RunConfig) -> int:
         spec = ModeSpec(n=p["n"], gamma=p["gamma"], m=m)
         for xi in p["xi"]:
             rows.append((p["n"], p["gamma"], m, xi, float(theta(spec, xi))))
-    _emit(config, ("n", "gamma", "m", "xi", "theta"), rows)
+    _emit(config, out, ("n", "gamma", "m", "xi", "theta"), rows)
     return 0
 
 
-def _run_indicial(config: RunConfig) -> int:
+def _run_indicial(config: RunConfig, out) -> int:
     from .indicial import root_catalog
     from .symbol import ModeSpec
     p = config.parameters
@@ -299,11 +300,11 @@ def _run_indicial(config: RunConfig) -> int:
         cat = root_catalog(spec, p["j_count"])
         for j, root in enumerate(cat.roots):
             rows.append((p["n"], p["gamma"], m, j, root.sigma, root.tau))
-    _emit(config, ("n", "gamma", "m", "j", "sigma", "tau"), rows)
+    _emit(config, out, ("n", "gamma", "m", "j", "sigma", "tau"), rows)
     return 0
 
 
-def _run_check_lemma(config: RunConfig) -> int:
+def _run_check_lemma(config: RunConfig, out) -> int:
     from .indicial import check_lemma
     p = config.parameters
     rows, all_ok = [], True
@@ -311,14 +312,16 @@ def _run_check_lemma(config: RunConfig) -> int:
         rep = check_lemma(n, gamma=0.5, m_max=p["m_max"], j_max=p["j_max"],
                           tol_b=p["tol_b"])
         all_ok = all_ok and rep.passed
+        for note in rep.notes:
+            print(f"# n={n}: {note}", file=sys.stderr)
         rows.append((n, rep.tau0, rep.clause_a, rep.clause_b,
                      rep.clause_c, rep.clause_d, rep.passed))
-    _emit(config, ("n", "tau0", "clause_a", "clause_b", "clause_c",
-                   "clause_d", "passed"), rows)
+    _emit(config, out, ("n", "tau0", "clause_a", "clause_b", "clause_c",
+                        "clause_d", "passed"), rows)
     return 0 if all_ok else 4
 
 
-def _run_green(config: RunConfig) -> int:
+def _run_green(config: RunConfig, out) -> int:
     from .modegreen import (DecayProfile, LineFunction, fit_tail_rate,
                             green_solve)
     from .symbol import ModeSpec
@@ -342,11 +345,11 @@ def _run_green(config: RunConfig) -> int:
             print(f"# mode {m}: fitted tail rates {_fmt(fit_tail_rate(v, '-'))} / "
                   f"{_fmt(fit_tail_rate(v, '+'))} (declared +/-{_fmt(delta)})",
                   file=sys.stderr)
-    _emit(config, ("m", "s", "rhs", "solution"), rows)
+    _emit(config, out, ("m", "s", "rhs", "solution"), rows)
     return 0
 
 
-def _run_extension_validate(config: RunConfig) -> int:
+def _run_extension_validate(config: RunConfig, out) -> int:
     from .extension import cross_validate
     p = config.parameters
     rows = []
@@ -355,11 +358,11 @@ def _run_extension_validate(config: RunConfig) -> int:
                                 scheme=p["scheme"]):
             rows.append((r["n"], r["m"], r["xi"], r["dtn"], r["theta"],
                          r["rel_err"]))
-    _emit(config, ("n", "m", "xi", "dtn", "theta", "rel_err"), rows)
+    _emit(config, out, ("n", "m", "xi", "dtn", "theta", "rel_err"), rows)
     return 0
 
 
-def _run_glue(config: RunConfig) -> int:
+def _run_glue(config: RunConfig, out) -> int:
     from .neck import error_sweep
     p = config.parameters
     eps_list = [p["epsilon"]] if p["epsilon"] is not None else list(p["eps"])
@@ -370,11 +373,11 @@ def _run_glue(config: RunConfig) -> int:
                                  n_s=p["n_s"], pad=p["pad"],
                                  perturbation=p["perturbation"],
                                  weight_convention=p["weight_convention"])]
-    _emit(config, ("epsilon", "S", "delta", "E"), rows)
+    _emit(config, out, ("epsilon", "S", "delta", "E"), rows)
     return 0
 
 
-def _run_solve(config: RunConfig) -> int:
+def _run_solve(config: RunConfig, out) -> int:
     from .solver import PeriodicCylinderState, newton_solve
     p = config.parameters
     state = PeriodicCylinderState.ones(p["n"], m_max=p["m_max"], N_s=p["n_s"])
@@ -392,18 +395,18 @@ def _run_solve(config: RunConfig) -> int:
     if report.notes:
         print(f"# {report.notes}", file=sys.stderr)
     rows = [(k, r) for k, r in enumerate(report.residual_history)]
-    _emit(config, ("step", "residual"), rows)
+    _emit(config, out, ("step", "residual"), rows)
     return 0 if report.converged else 3
 
 
-def _run_accept(config: RunConfig) -> int:
+def _run_accept(config: RunConfig, out) -> int:
     from .acceptance import format_line, run_all
     p = config.parameters
     indices = set(p["criteria"]) if p["criteria"] else None
-    with _output(config) as fh:  # opened first: a bad path fails before any criterion runs
-        results = run_all(indices=indices)
-        if fh is not None:
-            fh.writelines(format_line(r) + "\n" for r in results)
+    results = run_all(indices=indices)
+    if out is not None:
+        _header(config, out)
+        out.writelines(format_line(r) + "\n" for r in results)
     return 0 if results and all(r.passed for r in results) else 4
 
 
@@ -474,7 +477,9 @@ _SCHEMAS = {name: schema for name, (_, schema, _) in _TABLE.items()}
 
 
 def run(config: RunConfig) -> int:
-    return _TABLE[config.command][2](config)
+    # `out` is opened before dispatch, so a bad path fails before any work
+    with _out_file(config) as out:
+        return _TABLE[config.command][2](config, out)
 
 
 # --------------------------------------------------------------------------

@@ -5,6 +5,9 @@ the PASS/FAIL line (visible under `pytest -s` or in captured output), and
 asserts the verdict.  Tolerances live in neckforge.acceptance, nowhere else.
 """
 
+import dataclasses
+
+from neckforge import indicial
 from neckforge.acceptance import run_all
 
 
@@ -19,6 +22,17 @@ def test_criterion_01_constant_anchor():
 
 def test_criterion_02_exponent_lemma():
     _run(2)
+
+
+def test_criterion_02_failure_names_the_lemma_notes(monkeypatch):
+    build = indicial.root_catalog
+    monkeypatch.setattr(indicial, "root_catalog", lambda *args: dataclasses.replace(
+        build(*args), certified=False))
+    [res] = run_all(indices=[2])
+    assert not res.passed
+    assert res.detail.startswith(
+        "n=2 failed ['d']; mode-0 catalog count not certified; "
+        "mode-1 catalog count not certified;")
 
 
 def test_criterion_03_oracle_equivalence():

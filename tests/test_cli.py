@@ -1,5 +1,7 @@
 """Front-end contract: config schema, overrides, CSV shape, exit codes."""
 
+import dataclasses
+import importlib
 import os
 import shlex
 
@@ -187,6 +189,50 @@ def test_accept_checks_out_path_before_any_criterion(tmp_path, capsys, monkeypat
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "key 'out'" in captured.err and str(out) in captured.err
+
+
+def _unreachable(*args, **kwargs):
+    raise AssertionError("work ran before the out path was checked")
+
+
+# each runner's first library call, as module and attribute path
+FIRST_CALL = {
+    "symbol": ("symbol", "theta"),
+    "indicial": ("indicial", "root_catalog"),
+    "check-lemma": ("indicial", "check_lemma"),
+    "green": ("modegreen", "LineFunction.from_callable"),
+    "extension-validate": ("extension", "cross_validate"),
+    "glue": ("neck", "error_sweep"),
+    "solve": ("solver", "PeriodicCylinderState.ones"),
+}
+
+
+@pytest.mark.parametrize("command", FIRST_CALL)
+def test_out_path_checked_before_any_work(tmp_path, capsys, monkeypatch, command):
+    module, name = FIRST_CALL[command]
+    owner = importlib.import_module(f"neckforge.{module}")
+    *path, attr = name.split(".")
+    for part in path:
+        owner = getattr(owner, part)
+    monkeypatch.setattr(owner, attr, _unreachable)
+    out = tmp_path / "missing" / "x.csv"
+    assert main([command, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "key 'out'" in captured.err and str(out) in captured.err
+
+
+def test_check_lemma_prints_its_notes(tmp_path, capsys, monkeypatch):
+    # an uncertified catalog fails clause d, and each note of the failing
+    # report reaches stderr under its dimension
+    from neckforge import indicial
+    build = indicial.root_catalog
+    monkeypatch.setattr(indicial, "root_catalog", lambda *args: dataclasses.replace(
+        build(*args), certified=False))
+    assert main(["check-lemma", "--n", "3", "--m-max", "2", "--deterministic",
+                 "--out", str(tmp_path / "l.csv")]) == 4
+    notes = capsys.readouterr().err.splitlines()
+    assert notes == [f"# n=3: mode-{m} catalog count not certified" for m in range(3)]
 
 
 def test_exit_code_4_for_failed_lemma_subset(tmp_path, capsys):

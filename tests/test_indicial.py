@@ -6,6 +6,8 @@ special-function stack and a different root-finding method than the package
 uses, so agreement is meaningful.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -131,13 +133,16 @@ def test_first_exponents_increase_with_mode():
 
 
 def test_no_genuinely_complex_roots_low_modes():
-    # all certified roots are either on the real-frequency axis (sigma = 0)
-    # or on the decay axis (tau = 0); nothing in the open quadrant
-    for n in (2, 3, 4):
-        for m in range(3):
-            cat = root_catalog(ModeSpec(n=n, m=m), 3)
-            for r in cat.roots:
-                assert r.sigma == 0.0 or r.tau == 0.0
+    # all roots are either on the real-frequency axis (sigma = 0) or on the
+    # decay axis (tau = 0); the independent quadrant count matching the roots
+    # located is what proves the open quadrant empty
+    for gamma in (0.3, 0.5, 0.8):
+        for n in range(2, 9):
+            for m in range(8):
+                cat = root_catalog(ModeSpec(n=n, gamma=gamma, m=m), 3)
+                assert cat.certified, (gamma, n, m)
+                for r in cat.roots:
+                    assert r.sigma == 0.0 or r.tau == 0.0
 
 
 def test_check_lemma_n3_all_clauses():
@@ -159,9 +164,11 @@ def test_check_lemma_rejects_nonpositive_tol_b(monkeypatch, tol_b):
 
 @pytest.mark.parametrize("n, m", [(3, 2), (5, 6)])
 def test_catalog_locates_once(monkeypatch, n, m):
-    # the search box is grown by counting alone; roots are located in one pass
+    # the search box is grown by counting alone, so each axis is scanned once;
+    # without a count the location loop grows the box, rescanning only the
+    # real axis, since the imaginary-axis roots do not depend on sigma_max
     calls = {}
-    for name in ("_axis_roots_real", "_axis_roots_imag", "_interior_roots"):
+    for name in ("_axis_roots_real", "_axis_roots_imag"):
         def counted(*args, _fn=getattr(indicial, name), _name=name):
             calls[_name] = calls.get(_name, 0) + 1
             return _fn(*args)
@@ -169,7 +176,52 @@ def test_catalog_locates_once(monkeypatch, n, m):
     indicial._catalog_cached.cache_clear()
     cat = root_catalog(ModeSpec(n=n, m=m), 4)
     assert len(cat.roots) >= 4 and cat.certified
-    assert calls == {"_axis_roots_real": 1, "_axis_roots_imag": 1, "_interior_roots": 1}
+    assert calls == {"_axis_roots_real": 1, "_axis_roots_imag": 1}
+
+    calls.clear()
+    monkeypatch.setattr(indicial, "_quadrant_count", lambda *args, **kwargs: None)
+    indicial._catalog_cached.cache_clear()
+    assert not root_catalog(ModeSpec(n=n, m=m), 4).certified
+    assert calls["_axis_roots_imag"] == 1 and calls["_axis_roots_real"] > 1
+    indicial._catalog_cached.cache_clear()
+
+
+@pytest.mark.parametrize("n, m", [(3, 2), (5, 6), (2, 0)])
+def test_uncounted_catalog_is_uncertified_with_the_same_roots(monkeypatch, n, m):
+    # with no counting contour cleared the location loop alone grows the box:
+    # the same roots in the same box, but nothing proves the open quadrant empty
+    spec = ModeSpec(n=n, m=m)
+    indicial._catalog_cached.cache_clear()
+    want = root_catalog(spec, 6)
+    monkeypatch.setattr(indicial, "_quadrant_count", lambda *args, **kwargs: None)
+    indicial._catalog_cached.cache_clear()
+    got = root_catalog(spec, 6)
+    indicial._catalog_cached.cache_clear()
+    assert want.certified and not got.certified
+    assert got.roots == want.roots and got.search_box == want.search_box
+
+
+@pytest.mark.parametrize("n, m", [(4, 9), (11, 6)])
+def test_polish_stops_at_the_last_ulp(n, m):
+    # where |Theta'| is large, one ulp of lambda moves F by more than the
+    # 1e-10 bound; the polish stops once its step is a few ulps of lambda
+    cat = root_catalog(ModeSpec(n=n, gamma=1.7, m=m), 8)
+    assert cat.certified and len(cat.roots) >= 8
+    eps = np.finfo(float).eps
+    for r in cat.roots:
+        assert r.residual <= max(1e-10, 4.0 * eps * abs(r.lam) * abs(r.dtheta))
+
+
+def test_uncertified_catalog_fails_clause_d(monkeypatch):
+    # certification is the only guard against an off-axis root, so a catalog
+    # whose count does not match its roots fails the clause that reads it
+    build = indicial.root_catalog
+    monkeypatch.setattr(indicial, "root_catalog", lambda *args: dataclasses.replace(
+        build(*args), certified=False))
+    rep = check_lemma(3)
+    assert rep.clause_a and rep.clause_b and rep.clause_c
+    assert not rep.clause_d and not rep.passed
+    assert "mode-0 catalog count not certified" in rep.notes
 
 
 @pytest.mark.parametrize("n", range(2, 9))
