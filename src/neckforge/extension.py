@@ -33,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgetrf, dgetri
 
 from .errors import ResolutionTooCoarse, SingularBVP, ValidationError
 from .symbol import ModeSpec, theta
@@ -184,36 +185,54 @@ def dtn_halfdisk_2d(xi: float, m: int) -> float:
     points (an even count, so the pole couples node j to node j + 32),
     Dirichlet data cos(m theta) on the equator; the result is projected back
     on cos(m theta).  Secondary validation path for dtn_cylinder at n=2.
-    """
-    import scipy.sparse.linalg
 
+    Solved exactly by block elimination, ring by ring from the pole: each phi
+    ring is a dense 64 x 64 block B_i, rings meet through multiples of the
+    identity, and S_i = B_i - dn_i up_(i-1) S_(i-1)^(-1).  The rows are strictly
+    diagonally dominant, so no pivoting across blocks is needed.  No theta
+    transform: diagonalising the blocks by FFT would separate variables, and
+    this would stop being an independent check.
+    """
     M, K = 96, 64
     h = np.pi / (2 * M - 1)
+    ModeSpec(n=2, m=m)  # the integer check every mode goes through
+    if not np.isfinite(xi):
+        raise ValidationError("xi must be finite")
+    if m >= K // 2:
+        raise ResolutionTooCoarse(f"mode m = {m} aliases on {K} theta points")
+    if abs(xi) * h > 0.5:
+        raise ResolutionTooCoarse(f"xi = {xi} needs more than {M} points on the quarter circle")
     phi = h * (np.arange(M) + 0.5)  # phi[M-1] = pi/2 exactly
     dth = 2.0 * np.pi / K
     data = np.cos(m * (dth * np.arange(K)))  # Dirichlet data cos(m theta)
     pot = xi * xi + 0.25  # xi^2 + (n-1)^2/4 at n = 2
 
-    # five-point rows i < M-1 on an (M-1, K) index grid; coo sums duplicates
-    i, j = np.meshgrid(np.arange(M - 1), np.arange(K), indexing="ij")
-    cot = 1.0 / np.tan(phi[:M - 1, None])
-    ring = -1.0 / (np.sin(phi[:M - 1, None]) * dth) ** 2
-    row = i * K + j
-    cols = [row, i * K + (j + 1) % K, i * K + (j - 1) % K, row + K,
-            np.where(i == 0, (j + K // 2) % K, row - K)]  # across the pole at i = 0
-    vals = [(2.0 / h**2 + pot) - 2.0 * ring, ring, ring,
-            -1.0 / h**2 - cot / (2.0 * h), -1.0 / h**2 + cot / (2.0 * h)]
-    edge = np.arange((M - 1) * K, M * K)  # Dirichlet rows on the equator
-    A = scipy.sparse.coo_matrix(
-        (np.concatenate([np.broadcast_to(v, i.shape).ravel() for v in vals] + [np.ones(K)]),
-         (np.concatenate([row.ravel()] * len(cols) + [edge]),
-          np.concatenate([c.ravel() for c in cols] + [edge]))),
-        shape=(M * K, M * K)).tocsr()
-    psi = scipy.sparse.linalg.spsolve(A, np.concatenate([np.zeros((M - 1) * K), data]))
-    if not np.all(np.isfinite(psi)):
+    # rows i < M-1: B_i psi_i + up_i psi_(i+1) + dn_i psi_(i-1) = 0, psi_(M-1) = data
+    cot = 1.0 / np.tan(phi[:M - 1])
+    ring = -1.0 / (np.sin(phi[:M - 1]) * dth) ** 2
+    up = -1.0 / h**2 - cot / (2.0 * h)
+    dn = -1.0 / h**2 + cot / (2.0 * h)
+    j = np.arange(K)
+    nbr = np.zeros((K, K), order="F")  # Fortran order: LAPACK works in place
+    nbr[j, (j + 1) % K] = nbr[j, (j - 1) % K] = 1.0
+    inv = prev = None  # S_i^(-1) and S_(i-1)^(-1)
+    for i in range(M - 1):
+        S = ring[i] * nbr
+        S[j, j] += (2.0 / h**2 + pot) - 2.0 * ring[i]
+        if i == 0:
+            S[j, (j + K // 2) % K] += dn[0]  # across the pole
+        else:
+            S -= (dn[i] * up[i - 1]) * inv
+        lu, piv, info = dgetrf(S, overwrite_a=True)
+        if info == 0:
+            prev, (inv, info) = inv, dgetri(lu, piv, overwrite_lu=True)
+        if info != 0:
+            raise SingularBVP(f"half-disk block of ring {i} is singular")
+    # back substitution for the two rings the one-sided flux reads
+    psi2 = -up[M - 2] * (inv @ data)
+    dpsi = (3.0 * data - 4.0 * psi2 - up[M - 3] * (prev @ psi2)) / (2.0 * h)
+    if not np.all(np.isfinite(dpsi)):
         raise SingularBVP("half-disk solve produced non-finite values")
-    grid = psi.reshape(M, K)
-    dpsi = (3.0 * grid[M - 1] - 4.0 * grid[M - 2] + grid[M - 3]) / (2.0 * h)
     # project onto the driving harmonic (normalized cos(m theta) coefficient)
     return float((dpsi * data).sum() / (data * data).sum())
 

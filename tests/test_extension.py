@@ -1,7 +1,11 @@
 """Bulk-extension route: the symbol recomputed without Gamma functions."""
 
+import warnings
+
 import numpy as np
 import pytest
+import scipy.sparse
+import scipy.sparse.linalg
 
 from neckforge.errors import ResolutionTooCoarse, ValidationError
 from neckforge.extension import (HalfCylinderProblem, cross_validate, dtn_cylinder,
@@ -55,10 +59,77 @@ def test_finite_difference_second_order():
 
 
 def test_halfdisk_agrees_at_modest_accuracy():
-    # independent 2-D hemisphere solve with no separation assumption
-    got = dtn_halfdisk_2d(xi=0.5, m=1)
-    want = float(theta(ModeSpec(n=2, m=1), 0.5))
-    assert abs(got - want) / want <= 5e-3
+    # independent 2-D hemisphere solve with no separation assumption, at the
+    # three (xi, m) centres the bulk benchmark checks to the same bound
+    for xi, m in ((0.5, 0), (1.5, 1), (2.5, 2)):
+        got = dtn_halfdisk_2d(xi=xi, m=m)
+        want = float(theta(ModeSpec(n=2, m=m), xi))
+        assert abs(got - want) / want <= 5e-3, (xi, m)
+
+
+def _halfdisk_sparse(xi, m):
+    """The same five-point system assembled in COO form and solved by SuperLU."""
+    M, K = 96, 64
+    h = np.pi / (2 * M - 1)
+    phi = h * (np.arange(M) + 0.5)
+    dth = 2.0 * np.pi / K
+    data = np.cos(m * (dth * np.arange(K)))
+    pot = xi * xi + 0.25
+    # five-point rows i < M-1 on an (M-1, K) index grid; coo sums duplicates
+    i, j = np.meshgrid(np.arange(M - 1), np.arange(K), indexing="ij")
+    cot = 1.0 / np.tan(phi[:M - 1, None])
+    ring = -1.0 / (np.sin(phi[:M - 1, None]) * dth) ** 2
+    row = i * K + j
+    cols = [row, i * K + (j + 1) % K, i * K + (j - 1) % K, row + K,
+            np.where(i == 0, (j + K // 2) % K, row - K)]  # across the pole at i = 0
+    vals = [(2.0 / h**2 + pot) - 2.0 * ring, ring, ring,
+            -1.0 / h**2 - cot / (2.0 * h), -1.0 / h**2 + cot / (2.0 * h)]
+    edge = np.arange((M - 1) * K, M * K)  # Dirichlet rows on the equator
+    A = scipy.sparse.coo_matrix(
+        (np.concatenate([np.broadcast_to(v, i.shape).ravel() for v in vals] + [np.ones(K)]),
+         (np.concatenate([row.ravel()] * len(cols) + [edge]),
+          np.concatenate([c.ravel() for c in cols] + [edge]))),
+        shape=(M * K, M * K)).tocsr()
+    grid = scipy.sparse.linalg.spsolve(
+        A, np.concatenate([np.zeros((M - 1) * K), data])).reshape(M, K)
+    dpsi = (3.0 * grid[M - 1] - 4.0 * grid[M - 2] + grid[M - 3]) / (2.0 * h)
+    return float((dpsi * data).sum() / (data * data).sum())
+
+
+@pytest.mark.parametrize("xi", [0.0, 0.4, 1.5, 2.6, 4.0, 10.0])
+@pytest.mark.parametrize("m", range(6))
+def test_halfdisk_matches_sparse_oracle(xi, m):
+    want = _halfdisk_sparse(xi, m)
+    assert abs(dtn_halfdisk_2d(xi=xi, m=m) - want) / abs(want) <= 1e-12
+
+
+@pytest.mark.parametrize("xi", [np.inf, -np.inf, np.nan])
+def test_halfdisk_non_finite_xi_rejected(xi):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no solver warning on the way to the error
+        with pytest.raises(ValidationError, match="xi must be finite"):
+            dtn_halfdisk_2d(xi=xi, m=0)
+
+
+@pytest.mark.parametrize("m", [1.5, -1])
+def test_halfdisk_mode_must_be_a_non_negative_integer(m):
+    with pytest.raises(ValidationError, match="m must be an integer >= 0"):
+        dtn_halfdisk_2d(xi=0.5, m=m)
+
+
+@pytest.mark.parametrize("m", [32, 40])
+def test_halfdisk_mode_aliased_on_the_theta_grid_raises(m):
+    with pytest.raises(ResolutionTooCoarse):
+        dtn_halfdisk_2d(xi=0.5, m=m)
+
+
+def test_halfdisk_xi_past_the_phi_resolution_raises():
+    # the finite-difference rule |xi| h <= 1/2, with h = pi/191
+    assert np.isfinite(dtn_halfdisk_2d(xi=30.0, m=0))
+    with pytest.raises(ResolutionTooCoarse):
+        dtn_halfdisk_2d(xi=31.0, m=0)
+    with pytest.raises(ResolutionTooCoarse):
+        dtn_halfdisk_2d(xi=-31.0, m=0)
 
 
 @pytest.mark.parametrize("xi,m,want", [

@@ -23,13 +23,18 @@ def test_glue_sweep_script_runs():
 
 
 def test_dtn_convergence_script_runs():
-    colloc, fd = _run("dtn_convergence.py").split("\n\n")
+    colloc, fd, halfdisk = _run("dtn_convergence.py").split("\n\n")
+    assert [t.splitlines()[0] for t in (colloc, fd, halfdisk)] == [
+        "scheme=collocation-ODE", "scheme=finite-difference", "scheme=half-disk-2d"]
     colloc_rows = colloc.splitlines()[2:]
     fd_rows = fd.splitlines()[2:]
+    halfdisk_rows = halfdisk.splitlines()[2:]
     assert len(colloc_rows) == len(fd_rows) == 5
+    assert len(halfdisk_rows) == 2  # the n = 2 cases
     # collocation rows end in rel_err; FD rows end in three doubling ratios
     assert all(float(row.split()[-1]) <= 1e-12 for row in colloc_rows)
     assert all(float(r) >= 3.0 for row in fd_rows for r in row.split()[-3:])
+    assert all(float(row.split()[-1]) <= 5e-3 for row in halfdisk_rows)
 
 
 def test_root_atlas_script_runs():
