@@ -13,8 +13,10 @@ Sweep:
                default config and one variant of each CLI-settable option
                (n_s 512, pad 3, no perturbation, paper-literal weight)
     selftest   covariance_selftest for n 2, 3 at two epsilons
-    study      per-mode sigmas of the criterion-10 study and of 12
-               single-epsilon studies (n 2 and 3, six epsilons each)
+    study      per-mode sup-norm sigmas of 12 single-epsilon studies (n 2
+               and 3, six epsilons each)
+    c10        the criterion-10 study: its window, sup-norm slope and
+               per-mode sup-norm sigmas
     ball       ball_newton_probe histories for n 2..4
     solve      criterion 7's Newton and fixed-point histories with their
                final tables, and apply_Q at its start
@@ -71,7 +73,7 @@ def _selftest(n, eps):
 
 
 def _rows(rep):
-    return [(r["epsilon"], r["per_mode"], r["per_mode_l2"]) for r in rep["rows"]]
+    return [(r["epsilon"], r["per_mode"]) for r in rep["rows"]]
 
 
 def _study(n, eps):
@@ -81,7 +83,7 @@ def _study(n, eps):
 
 def _c10(N_s):
     rep = uniform_invertibility_study(3, list(EPS_SWEEP), mu=-0.5, m_max=3, N_s=N_s)
-    return rep["L"], rep["slope"], rep["slope_l2"], _rows(rep)
+    return rep["L"], rep["slope"], _rows(rep)
 
 
 def _ball(n):

@@ -225,8 +225,7 @@ def criterion_10():
     rep = uniform_invertibility_study(3, list(EPS_SWEEP), mu=-0.5,
                                       m_max=3, N_s=384)
     ok = abs(rep["slope"]) <= 0.1
-    return ok, (f"weighted-norm slope {rep['slope']:+.4f} "
-                f"(l2 diagnostic {rep['slope_l2']:+.4f}); "
+    return ok, (f"weighted-norm slope {rep['slope']:+.4f}; "
                 f"floor {rep['sigma_min_overall']:.4f}")
 
 

@@ -36,8 +36,8 @@ import scipy.sparse.linalg
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import eval_chebyt, eval_gegenbauer, roots_jacobi
 
-from .errors import (Diverged, NonConvergence, NonPositiveConformalFactor,
-                     NumericalError, ResonanceError, ValidationError)
+from .errors import (Diverged, NonPositiveConformalFactor, NumericalError,
+                     ResonanceError, ValidationError)
 from .indicial import first_root
 from .neck import (NeckConfig, curvature, curvature_linearization, glued_u,
                    weight as neck_weight, window)
@@ -412,16 +412,10 @@ def uniform_invertibility_study(n: int, eps_list, mu: float, m_max: int = 3,
     block on the indices 0..N_s/2 and an odd block on the paired indices
     1..N_s/2-1 (the Toeplitz-plus-Hankel fold of its circulant), and A^{-1}
     is read from the two block inverses; a factor that is not even raises
-    NumericalError.  Two measures are reported per mode: the operator
-    smallest singular value between the weighted sup-norm spaces
-    (1/||A^{-1}|| with the max-row-sum operator norm) — the quantity
-    matching the sup-norm estimates the inversion theory runs on — and, as
-    an auxiliary diagnostic, the smallest l2 singular value
-    1/sqrt(lambda_max) of A^{-T} A^{-1}, its largest eigenvalue found by
-    implicitly restarted Lanczos (ARPACK) on the two blocks in orthonormal
-    coordinates from a fixed start vector.  The slope in the report refers
-    to the sup-norm measure.  A Lanczos run that does not converge raises
-    NonConvergence.
+    NumericalError.  The measure reported per mode is the operator smallest
+    singular value between the weighted sup-norm spaces (1/||A^{-1}|| with
+    the max-row-sum operator norm), the quantity matching the sup-norm
+    estimates the inversion theory runs on.
     """
     eps_list = [float(e) for e in eps_list]
     if not eps_list:
@@ -447,14 +441,6 @@ def uniform_invertibility_study(n: int, eps_list, mu: float, m_max: int = 3,
     even = lag + lead
     even[:, :, [0, h]] *= 0.5  # 0 and h are their own mirrors
     odd = lag[:, 1:h, 1:h] - lead[:, 1:h, 1:h]
-    # Lanczos runs in the orthonormal basis e_0, e_h, (e_j +- e_{N_s-j})/sqrt 2:
-    # the even inverse gets its pair rows times sqrt 2 and its pair columns
-    # over it, the odd one is unchanged
-    pair = np.ones(h + 1)
-    pair[1:h] = np.sqrt(2.0)
-    to_orthonormal = pair[:, None] / pair
-    v0 = np.ones(N_s)  # a fixed Lanczos start keeps the l2 values reproducible
-
     rows = []
     for eps in eps_list:
         cfg = NeckConfig(epsilon=eps)  # epsilon and chart scale; the window is L
@@ -475,37 +461,17 @@ def uniform_invertibility_study(n: int, eps_list, mu: float, m_max: int = 3,
         # on rows 0..h, columns j and N_s - j of A^{-1} hold (E +- O)/2 (O is
         # zero on rows 0 and h), and |x + y| + |x - y| = 2 max(|x|, |y|);
         # rows i and N_s - i share a sum
-        absO = np.zeros_like(Einv)
-        absO[:, 1:h, 1:h] = np.abs(Oinv)
-        row_sums = np.sum(np.maximum(np.abs(Einv), absO), axis=2)
-        per_mode = {}
-        per_mode_l2 = {}
-        for m in range(m_max + 1):
-            per_mode[m] = float(1.0 / np.max(row_sums[m]))
-            Eo, Om = Einv[m] * to_orthonormal, Oinv[m]
-            gram = scipy.sparse.linalg.LinearOperator(
-                (N_s, N_s), dtype=float,
-                matvec=lambda x, Eo=Eo, Om=Om: np.concatenate(
-                    (Eo.T @ (Eo @ x[:h + 1]), Om.T @ (Om @ x[h + 1:]))))
-            try:
-                lam = scipy.sparse.linalg.eigsh(gram, k=1, which="LA", v0=v0,
-                                                return_eigenvectors=False)
-            except scipy.sparse.linalg.ArpackNoConvergence as exc:
-                raise NonConvergence(
-                    f"Lanczos on the inverse did not converge for mode {m} "
-                    f"at epsilon {eps:g}: {exc}") from exc
-            per_mode_l2[m] = float(1.0 / np.sqrt(lam[0]))
-        rows.append({"epsilon": eps, "per_mode": per_mode, "per_mode_l2": per_mode_l2,
-                     "sigma_min": min(per_mode.values()),
-                     "sigma_min_l2": min(per_mode_l2.values())})
+        np.abs(Einv, out=Einv)
+        np.maximum(Einv[:, 1:h, 1:h], np.abs(Oinv), out=Einv[:, 1:h, 1:h])
+        row_sums = np.sum(Einv, axis=2)
+        per_mode = {m: float(1.0 / np.max(row_sums[m])) for m in range(m_max + 1)}
+        rows.append({"epsilon": eps, "per_mode": per_mode,
+                     "sigma_min": min(per_mode.values())})
 
-    loge = np.log(eps_list)
-
-    def _slope(key):
-        vals = np.log([r[key] for r in rows])
-        return float(np.polyfit(loge, vals, 1)[0]) if len(eps_list) > 1 else 0.0
-
+    slope = 0.0
+    if len(eps_list) > 1:
+        sigmas = np.log([r["sigma_min"] for r in rows])
+        slope = float(np.polyfit(np.log(eps_list), sigmas, 1)[0])
     return {"n": n, "mu": mu, "L": L, "N_s": N_s, "m_max": m_max,
-            "rows": rows, "slope": _slope("sigma_min"),
-            "slope_l2": _slope("sigma_min_l2"),
+            "rows": rows, "slope": slope,
             "sigma_min_overall": min(r["sigma_min"] for r in rows)}

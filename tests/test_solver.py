@@ -7,8 +7,8 @@ import scipy.sparse.linalg
 
 from neckforge import neck, solver
 from neckforge.acceptance import EPS_SWEEP
-from neckforge.errors import (Diverged, NonConvergence, NonPositiveConformalFactor,
-                              NumericalError, ResonanceError, ValidationError)
+from neckforge.errors import (Diverged, NonPositiveConformalFactor, NumericalError,
+                              ResonanceError, ValidationError)
 from neckforge.neck import (NeckConfig, build_glued_factor, curvature_linearization,
                             glued_u, window)
 from neckforge.solver import (PeriodicCylinderState,
@@ -191,39 +191,27 @@ def test_invertibility_study_shapes():
         assert row["per_mode"] and row["sigma_min"] > 0
 
 
-# per-mode smallest singular values (sup-norm, then l2) of
+# per-mode smallest sup-norm singular values of
 # uniform_invertibility_study(3, [0.1, 0.025], mu=-0.5, m_max=2, N_s=256),
 # frozen from the dense multipliers built as FFTs of the identity
 STUDY_PER_MODE = {
-    0.1: ((0.053194610073881696, 0.21267516157164318, 0.9506532735993496),
-          (0.08160026596289145, 0.22692412006389626, 0.978832108438955)),
-    0.025: ((0.052957430543376684, 0.22709324751657034, 1.0528040792296898),
-            (0.08110102504665127, 0.2509100681678792, 1.1029425355212559)),
+    0.1: (0.053194610073881696, 0.21267516157164318, 0.9506532735993496),
+    0.025: (0.052957430543376684, 0.22709324751657034, 1.0528040792296898),
 }
 
 # the same for the criterion-10 shape, uniform_invertibility_study(3,
-# EPS_SWEEP, mu=-0.5, m_max=3, N_s=384), frozen from the full-SVD l2 values
+# EPS_SWEEP, mu=-0.5, m_max=3, N_s=384)
 STUDY_PER_MODE_C10 = {
-    0.1: ((0.06896276771184763, 0.21270635539211466, 0.9506531726652234,
-           1.713859644712132),
-          (0.12228432457096311, 0.2269489101932314, 0.9777234051966399,
-           1.734153311301905)),
-    0.05: ((0.06953906540209653, 0.22200553705126044, 1.0080319853325173,
-            1.8251322491441406),
-           (0.11840936330516319, 0.24134185239576786, 1.0480398588440676,
-            1.8615316644344244)),
-    0.025: ((0.06782221715774558, 0.2271618593356169, 1.052821575690594,
-             1.9142676080616077),
-            (0.11125505293833615, 0.25149553613811454, 1.1028806458693965,
-             1.9625504412649533)),
-    0.0125: ((0.06415410368050513, 0.22950314557416815, 1.0877578742282143,
-              1.9845340539754588),
-             (0.10192439969864803, 0.25803607227252967, 1.1439126487336713,
-              2.0395818176630622)),
-    0.00625: ((0.059087338621691486, 0.2300449655718275, 1.114678049012408,
-               2.038679564120513),
-              (0.09158360529060873, 0.2617744838087995, 1.1737000885498707,
-               2.096507147116388)),
+    0.1: (0.06896276771184763, 0.21270635539211466, 0.9506531726652234,
+          1.713859644712132),
+    0.05: (0.06953906540209653, 0.22200553705126044, 1.0080319853325173,
+           1.8251322491441406),
+    0.025: (0.06782221715774558, 0.2271618593356169, 1.052821575690594,
+            1.9142676080616077),
+    0.0125: (0.06415410368050513, 0.22950314557416815, 1.0877578742282143,
+             1.9845340539754588),
+    0.00625: (0.059087338621691486, 0.2300449655718275, 1.114678049012408,
+              2.038679564120513),
 }
 
 
@@ -232,23 +220,26 @@ def _c10_study():
                                        N_s=384)
 
 
+def _assert_pinned(rows, pinned):
+    assert [row["epsilon"] for row in rows] == list(pinned)
+    for row in rows:
+        sup = pinned[row["epsilon"]]
+        assert len(row["per_mode"]) == len(sup)
+        for m in range(len(sup)):
+            assert abs(row["per_mode"][m] - sup[m]) <= 1e-11 * sup[m]
+
+
 def test_invertibility_study_values_pinned():
     rep = uniform_invertibility_study(3, [0.1, 0.025], mu=-0.5, m_max=2, N_s=256)
-    for pinned, rows in ((STUDY_PER_MODE, rep["rows"]),
-                         (STUDY_PER_MODE_C10, _c10_study()["rows"])):
-        assert [row["epsilon"] for row in rows] == list(pinned)
-        for row in rows:
-            sup, l2 = pinned[row["epsilon"]]
-            for m in range(len(sup)):
-                assert abs(row["per_mode"][m] - sup[m]) <= 1e-11 * sup[m]
-                assert abs(row["per_mode_l2"][m] - l2[m]) <= 1e-11 * l2[m]
+    _assert_pinned(rep["rows"], STUDY_PER_MODE)
+    _assert_pinned(_c10_study()["rows"], STUDY_PER_MODE_C10)
 
 
 def _full_matrix_measures(rep, n, mu):
-    """Each (study value, oracle value) pair of a study report, sup-norm
-    then l2.  The oracle is the full N_s x N_s weight-conjugated matrix of
-    each mode, its circulant built entry by entry: the sup measure from the
-    row sums of its explicit inverse, the l2 one from a full SVD."""
+    """Each (study value, oracle value) pair of a study report.  The oracle
+    is the full N_s x N_s weight-conjugated matrix of each mode, its
+    circulant built entry by entry, and the sup measure read from the row
+    sums of its explicit inverse."""
     L, N_s, m_max = rep["L"], rep["N_s"], rep["m_max"]
     s = window(L, N_s)
     lag = np.subtract.outer(np.arange(N_s), np.arange(N_s)) % N_s
@@ -263,13 +254,12 @@ def _full_matrix_measures(rep, n, mu):
             Aw = (wl * a)[:, None] * dense[m] / wl + np.diag(b)
             sup = 1.0 / np.max(np.sum(np.abs(scipy.linalg.inv(Aw)), axis=1))
             pairs.append((row["per_mode"][m], sup))
-            pairs.append((row["per_mode_l2"][m], scipy.linalg.svdvals(Aw)[-1]))
     return pairs
 
 
-def test_invertibility_study_l2_matches_full_svd():
-    # both measures of the half-window fold against the full matrix, for the
-    # criterion-10 study and two other dimensions
+def test_invertibility_study_matches_full_matrix():
+    # the half-window fold against the full matrix, for the criterion-10
+    # study and two other dimensions
     cases = [(3, -0.5, _c10_study()),
              (2, -0.4, uniform_invertibility_study(2, [0.1, 0.025], mu=-0.4,
                                                    m_max=3, N_s=256)),
@@ -277,7 +267,7 @@ def test_invertibility_study_l2_matches_full_svd():
                                                     m_max=3, N_s=256))]
     for n, mu, rep in cases:
         pairs = _full_matrix_measures(rep, n, mu)
-        assert len(pairs) == 2 * 4 * len(rep["rows"])
+        assert len(pairs) == 4 * len(rep["rows"])
         for got, want in pairs:
             assert abs(got - want) <= 1e-11 * want
 
@@ -327,14 +317,19 @@ def test_invertibility_study_rejects_asymmetric_factor(monkeypatch):
         uniform_invertibility_study(3, [0.1], mu=-0.5, m_max=2, N_s=256)
 
 
-def test_invertibility_study_lanczos_failure_is_typed(monkeypatch):
-    def no_convergence(*args, **kwargs):
-        raise scipy.sparse.linalg.ArpackNoConvergence("no convergence",
-                                                      np.empty(0), None)
+def test_invertibility_study_runs_no_lanczos(monkeypatch):
+    # the study reads sup-norm row sums only: no sparse eigensolver, and no
+    # l2 keys in its report
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the invertibility study called scipy.sparse.linalg")
 
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
-    with pytest.raises(NonConvergence, match="mode 0 at epsilon 0.1"):
-        uniform_invertibility_study(3, [0.1], mu=-0.5, m_max=2, N_s=256)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", forbidden)
+    monkeypatch.setattr(scipy.sparse.linalg, "LinearOperator", forbidden)
+    rep = uniform_invertibility_study(3, [0.1, 0.025], mu=-0.5, m_max=2, N_s=256)
+    assert set(rep) == {"n", "mu", "L", "N_s", "m_max", "rows", "slope",
+                        "sigma_min_overall"}
+    assert all(set(row) == {"epsilon", "per_mode", "sigma_min"} for row in rep["rows"])
+    _assert_pinned(rep["rows"], STUDY_PER_MODE)
 
 
 def test_bad_weight_rate_rejected():
