@@ -27,6 +27,7 @@ from .errors import (ConfigError, Diverged, NeckforgeError, NumericalError,
                      ParseError, ValidationError)
 
 FORMAT_VERSION = 1
+SET_CAP = 100_000  # most entries a range or grid value may expand to
 
 
 # --------------------------------------------------------------------------
@@ -35,6 +36,11 @@ FORMAT_VERSION = 1
 
 def _fail(key, raw, want):
     raise ValidationError(f"key '{key}': cannot read {raw!r} as {want}")
+
+
+def _check_size(count, key, text):
+    if not count <= SET_CAP:  # also true for an inf or nan count
+        raise ValidationError(f"key '{key}': {text!r} has more than {SET_CAP} entries")
 
 
 def _as_int(raw, key):
@@ -86,6 +92,7 @@ def _int_range(raw, key):
         a, b = _as_int(lo, key), _as_int(hi, key)
         if b < a:
             raise ValidationError(f"key '{key}': empty range {text!r}")
+        _check_size(b - a + 1, key, text)
         return list(range(a, b + 1))
     if "," in text:
         return [_as_int(t, key) for t in text.split(",")]
@@ -102,6 +109,7 @@ def _float_grid(raw, key):
         a, h, b = (_as_float(t, key) for t in parts)
         if h <= 0 or b < a:
             raise ValidationError(f"key '{key}': bad grid {text!r}")
+        _check_size((b - a) / h + 1, key, text)
         count = int(round((b - a) / h)) + 1
         return [a + i * h for i in range(count) if a + i * h <= b + 1e-12 * h]
     if "," in text:

@@ -36,7 +36,7 @@ from .errors import (
     WindowTooShort,
 )
 from .indicial import RootCatalog, root_catalog
-from .symbol import ModeSpec, constants, theta_analytic
+from .symbol import ModeSpec, constants, frequencies, theta_analytic
 
 __all__ = [
     "LineFunction",
@@ -72,6 +72,8 @@ class LineFunction:
             raise ValidationError(f"grid step must be positive, got {self.ds}")
         if len(self.values) != self.N:
             raise ValidationError(f"{len(self.values)} values for N = {self.N}")
+        if np.iscomplexobj(self.values):
+            raise ValidationError("samples must be real")
         if not np.all(np.isfinite(self.values)):
             raise ValidationError("non-finite samples")
 
@@ -107,27 +109,20 @@ class DecayProfile:
             raise ValidationError("decay rate must be finite")
 
 
-def _xi_grid(N: int, ds: float) -> np.ndarray:
-    return 2.0 * np.pi * np.fft.fftfreq(N, d=ds)
-
-
 def _multiplier(spec: ModeSpec, xi: np.ndarray, rate: float, kappa: float) -> np.ndarray:
     # representation f = w * e^{rate s} turns the multiplier argument into
     # xi - i*rate (contour shifted to the envelope's strip)
-    if rate == 0.0:
-        zeta = xi.astype(np.complex128)
-    else:
-        zeta = xi - 1j * rate
-    return theta_analytic(spec, zeta) - kappa
+    return theta_analytic(spec, xi - 1j * rate) - kappa
 
 
-def _alias_check(vhat: np.ndarray, xi: np.ndarray, what: str):
+def _alias_check(vhat: np.ndarray, xi: np.ndarray, N: int, what: str):
+    # vhat = rfft of N real samples: bins 1..(N-1)//2 stand for a +-xi pair
     power = np.abs(vhat) ** 2
+    power[1:(N + 1) // 2] *= 2.0
     total = power.sum()
     if total == 0.0:
         return
-    top = np.abs(xi) >= 0.1 * np.abs(xi).max()
-    frac = power[top].sum() / total
+    frac = power[xi >= 0.1 * xi[-1]].sum() / total
     if frac > 0.01:
         warnings.warn(
             f"{what}: {100*frac:.2f}% of spectral energy in the top frequency decade; "
@@ -141,12 +136,10 @@ def apply_L0(spec: ModeSpec, v: LineFunction) -> LineFunction:
     kappa = constants(spec.n, spec.gamma).kappa
     if spec.m != v.mode:
         raise ValidationError(f"mode mismatch: spec m={spec.m}, samples m={v.mode}")
-    xi = _xi_grid(v.N, v.ds)
-    vhat = np.fft.fft(v.values)
-    _alias_check(vhat, xi, "apply_L0")
-    out = np.fft.ifft(_multiplier(spec, xi, v.envelope_rate, kappa) * vhat)
-    if np.isrealobj(v.values):
-        out = out.real
+    xi = frequencies(v.N, v.ds)
+    vhat = np.fft.rfft(v.values)
+    _alias_check(vhat, xi, v.N, "apply_L0")
+    out = np.fft.irfft(_multiplier(spec, xi, v.envelope_rate, kappa) * vhat, v.N)
     return replace(v, values=out)
 
 
@@ -288,7 +281,7 @@ def green_solve(spec: ModeSpec, h: LineFunction, profile: DecayProfile,
                 f"({ends:.2e} vs sup {np.abs(g).max():.2e}); widen the window "
                 "or declare slower rates"
             )
-    xi = _xi_grid(h.N, h.ds)
+    xi = frequencies(h.N, h.ds)
     denom = _multiplier(spec, xi, -beta, kappa)
     dmin = np.abs(denom).min()
     if dmin < 1e-7 * kappa:
@@ -296,11 +289,9 @@ def green_solve(spec: ModeSpec, h: LineFunction, profile: DecayProfile,
             f"shifted multiplier nearly vanishes (min {dmin:.2e}); "
             f"contour {beta} too close to an indicial exponent"
         )
-    ghat = np.fft.fft(g)
-    _alias_check(ghat, xi, "green_solve")
-    w = np.fft.ifft(ghat / denom)
-    if np.isrealobj(h.values):
-        w = w.real
+    ghat = np.fft.rfft(g)
+    _alias_check(ghat, xi, h.N, "green_solve")
+    w = np.fft.irfft(ghat / denom, h.N)
     return LineFunction(s0=h.s0, ds=h.ds, N=h.N, values=w, mode=h.mode,
                         envelope_rate=-beta)
 

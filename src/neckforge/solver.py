@@ -123,7 +123,9 @@ def nonresonant_window(n: int, L_min: float, N_s: int) -> float:
 
 
 def _multipliers(state: PeriodicCylinderState) -> np.ndarray:
-    return theta_table(state.n, state.m_max, state.N_s, state.L / state.N_s)
+    k = np.arange(state.N_s)  # theta_table's half spectrum mirrored onto f_hat's index
+    return theta_table(state.n, state.m_max, state.N_s,
+                       state.L / state.N_s)[:, np.minimum(k, state.N_s - k)]
 
 
 @dataclass(frozen=True)
@@ -431,7 +433,7 @@ def uniform_invertibility_study(n: int, eps_list, mu: float, m_max: int = 3,
     s = window(L, N_s)
     h = N_s // 2
     mirror = (-np.arange(N_s)) % N_s
-    kern = np.real(np.fft.ifft(theta_table(n, m_max, N_s, L / N_s), axis=1))
+    kern = np.fft.irfft(theta_table(n, m_max, N_s, L / N_s), N_s, axis=1)
     # fold each circulant kern[(i - j) % N_s] onto the half window: an even
     # vector is its values at 0..h, an odd one its values at 1..h-1, and the
     # pair j, N_s - j enters as kern[i - j] +- kern[i + j]

@@ -28,6 +28,10 @@ Two constants drive everything downstream:
               (the multiplier subtracted by the linearization of
               u^{-(n+2 gamma)/(n-2 gamma)} P_gamma u at u = 1;
               (n+1)/(n-1) * c at gamma = 1/2).
+
+The symbol is even in xi and Theta_m(-xi - i beta) = conj Theta_m(xi - i beta),
+so on real samples every multiplier is read on the half spectrum
+`frequencies(N, ds)` and applied with rfft/irfft.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from scipy.special import psi
 from .errors import DegenerateSpec, PoleError, ValidationError
 from .specfun import POLE_TOL, _near_pole, log_gamma, log_rgamma
 
-__all__ = ["ModeSpec", "Constants", "theta", "theta_analytic",
+__all__ = ["ModeSpec", "Constants", "frequencies", "theta", "theta_analytic",
            "theta_log_derivative", "theta_table", "constants"]
 
 
@@ -116,17 +120,18 @@ def theta(spec: ModeSpec, xi):
     return float(out) if np.ndim(xi) == 0 else out
 
 
+def frequencies(N: int, ds: float) -> np.ndarray:
+    """Angular frequencies 2*pi*rfftfreq(N, ds) of the rfft bins of N samples."""
+    return 2.0 * np.pi * np.fft.rfftfreq(N, d=ds)
+
+
 @lru_cache(maxsize=128)
 def theta_table(n: int, m_max: int, N: int, ds: float) -> np.ndarray:
-    """Read-only (m_max+1, N) table of Theta_m(|xi_k|) at gamma = 1/2 on the
-    FFT frequencies xi = 2*pi*fftfreq(N, ds) of an N-point grid of step ds:
-    row m is the Fourier multiplier of the boundary operator on mode m.
-    Index k and N - k carry the same |xi|, so each row is evaluated on the
-    N//2 + 1 distinct values and mirrored."""
-    xi = np.abs(2.0 * np.pi * np.fft.fftfreq(N, d=ds))[:N // 2 + 1]
-    k = np.arange(N)
-    half = np.array([theta(ModeSpec(n=n, gamma=0.5, m=m), xi) for m in range(m_max + 1)])
-    out = half[:, np.minimum(k, N - k)]
+    """Read-only (m_max+1, N//2+1) table of Theta_m at gamma = 1/2 on
+    `frequencies(N, ds)`: row m is the boundary operator on mode m as a
+    half-spectrum multiplier, P u = irfft(row * rfft(u), N)."""
+    xi = frequencies(N, ds)
+    out = np.array([theta(ModeSpec(n=n, gamma=0.5, m=m), xi) for m in range(m_max + 1)])
     out.setflags(write=False)
     return out
 

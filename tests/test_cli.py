@@ -8,7 +8,8 @@ import shlex
 import numpy as np
 import pytest
 
-from neckforge.cli import _SCHEMAS, COMMANDS, RunConfig, _build_parser, load_config, main
+from neckforge.cli import (_SCHEMAS, COMMANDS, SET_CAP, RunConfig, _build_parser, load_config,
+                           main)
 from neckforge.errors import ParseError, ValidationError
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -262,6 +263,23 @@ def test_int_range_and_float_grid_syntax():
     rc2 = load_config(None, "symbol", overrides={"m": "2,5", "xi": "3"})
     assert rc2.parameters["m"] == [2, 5]
     assert rc2.parameters["xi"] == [3.0]
+
+
+def test_overflowing_grid_exits_2(capsys):
+    # (b - a) / h is inf: the grid is rejected before any list is built
+    assert main(["symbol", "--xi=-1e308:1:1e308"]) == 2
+    err = capsys.readouterr().err
+    assert "key 'xi'" in err and "Traceback" not in err
+
+
+def test_sets_past_the_cap_rejected():
+    # SET_CAP entries pass; one more, or a count that would exhaust memory, raises
+    for key, text in (("m", f"1..{SET_CAP}"), ("xi", f"0:1:{SET_CAP - 1}")):
+        assert len(load_config(None, "symbol", overrides={key: text}).parameters[key]) == SET_CAP
+    for key, text in (("m", f"0..{SET_CAP}"), ("xi", f"0:1:{SET_CAP}"), ("xi", "0:1e-300:1"),
+                      ("m", f"0..{10**12}")):
+        with pytest.raises(ValidationError, match=f"key '{key}'.*more than {SET_CAP}"):
+            load_config(None, "symbol", overrides={key: text})
 
 
 # one raw value per schema key that its coercer accepts and that differs

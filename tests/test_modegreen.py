@@ -1,5 +1,6 @@
 """Mode-wise line solves: inversion identities, tails, kernel symmetry."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -8,12 +9,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from neckforge import modegreen
-from neckforge.errors import ResonanceError, TailMismatch, ValidationError
+from neckforge.errors import AliasWarning, ResonanceError, TailMismatch, ValidationError
 from neckforge.indicial import first_root, root_catalog
 from neckforge.modegreen import (DecayProfile, LineFunction, apply_L0,
                                  classify_growth, fit_tail_rate, green_solve,
                                  homogeneous_basis, synthesize_kernel)
-from neckforge.symbol import ModeSpec, constants
+from neckforge.symbol import ModeSpec, constants, theta_analytic
 
 DELTA = 0.5
 
@@ -184,3 +185,49 @@ def test_apply_L0_is_linear_in_scale(rate, scale):
 def test_grid_mismatch_rejected():
     with pytest.raises(ValidationError):
         LineFunction(-1.0, 0.1, 32, np.zeros(16), 0, 0.0)
+
+
+def test_complex_samples_rejected():
+    with pytest.raises(ValidationError, match="real"):
+        LineFunction(-1.0, 0.1, 32, np.ones(32, dtype=complex), 0, 0.0)
+
+
+def test_apply_L0_matches_full_spectrum_multiplier():
+    # the half-spectrum path against the signed full frequency grid, with the
+    # multiplier built here from theta_analytic on xi - i*rate
+    spec = ModeSpec(n=3, m=2)
+    kappa = constants(3).kappa
+    for N, rate in ((512, 0.0), (512, 0.3), (511, -0.2)):
+        f = replace(LineFunction.from_callable(lambda s: np.exp(-0.3 * s * s) * (1 + s),
+                                               -10.0, 10.0, N, mode=2),
+                    envelope_rate=rate)
+        xi = 2.0 * np.pi * np.fft.fftfreq(N, d=f.ds)
+        M = theta_analytic(spec, xi - 1j * rate) - kappa
+        want = np.real(np.fft.ifft(M * np.fft.fft(f.values)))
+        got = apply_L0(spec, f).values
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_criterion4_right_side_raises_no_alias_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", AliasWarning)
+        for m in range(4):
+            spec = ModeSpec(n=3, m=m)
+            h = _rhs(m)
+            apply_L0(spec, h)
+            apply_L0(spec, green_solve(spec, h, DecayProfile(delta=DELTA)))
+
+
+def test_top_decade_cosine_warns():
+    # 1 + a cos(k s) puts a^2/2 / (1 + a^2/2) = 1.5% of the full-spectrum
+    # energy at +-k; the half spectrum holds only one of the two bins, so it
+    # reads the fraction right only if it counts that bin twice
+    N, half, a, j = 4096, 30.0, 0.1745, 1500
+    k = 2.0 * np.pi * j / (2.0 * half)
+    v = LineFunction.from_callable(lambda s: 1.0 + a * np.cos(k * s), -half, half, N)
+    power = np.abs(np.fft.fft(v.values)) ** 2
+    xi = np.abs(np.fft.fftfreq(N))
+    frac = power[xi >= 0.1 * xi.max()].sum() / power.sum()
+    assert 0.0149 < frac < 0.0151
+    with pytest.warns(AliasWarning, match="top frequency decade"):
+        apply_L0(ModeSpec(n=3, m=0), v)

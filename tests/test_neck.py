@@ -9,7 +9,8 @@ from neckforge.acceptance import EPS_SWEEP
 from neckforge.errors import ConfigOverlap, ValidationError
 from neckforge.neck import (CUTOFF_WIDTH, NeckConfig, approximate_curvature_error,
                             build_glued_factor, covariance_selftest, error_sweep,
-                            weight, weighted_norm, window, _cutoff)
+                            glued_u, weight, weighted_norm, window, _cutoff)
+from neckforge.symbol import ModeSpec, theta
 
 
 def test_weight_anchors_centered():
@@ -163,6 +164,17 @@ def test_epsilon_range_validated():
 def test_covariance_selftest_tiny(n):
     cfg = NeckConfig(epsilon=0.05, n_s=1024)
     assert covariance_selftest(cfg, n) <= 1e-6
+
+
+@pytest.mark.parametrize("n,N", [(2, 1024), (3, 4096), (4, 2048)])
+def test_glued_u_matches_full_spectrum_multiplier(n, N):
+    # P0 u on the half spectrum against the signed full frequency grid, with
+    # the multiplier built here from theta
+    cfg = NeckConfig(epsilon=0.05)
+    u, Pu = glued_u(cfg, n, cfg.L, N)
+    xi = 2.0 * np.pi * np.fft.fftfreq(N, d=cfg.L / N)
+    want = np.real(np.fft.ifft(theta(ModeSpec(n=n, m=0), xi) * np.fft.fft(u)))
+    assert np.max(np.abs(Pu - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("mu", [0.0, 0.3, float("nan"), float("-inf")])

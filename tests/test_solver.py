@@ -17,7 +17,7 @@ from neckforge.solver import (PeriodicCylinderState,
                               newton_solve, quadratic_remainder,
                               solve_linearized, state_norm,
                               uniform_invertibility_study)
-from neckforge.symbol import constants, theta_table
+from neckforge.symbol import ModeSpec, constants, theta, theta_table
 
 
 def _perturbed(n=3, m_max=8, N_s=256, modes=(1, 2), amp=0.01):
@@ -243,7 +243,9 @@ def _full_matrix_measures(rep, n, mu):
     L, N_s, m_max = rep["L"], rep["N_s"], rep["m_max"]
     s = window(L, N_s)
     lag = np.subtract.outer(np.arange(N_s), np.arange(N_s)) % N_s
-    dense = np.real(np.fft.ifft(theta_table(n, m_max, N_s, L / N_s), axis=1))[:, lag]
+    xi = 2.0 * np.pi * np.fft.fftfreq(N_s, d=L / N_s)
+    mults = [theta(ModeSpec(n=n, m=m), xi) for m in range(m_max + 1)]
+    dense = np.real(np.fft.ifft(mults, axis=1))[:, lag]
     pairs = []
     for row in rep["rows"]:
         cfg = NeckConfig(epsilon=row["epsilon"])

@@ -24,12 +24,13 @@ def test_constant_is_symbol_at_zero(n):
 
 @pytest.mark.parametrize("N", [256, 257, 384, 1001])
 def test_theta_table_rows_equal_pointwise_theta(N):
-    # the table evaluates N//2 + 1 distinct |xi| and mirrors them; each row
-    # must be bit-equal to theta on the full frequency grid
+    # the table holds the N//2 + 1 non-negative frequencies of the rfft
+    # half spectrum; each row must be bit-equal to theta on that grid
     for n in (2, 3, 5):
         for ds in (0.037, 0.2113):
             table = theta_table(n, 3, N, ds)
-            xi = np.abs(2.0 * np.pi * np.fft.fftfreq(N, d=ds))
+            assert table.shape == (4, N // 2 + 1)
+            xi = 2.0 * np.pi * np.fft.rfftfreq(N, d=ds)
             for m in range(4):
                 assert np.array_equal(table[m], theta(ModeSpec(n=n, m=m), xi))
 
