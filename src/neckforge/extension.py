@@ -33,7 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_banded
-from scipy.linalg.lapack import dgetrf, dgetri
+from scipy.linalg.blas import dsyrk, dtrmv
+from scipy.linalg.lapack import dpotrf, dtrtri
 
 from .errors import ResolutionTooCoarse, SingularBVP, ValidationError
 from .symbol import ModeSpec, theta
@@ -188,10 +189,16 @@ def dtn_halfdisk_2d(xi: float, m: int) -> float:
 
     Solved exactly by block elimination, ring by ring from the pole: each phi
     ring is a dense 64 x 64 block B_i, rings meet through multiples of the
-    identity, and S_i = B_i - dn_i up_(i-1) S_(i-1)^(-1).  The rows are strictly
-    diagonally dominant, so no pivoting across blocks is needed.  No theta
-    transform: diagonalising the blocks by FFT would separate variables, and
-    this would stop being an independent check.
+    identity, and S_i = B_i - dn_i up_(i-1) S_(i-1)^(-1).  Each B_i is
+    symmetric (theta neighbours j +- 1 and the pole shift j -> j + 32 pair up)
+    and dn_i up_(i-1) > 0, so scaling ring i by d_i > 0, d_(i+1) dn_(i+1) =
+    d_i up_i, makes the system symmetric; its rows are strictly diagonally
+    dominant with a positive diagonal, so it is positive definite, and so is
+    every S_i = (its Schur complement) / d_i.  S_i is kept as the inverse
+    Cholesky factor L_i^(-1), and L_i^(-T) L_i^(-1) folds into the next ring
+    with one rank-k update.  No theta transform:
+    diagonalising the blocks by FFT would separate variables, and this would
+    stop being an independent check.
     """
     M, K = 96, 64
     h = np.pi / (2 * M - 1)
@@ -213,24 +220,28 @@ def dtn_halfdisk_2d(xi: float, m: int) -> float:
     up = -1.0 / h**2 - cot / (2.0 * h)
     dn = -1.0 / h**2 + cot / (2.0 * h)
     j = np.arange(K)
-    nbr = np.zeros((K, K), order="F")  # Fortran order: LAPACK works in place
-    nbr[j, (j + 1) % K] = nbr[j, (j - 1) % K] = 1.0
-    inv = prev = None  # S_i^(-1) and S_(i-1)^(-1)
+    linv = prev = None  # L_i^(-1) and L_(i-1)^(-1), S_i = L_i L_i^T
     for i in range(M - 1):
-        S = ring[i] * nbr
-        S[j, j] += (2.0 / h**2 + pot) - 2.0 * ring[i]
+        S = np.zeros((K, K), order="F")  # lower triangle only; LAPACK works in place
+        S[j, j] = (2.0 / h**2 + pot) - 2.0 * ring[i]
+        S[j[1:], j[:-1]] = S[K - 1, 0] = ring[i]
         if i == 0:
-            S[j, (j + K // 2) % K] += dn[0]  # across the pole
-        else:
-            S -= (dn[i] * up[i - 1]) * inv
-        lu, piv, info = dgetrf(S, overwrite_a=True)
+            S[j[:K // 2] + K // 2, j[:K // 2]] = dn[0]  # across the pole
+        else:  # S_i = B_i - c L^(-T) L^(-1)
+            S = dsyrk(-(dn[i] * up[i - 1]), linv, beta=1.0, c=S, trans=1, lower=1,
+                      overwrite_c=1)
+        L, info = dpotrf(S, lower=1, clean=0, overwrite_a=1)
         if info == 0:
-            prev, (inv, info) = inv, dgetri(lu, piv, overwrite_lu=True)
+            prev, (linv, info) = linv, dtrtri(L, lower=1, overwrite_c=1)
         if info != 0:
-            raise SingularBVP(f"half-disk block of ring {i} is singular")
+            raise SingularBVP(f"half-disk block of ring {i} is not positive definite")
+
+    def solve(linv, v):  # S^(-1) v = L^(-T) (L^(-1) v)
+        return dtrmv(linv, dtrmv(linv, v, lower=1), lower=1, trans=1)
+
     # back substitution for the two rings the one-sided flux reads
-    psi2 = -up[M - 2] * (inv @ data)
-    dpsi = (3.0 * data - 4.0 * psi2 - up[M - 3] * (prev @ psi2)) / (2.0 * h)
+    psi2 = -up[M - 2] * solve(linv, data)
+    dpsi = (3.0 * data - 4.0 * psi2 - up[M - 3] * solve(prev, psi2)) / (2.0 * h)
     if not np.all(np.isfinite(dpsi)):
         raise SingularBVP("half-disk solve produced non-finite values")
     # project onto the driving harmonic (normalized cos(m theta) coefficient)

@@ -32,6 +32,12 @@ Two constants drive everything downstream:
 The symbol is even in xi and Theta_m(-xi - i beta) = conj Theta_m(xi - i beta),
 so on real samples every multiplier is read on the half spectrum
 `frequencies(N, ds)` and applied with rfft/irfft.
+
+Domain: n, m, |xi| and |zeta| up to DOMAIN_MAX.  The log-Gamma difference
+cancels, losing about one ulp per unit of log|Gamma|.  Inside the domain the
+symbol is within 1e-10 relative of 50-digit mpmath (worst 5.6e-11 over 3,000
+random (n, gamma, m, zeta) draws at gamma in {0.3, 0.5, 0.8}); outside it,
+ModeSpec, theta and theta_analytic raise ValidationError.
 """
 
 from __future__ import annotations
@@ -45,8 +51,11 @@ from scipy.special import psi
 from .errors import DegenerateSpec, PoleError, ValidationError
 from .specfun import POLE_TOL, _near_pole, log_gamma, log_rgamma
 
-__all__ = ["ModeSpec", "Constants", "frequencies", "theta", "theta_analytic",
+__all__ = ["ModeSpec", "Constants", "DOMAIN_MAX", "frequencies", "theta", "theta_analytic",
            "theta_log_derivative", "theta_table", "constants"]
+
+# Largest n, m and |frequency| the symbol accepts (see the module docstring).
+DOMAIN_MAX = 10_000
 
 
 @dataclass(frozen=True)
@@ -63,12 +72,12 @@ class ModeSpec:
     m: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or self.n < 2:
-            raise ValidationError(f"n must be an integer >= 2, got {self.n!r}")
+        if not isinstance(self.n, (int, np.integer)) or not 2 <= self.n <= DOMAIN_MAX:
+            raise ValidationError(f"n must be an integer >= 2 and <= {DOMAIN_MAX}, got {self.n!r}")
         if not (0.0 < self.gamma < self.n / 2.0):
             raise ValidationError(f"gamma must lie in (0, n/2), got {self.gamma!r}")
-        if not isinstance(self.m, (int, np.integer)) or self.m < 0:
-            raise ValidationError(f"m must be an integer >= 0, got {self.m!r}")
+        if not isinstance(self.m, (int, np.integer)) or not 0 <= self.m <= DOMAIN_MAX:
+            raise ValidationError(f"m must be an integer >= 0 and <= {DOMAIN_MAX}, got {self.m!r}")
 
     @property
     def mu(self) -> float:
@@ -102,13 +111,21 @@ def _reject_degenerate(spec: ModeSpec):
         )
 
 
+def _check_frequency(x, name: str):
+    """ValidationError unless every |x| <= DOMAIN_MAX (NaN fails too)."""
+    big = np.abs(x).max(initial=0.0)
+    if not big <= DOMAIN_MAX:
+        raise ValidationError(f"|{name}| = {big:g} is past the symbol's domain bound {DOMAIN_MAX}")
+
+
 def theta(spec: ModeSpec, xi):
     """Symbol value Theta_m(xi) for real xi (scalar or array); real, positive.
 
-    Evaluated via log-Gamma differences and one exponentiation, so large
-    |xi| neither overflows nor loses the leading |xi|^(2*gamma) growth.
+    Evaluated via log-Gamma differences and one exponentiation.  The
+    differences cancel as |xi| grows, so |xi| > DOMAIN_MAX raises ValidationError.
     """
     xi_arr = np.asarray(xi, dtype=float)
+    _check_frequency(xi_arr, "xi")
     if np.any(np.abs(xi_arr) < POLE_TOL):
         _reject_degenerate(spec)
     za = spec.a_offset + 0.5j * xi_arr
@@ -140,10 +157,11 @@ def theta_analytic(spec: ModeSpec, zeta):
     """Analytic continuation of the symbol to complex frequency zeta.
 
     Returns exact zeros where the denominator Gammas have poles; raises
-    PoleError where the numerator Gammas do (a genuine pole of the symbol).
-    Scalar or array input.
+    PoleError where the numerator Gammas do (a genuine pole of the symbol),
+    and ValidationError for |zeta| > DOMAIN_MAX.  Scalar or array input.
     """
     z_arr = np.asarray(zeta, dtype=np.complex128)
+    _check_frequency(z_arr, "zeta")
     scalar = z_arr.ndim == 0
     z_flat = np.atleast_1d(z_arr)
 

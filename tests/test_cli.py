@@ -358,6 +358,16 @@ def test_non_finite_number_exits_2(capsys, argv):
     assert "finite" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [["symbol", "--n", "2", "--xi", "1e300"],
+                                  ["symbol", "--m", str(10**20)]], ids=["xi", "m"])
+def test_symbol_outside_its_domain_exits_2(capsys, argv):
+    # theta printed 1 here: the log-Gamma difference had cancelled every digit
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and argv[-2].lstrip("-") in err
+    assert "Traceback" not in err
+
+
 def test_solve_has_no_weight_exponent(tmp_path, capsys):
     # the periodic model has no neck funnel, so its residual norm takes no mu
     cfg = tmp_path / "c.cfg"

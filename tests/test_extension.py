@@ -4,10 +4,12 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 import scipy.sparse
 import scipy.sparse.linalg
 
-from neckforge.errors import ResolutionTooCoarse, ValidationError
+from neckforge import extension
+from neckforge.errors import ResolutionTooCoarse, SingularBVP, ValidationError
 from neckforge.extension import (HalfCylinderProblem, cross_validate, dtn_cylinder,
                                  dtn_halfdisk_2d)
 from neckforge.solver import RESONANCE_MARGIN, ball_spectrum
@@ -96,11 +98,53 @@ def _halfdisk_sparse(xi, m):
     return float((dpsi * data).sum() / (data * data).sum())
 
 
-@pytest.mark.parametrize("xi", [0.0, 0.4, 1.5, 2.6, 4.0, 10.0])
-@pytest.mark.parametrize("m", range(6))
-def test_halfdisk_matches_sparse_oracle(xi, m):
+# the edges of the accepted domain: |xi| h = 1/2 with h = pi/191, and m = K/2 - 1
+XI_EDGE = 0.5 / (np.pi / 191)
+
+
+@pytest.mark.parametrize("m,xi", [(m, xi) for m in range(6)
+                                  for xi in (0.0, 0.4, 1.5, 2.6, 4.0, 10.0)]
+                         + [(0, XI_EDGE), (0, -XI_EDGE), (31, XI_EDGE), (31, -XI_EDGE),
+                            (31, 0.0)])
+def test_halfdisk_matches_sparse_oracle(m, xi):
     want = _halfdisk_sparse(xi, m)
     assert abs(dtn_halfdisk_2d(xi=xi, m=m) - want) / abs(want) <= 1e-12
+
+
+def test_halfdisk_factors_each_ring_once_by_cholesky(monkeypatch):
+    # M - 1 = 95 Cholesky factorizations, and no LU or sparse solve on the way
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the half-disk solve called an LU or sparse routine")
+
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return scipy.linalg.lapack.dpotrf(*args, **kwargs)
+
+    monkeypatch.setattr(extension, "dpotrf", spy)
+    for name in ("dgetrf", "dgetri"):
+        assert not hasattr(extension, name)
+        monkeypatch.setattr(scipy.linalg.lapack, name, forbidden)
+    for name in ("spsolve", "splu", "factorized"):
+        monkeypatch.setattr(scipy.sparse.linalg, name, forbidden)
+    assert abs(dtn_halfdisk_2d(xi=0.5, m=0) - 0.42220414345369633) <= 1e-13
+    assert len(calls) == 95
+
+
+def test_halfdisk_block_not_positive_definite_raises(monkeypatch):
+    # a Schur complement that fails its Cholesky factorization is named by ring
+    calls = []
+
+    def failing(a, **kwargs):
+        calls.append(1)
+        c, info = scipy.linalg.lapack.dpotrf(a, **kwargs)
+        return c, (7 if len(calls) == 41 else info)
+
+    monkeypatch.setattr(extension, "dpotrf", failing)
+    with pytest.raises(SingularBVP, match="ring 40 is not positive definite"):
+        dtn_halfdisk_2d(xi=1.5, m=1)
+    assert len(calls) == 41
 
 
 @pytest.mark.parametrize("xi", [np.inf, -np.inf, np.nan])

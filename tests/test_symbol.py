@@ -2,13 +2,15 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from neckforge.errors import DegenerateSpec, PoleError
-from neckforge.symbol import ModeSpec, constants, theta, theta_analytic, theta_table
+from neckforge.errors import DegenerateSpec, PoleError, ValidationError
+from neckforge.symbol import (DOMAIN_MAX, ModeSpec, constants, theta, theta_analytic,
+                              theta_table)
 
 
 def test_constant_anchor_n3():
@@ -105,8 +107,39 @@ def test_analytic_numerator_pole_raises():
         theta_analytic(spec, np.asarray(z))
 
 
+@pytest.mark.parametrize("gamma", [0.3, 0.5, 0.8])
+@pytest.mark.parametrize("n,m,xi", [(2, 0, DOMAIN_MAX), (2, DOMAIN_MAX, 0.0),
+                                    (3, DOMAIN_MAX, -DOMAIN_MAX),
+                                    (DOMAIN_MAX, DOMAIN_MAX, DOMAIN_MAX)])
+def test_accurate_at_the_corners_of_the_domain(n, m, xi, gamma):
+    # the log-Gamma difference cancels as n, m and |xi| grow: 1e-10 relative holds
+    # up to DOMAIN_MAX, against 2^(2g) |Gamma(A + i xi/2) / Gamma(B + i xi/2)|^2
+    spec = ModeSpec(n=n, gamma=gamma, m=m)
+    with mpmath.workdps(40):
+        h = mpmath.mpc(0, xi / 2)
+        mid = (mpmath.mpf(n) / 2 + m - 1) / 2 + 0.5  # A and B are mid +- gamma/2
+        ratio = mpmath.gamma(mid + gamma / 2 + h) / mpmath.gamma(mid - gamma / 2 + h)
+        want = 2 ** (2 * mpmath.mpf(gamma)) * abs(ratio) ** 2
+        assert abs(theta(spec, xi) - want) / want <= 1e-10
+        assert abs(theta_analytic(spec, complex(xi)) - want) / want <= 1e-10
+
+
+def test_outside_the_domain_refused():
+    # past DOMAIN_MAX the log-Gamma difference loses its digits: a typed refusal,
+    # not a silently wrong value (theta read 1.0 at xi = 1e300 and at m = 1e20)
+    with pytest.raises(ValidationError, match="xi"):
+        theta(ModeSpec(n=2, m=0), 1e300)
+    with pytest.raises(ValidationError, match="xi"):
+        theta(ModeSpec(n=3, m=0), np.array([0.0, 1.0, np.nextafter(DOMAIN_MAX, np.inf)]))
+    with pytest.raises(ValidationError, match="zeta"):
+        theta_analytic(ModeSpec(n=3, m=0), 0.8 * DOMAIN_MAX * (1 - 1j))
+    with pytest.raises(ValidationError, match="m must be"):
+        ModeSpec(n=3, m=10**20)
+    with pytest.raises(ValidationError, match="n must be"):
+        ModeSpec(n=DOMAIN_MAX + 1, m=0)
+
+
 def test_bad_spec_rejected():
-    from neckforge.errors import ValidationError
     with pytest.raises(ValidationError):
         ModeSpec(n=1, m=0)
     with pytest.raises(ValidationError):
