@@ -10,8 +10,8 @@ refactor.  After the total line it prints one digest per kind (`catalog`,
 unchanged.
 
 Sweep:
-    root_catalog  gamma {0.5, 0.3, 0.8}, n 2..8, m 0..7, j_count {1, 2, 4, 6},
-                  tau_max {20, 8}                          (1,344 catalogs)
+    root_catalog  gamma {0.5, 0.3, 0.8}, n 2..8, m 0..7, j_count {1, 2, 4, 6}
+                                                                 (672 catalogs)
     first_root    gamma {0.5, 0.3, 0.8, 0.15}, n 2..10, m 0..9   (360 specs)
 `--quick` runs a small subset of both (about a second).
 
@@ -28,12 +28,12 @@ from neckforge.symbol import ModeSpec
 
 FULL = {
     "catalog": dict(gamma=(0.5, 0.3, 0.8), n=range(2, 9), m=range(8),
-                    j_count=(1, 2, 4, 6), tau_max=(20.0, 8.0)),
+                    j_count=(1, 2, 4, 6)),
     "first": dict(gamma=(0.5, 0.3, 0.8, 0.15), n=range(2, 11), m=range(10)),
 }
 QUICK = {
     "catalog": dict(gamma=(0.5, 0.3), n=range(2, 5), m=range(4),
-                    j_count=(1, 4), tau_max=(20.0,)),
+                    j_count=(1, 4)),
     "first": dict(gamma=(0.5, 0.15), n=range(2, 5), m=range(4)),
 }
 
@@ -42,8 +42,8 @@ def _root(r):
     return (r.sigma, r.tau, r.residual, r.dtheta)
 
 
-def _catalog(gamma, n, m, j_count, tau_max):
-    cat = root_catalog(ModeSpec(n=n, gamma=gamma, m=m), j_count, tau_max=tau_max)
+def _catalog(gamma, n, m, j_count):
+    cat = root_catalog(ModeSpec(n=n, gamma=gamma, m=m), j_count)
     return (cat.kappa, tuple(_root(r) for r in cat.roots), cat.search_box, cat.certified)
 
 

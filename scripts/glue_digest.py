@@ -19,7 +19,7 @@ Sweep:
                per-mode sup-norm sigmas
     ball       ball_newton_probe histories for n 2..4
     solve      criterion 7's Newton and fixed-point histories with their
-               final tables, and apply_Q at its start
+               final samples, and apply_Q at its start
 `--quick` runs a small subset of each (a few seconds).  The first line is
 the digest of the whole sweep with the call counts; one line per kind
 follows with the digest of that kind alone, so a change that moves some
@@ -93,13 +93,11 @@ def _ball(n):
 def _solve(method):
     """Criterion 7: modes 1 and 2 of the constant factor raised by 0.01 at k = 1."""
     st1 = PeriodicCylinderState.ones(3, m_max=8, N_s=256)
-    f_hat = st1.f_hat.copy()
-    for m in (1, 2):
-        f_hat[m, 1] += 0.5 * st1.N_s * 0.01
-        f_hat[m, -1] += 0.5 * st1.N_s * 0.01
-    start = st1.with_table(f_hat)
+    values = st1.values.copy()
+    values[[1, 2]] += 0.01 * np.cos(2.0 * np.pi * np.arange(st1.N_s) / st1.N_s)
+    start = PeriodicCylinderState(st1.n, st1.L, values)
     rep = newton_solve(start, tol=1e-11, method=method)
-    return apply_Q(start), rep.iterations, rep.residual_history, rep.final_f.f_hat
+    return apply_Q(start), rep.iterations, rep.residual_history, rep.final_f.values
 
 
 KINDS = {"error": _error, "selftest": _selftest, "study": _study, "c10": _c10,

@@ -389,13 +389,12 @@ def _run_solve(config: RunConfig, out) -> int:
     from .solver import PeriodicCylinderState, newton_solve
     p = config.parameters
     state = PeriodicCylinderState.ones(p["n"], m_max=p["m_max"], N_s=p["n_s"])
-    f_hat = state.f_hat.copy()
+    values = state.values.copy()
     for m in p["modes"]:
         if not 0 <= m <= p["m_max"]:
             raise ValidationError(f"key 'modes': mode {m} outside 0..{p['m_max']}")
-        f_hat[m, 1] += 0.5 * state.N_s * p["amplitude"]
-        f_hat[m, -1] += 0.5 * state.N_s * p["amplitude"]
-    start = state.with_table(f_hat)
+        values[m] += p["amplitude"] * np.cos(2.0 * np.pi * np.arange(state.N_s) / state.N_s)
+    start = PeriodicCylinderState(state.n, state.L, values)
     report = newton_solve(start, tol=p["tol"], max_iter=p["max_iter"],
                           method=p["method"])
     print(f"# method={report.method} iterations={report.iterations} "

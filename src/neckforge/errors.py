@@ -32,10 +32,6 @@ class ValidationError(ConfigError):
     """A parsed value is out of range or a key is unknown."""
 
 
-class ConfigOverlap(ValidationError):
-    """Neck geometry parameters overlap (chart radius too small for epsilon)."""
-
-
 class NumericalError(NeckforgeError):
     """A numerical routine failed to produce a certified result."""
 

@@ -58,6 +58,10 @@ __all__ = [
     "check_lemma",
 ]
 
+# Height of every imaginary-axis scan: the oscillatory pair's tau, and the
+# top edge of every counting box.
+TAU_MAX = 20.0
+
 
 @dataclass(frozen=True)
 class IndicialRoot:
@@ -282,14 +286,14 @@ def _axis_roots_imag(F, spec, kappa, tau_max, tol):
 def first_root(spec: ModeSpec) -> IndicialRoot:
     """Smallest-sigma indicial root: the lowest root of the catalog's own
     axis scan, polished by Newton to |F| <= 1e-12.  Mode 0 scans the real
-    frequency axis up to tau = 20 for the oscillatory pair (sigma = 0,
+    frequency axis up to tau = TAU_MAX for the oscillatory pair (sigma = 0,
     tau > 0); mode >= 1 scans (0, 2B) on the real axis, where the symbol
     continuation falls from Theta_m(0) > kappa to 0.
     """
     kappa = constants(spec.n, spec.gamma).kappa
     F = _char_fn(spec, kappa)
     if spec.m == 0:
-        roots = _axis_roots_imag(F, spec, kappa, 20.0, 1e-12)
+        roots = _axis_roots_imag(F, spec, kappa, TAU_MAX, 1e-12)
     else:
         roots = _axis_roots_real(F, spec, 2.0 * spec.b_offset, 1e-12)
     if not roots:
@@ -324,7 +328,7 @@ def _grow_count(F, spec, count, sigma_lo, sigma_hi, tau_max, kappa):
 
 
 @lru_cache(maxsize=256)
-def _catalog_cached(n, gamma, m, j_count, tau_max):
+def _catalog_cached(n, gamma, m, j_count):
     spec = ModeSpec(n=n, gamma=gamma, m=m)
     kappa = constants(n, gamma).kappa
     tol = 1e-10
@@ -334,14 +338,14 @@ def _catalog_cached(n, gamma, m, j_count, tau_max):
     sigma_cap = 2.0 * spec.a_offset + 2.0 * j_count + 24.0
     # located roots are distinct roots inside the counted box, so a box that
     # counts short of j_count would be grown by the location loop anyway
-    count = _quadrant_count(F, spec, sigma_max, tau_max, kappa)
+    count = _quadrant_count(F, spec, sigma_max, TAU_MAX, kappa)
     while count is not None and count < j_count and sigma_max <= sigma_cap:
-        count = _grow_count(F, spec, count, sigma_max, sigma_max + 2.0, tau_max, kappa)
+        count = _grow_count(F, spec, count, sigma_max, sigma_max + 2.0, TAU_MAX, kappa)
         sigma_max += 2.0
     counted_at = sigma_max
     # the two scans return disjoint sets (sigma = 0 and tau = 0), and the
     # imaginary-axis roots do not depend on sigma_max
-    imag = _axis_roots_imag(F, spec, kappa, tau_max, tol)
+    imag = _axis_roots_imag(F, spec, kappa, TAU_MAX, tol)
     while True:
         roots = imag + _axis_roots_real(F, spec, sigma_max, tol)
         if len(roots) >= j_count or sigma_max > sigma_cap:
@@ -352,20 +356,20 @@ def _catalog_cached(n, gamma, m, j_count, tau_max):
             f"only {len(roots)} roots located for {spec} within sigma <= {sigma_max}"
         )
     if sigma_max != counted_at:
-        count = _grow_count(F, spec, count, counted_at, sigma_max, tau_max, kappa)
+        count = _grow_count(F, spec, count, counted_at, sigma_max, TAU_MAX, kappa)
     return RootCatalog(
         spec=spec, kappa=kappa, roots=tuple(sorted(roots, key=lambda r: (r.sigma, r.tau))),
-        search_box=(0.0, sigma_max, 0.0, tau_max), certified=count == len(roots),
+        search_box=(0.0, sigma_max, 0.0, TAU_MAX), certified=count == len(roots),
     )
 
 
-def root_catalog(spec: ModeSpec, j_count: int, tau_max: float = 20.0) -> RootCatalog:
+def root_catalog(spec: ModeSpec, j_count: int) -> RootCatalog:
     """First-quadrant catalog holding at least j_count roots, sorted by sigma.
 
-    Counts the quadrant up to sigma_max = 2A + 2.3137 by one meromorphic
-    winding, then grows the box 2 at a time while the count is short of
-    j_count, winding only the new strip (sigma_max, sigma_max + 2) and adding
-    its count to the running one (a strip no margin keeps clear is replaced
+    Counts the quadrant tau <= TAU_MAX up to sigma_max = 2A + 2.3137 by one
+    meromorphic winding, then grows the box 2 at a time while the count is
+    short of j_count, winding only the new strip (sigma_max, sigma_max + 2)
+    and adding its count to the running one (a strip no margin keeps clear is replaced
     by a whole-box count).  The two axes, where the characteristic function
     is real, are then scanned once in the final box; when no counting contour
     can be cleared (no count), the real-axis scan alone grows the box.  Each
@@ -373,8 +377,7 @@ def root_catalog(spec: ModeSpec, j_count: int, tau_max: float = 20.0) -> RootCat
     when the count equals the roots located: the count is the one guarantee
     that no root lies off the axes.
     """
-    return _catalog_cached(spec.n, float(spec.gamma), spec.m, int(j_count),
-                           float(tau_max))
+    return _catalog_cached(spec.n, float(spec.gamma), spec.m, int(j_count))
 
 
 @dataclass

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigOverlap, NonPositiveConformalFactor, ValidationError
+from .errors import NonPositiveConformalFactor, ValidationError
 from .symbol import ModeSpec, constants, frequencies, theta_table
 
 __all__ = [
@@ -58,7 +58,6 @@ class NeckConfig:
     """Neck geometry: window, cutoff stations, deviation and weight options."""
 
     epsilon: float
-    delta: float | None = None  # chart scale; default epsilon**0.25
     n_s: int = 4096
     pad: float = 4.0
     weight_convention: str = "centered"  # or "paper-literal"
@@ -67,8 +66,6 @@ class NeckConfig:
     def __post_init__(self):
         if not (0.0 < self.epsilon < 0.25):
             raise ValidationError(f"epsilon must lie in (0, 0.25), got {self.epsilon}")
-        if self.delta is not None and not (0.0 < self.delta <= 1.0):
-            raise ValidationError(f"chart scale must lie in (0, 1], got {self.delta}")
         if self.n_s < 256:
             raise ValidationError("need at least 256 neck samples")
         if self.pad < 2.0:
@@ -81,8 +78,10 @@ class NeckConfig:
         return -float(np.log(self.epsilon))
 
     @property
-    def resolved_delta(self) -> float:
-        return self.epsilon**0.25 if self.delta is None else self.delta
+    def delta(self) -> float:
+        """Chart scale epsilon^(1/4); with epsilon < 1/4 it exceeds
+        1.25 sqrt(epsilon), so the neck and chart regions never overlap."""
+        return self.epsilon**0.25
 
     @property
     def L(self) -> float:
@@ -161,17 +160,12 @@ def build_glued_factor(config: NeckConfig, n: int, s) -> np.ndarray:
     """
     if n < 2:
         raise ValidationError(f"need n >= 2, got {n}")
-    eps, delta = config.epsilon, config.resolved_delta
-    if eps**0.5 >= delta / 1.25:
-        raise ConfigOverlap(
-            f"chart scale {delta:.4g} not separated from sqrt(eps) = {eps**0.5:.4g}; "
-            "the neck and chart regions overlap"
-        )
+    d2 = config.delta**2
     s = np.asarray(s, dtype=float)
     chi = _cutoff(s)
     if config.perturbation:
-        g1 = 1.0 + delta**2 * _deviation_profile(s)
-        g2 = 1.0 + delta**2 * _deviation_profile(-s)
+        g1 = 1.0 + d2 * _deviation_profile(s)
+        g2 = 1.0 + d2 * _deviation_profile(-s)
     else:
         g1 = np.ones_like(s)
         g2 = np.ones_like(s)
@@ -244,5 +238,5 @@ def error_sweep(n: int, epsilons, mu: float | None = None, **config_kw):
         cfg = NeckConfig(epsilon=float(eps), **config_kw)
         _, E = approximate_curvature_error(cfg, n, mu)
         rows.append({"epsilon": float(eps), "S_eps": cfg.S_eps,
-                     "delta": cfg.resolved_delta, "E": E})
+                     "delta": cfg.delta, "E": E})
     return rows

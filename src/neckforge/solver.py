@@ -2,22 +2,23 @@
 
 The compact stand-in for the glued manifold is the periodic cylinder
 (s in R/LZ) x S^{n-1} with zonal (rotation-invariant) data.  States hold
-per-mode Fourier coefficient tables f_hat[m, k]; the boundary operator P
-is diagonal there with multiplier Theta_m(xi_k), xi_k = 2*pi*k/L, and the
-curvature map is
+real per-mode samples values[m, k] on window(L, N_s), and every operator
+takes and returns such samples.  The boundary operator P acts on mode m as
+the half-spectrum multiplier Theta_m(xi_k), xi_k = 2*pi*k/L (`theta_table`
+through rfft/irfft), and the curvature map is
 
     Q(f) = f^{-(n+1)/(n-1)} * (P f),
 
-evaluated by collocation: transform to a (Gauss node) x (s grid) product
-grid, combine pointwise, project back.  The frozen linearization at f = 1
-is the diagonal multiplier Theta_m(xi_k) - kappa, whose inversion is the
-model Green operator; the period is chosen so no lattice frequency hits
-the mode-0 crossing of kappa (the oscillatory indicial pair on the line
-reappears on a periodic domain as a near-resonant grid frequency).
+evaluated by collocation: map to a (Gauss node) x (s grid) product grid,
+combine pointwise, project back.  The frozen linearization at f = 1 is the
+multiplier Theta_m(xi_k) - kappa, whose inversion is the model Green
+operator; the period is chosen so no lattice frequency hits the mode-0
+crossing of kappa (the oscillatory indicial pair on the line reappears on
+a periodic domain as a near-resonant grid frequency).
 
 The iteration solves Q(1 + v) = c either in the frozen fixed-point form
-v <- v - G(Q(1+v) - c) or by full Newton steps (re-linearized, solved
-iteratively with G as preconditioner).  The closed-form flat-ball spectrum,
+v <- v - G(Q(1+v) - c) or by full Newton steps (re-linearized, solved by a
+real lgmres with G as preconditioner).  The closed-form flat-ball spectrum,
 run through the same zonal machinery, exhibits the degree-1 kernel of the
 linearized operator; its inversion must fail loudly, never silently.
 
@@ -122,44 +123,39 @@ def nonresonant_window(n: int, L_min: float, N_s: int) -> float:
     raise ResonanceError("could not find a non-resonant window length")
 
 
-def _multipliers(state: PeriodicCylinderState) -> np.ndarray:
-    k = np.arange(state.N_s)  # theta_table's half spectrum mirrored onto f_hat's index
-    return theta_table(state.n, state.m_max, state.N_s,
-                       state.L / state.N_s)[:, np.minimum(k, state.N_s - k)]
-
-
 @dataclass(frozen=True)
 class PeriodicCylinderState:
-    """Zonal conformal factor f = 1 + v on the periodic cylinder,
-    stored as per-mode Fourier coefficient rows f_hat[m, k]."""
+    """Zonal conformal factor f = 1 + v on the periodic cylinder, stored as
+    real per-mode samples values[m, k] on window(L, N_s)."""
 
     n: int
     L: float
-    m_max: int
-    N_s: int
-    f_hat: np.ndarray
+    values: np.ndarray
 
     def __post_init__(self):
+        values = np.asarray(self.values)
+        if values.ndim != 2 or values.dtype.kind not in "fiu":
+            raise ValidationError(f"need a real 2-D table of per-mode samples, got "
+                                  f"{values.ndim}-D {values.dtype}")
+        object.__setattr__(self, "values", values.astype(float, copy=False))
         _check_m_max(self.m_max)
         if self.L <= 0:
             raise ValidationError("period must be positive")
         if self.N_s < 8 or self.N_s % 2:
-            raise ValidationError("need an even frequency count >= 8")
-        if self.f_hat.shape != (self.m_max + 1, self.N_s):
-            raise ValidationError(
-                f"coefficient table shape {self.f_hat.shape} does not match "
-                f"modes {self.m_max + 1} x frequencies {self.N_s}")
-        scale = np.max(np.abs(self.f_hat)) or 1.0
-        flipped = np.conj(self.f_hat[:, (-np.arange(self.N_s)) % self.N_s])
-        if np.max(np.abs(self.f_hat - flipped)) > 1e-8 * scale:
-            raise ValidationError("coefficients are not Hermitian-symmetric "
-                                  "(state must be real-valued)")
+            raise ValidationError("need an even sample count >= 8")
         if _mode0_gap(self.n, self.L, self.N_s) <= RESONANCE_MARGIN:
             raise ResonanceError(
                 f"period L={self.L:.6g} puts a lattice frequency on the mode-0 "
                 "crossing; pick another length (nonresonant_window)")
 
-    # -- constructors ------------------------------------------------------
+    @property
+    def m_max(self) -> int:
+        return self.values.shape[0] - 1
+
+    @property
+    def N_s(self) -> int:
+        return self.values.shape[1]
+
     @classmethod
     def ones(cls, n: int, m_max: int = 8, N_s: int = 256) -> "PeriodicCylinderState":
         """The constant factor 1, on the first non-resonant period from an
@@ -167,74 +163,80 @@ class PeriodicCylinderState:
         _check_m_max(m_max)
         tau0 = first_root(ModeSpec(n=n, gamma=0.5, m=0)).tau
         L = nonresonant_window(n, 2.0 * np.pi / tau0 * (1.0 + 1.0 / np.sqrt(2.0)), N_s)
-        f_hat = np.zeros((m_max + 1, N_s), dtype=complex)
-        f_hat[0, 0] = N_s  # fft of the constant 1
-        return cls(n=n, L=L, m_max=m_max, N_s=N_s, f_hat=f_hat)
+        values = np.zeros((m_max + 1, N_s))
+        values[0] = 1.0
+        return cls(n=n, L=L, values=values)
 
-    @classmethod
-    def from_mode_values(cls, n: int, L: float, values: np.ndarray
-                         ) -> "PeriodicCylinderState":
-        values = np.asarray(values, dtype=float)
-        m_max = values.shape[0] - 1
-        return cls(n=n, L=L, m_max=m_max, N_s=values.shape[1],
-                   f_hat=np.fft.fft(values, axis=1))
-
-    # -- views -------------------------------------------------------------
-    def mode_values(self) -> np.ndarray:
-        return np.real(np.fft.ifft(self.f_hat, axis=1))
+    @property
+    def f_hat(self) -> np.ndarray:
+        """The full numpy-fft coefficient table f_hat[m, k] of the samples."""
+        return np.fft.fft(self.values, axis=1)
 
     def with_table(self, f_hat: np.ndarray) -> "PeriodicCylinderState":
-        return replace(self, f_hat=f_hat)
+        """The state whose full coefficient table is f_hat (Hermitian, so the
+        samples are real)."""
+        if np.shape(f_hat) != self.values.shape:
+            raise ValidationError(f"coefficient table shape {np.shape(f_hat)} is not "
+                                  f"{self.values.shape}")
+        scale = np.max(np.abs(f_hat)) or 1.0
+        flipped = np.conj(f_hat[:, (-np.arange(self.N_s)) % self.N_s])
+        if np.max(np.abs(f_hat - flipped)) > 1e-8 * scale:
+            raise ValidationError("coefficients are not Hermitian-symmetric "
+                                  "(state must be real-valued)")
+        return replace(self, values=np.real(np.fft.ifft(f_hat, axis=1)))
 
 
 # ---------------------------------------------------------------------------
 # operators
 
 
+def _fourier(mult: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Per-mode samples v through the half-spectrum multiplier mult."""
+    return np.fft.irfft(mult * np.fft.rfft(v, axis=1), v.shape[1], axis=1)
+
+
+def _theta(state: PeriodicCylinderState) -> np.ndarray:
+    return theta_table(state.n, state.m_max, state.N_s, state.L / state.N_s)
+
+
 def apply_Q(state: PeriodicCylinderState) -> np.ndarray:
-    """Curvature map Q(f) = f^{-(n+1)/(n-1)} (P f) as a coefficient table."""
-    mults = _multipliers(state)
+    """Curvature map Q(f) = f^{-(n+1)/(n-1)} (P f) as per-mode samples."""
     to_grid, to_modes = _zonal(state.n, state.m_max)
-    f_vals = state.mode_values()
-    Pf_vals = np.real(np.fft.ifft(mults * state.f_hat, axis=1))
-    f_grid = to_grid(f_vals)
+    f_grid = to_grid(state.values)
     if np.min(f_grid) <= 0.0:
         raise NonPositiveConformalFactor(
             f"factor reaches {np.min(f_grid):.3g} on the collocation grid")
-    Q_grid = curvature(state.n, f_grid, to_grid(Pf_vals))
-    return np.fft.fft(to_modes(Q_grid), axis=1)
+    Pf_grid = to_grid(_fourier(_theta(state), state.values))
+    return to_modes(curvature(state.n, f_grid, Pf_grid))
 
 
-def apply_linearized(state: PeriodicCylinderState, v_hat: np.ndarray) -> np.ndarray:
-    """Frozen linearization at f = 1: diagonal multiplier Theta_m - kappa."""
-    return (_multipliers(state) - constants(state.n).kappa) * v_hat
+def apply_linearized(state: PeriodicCylinderState, v: np.ndarray) -> np.ndarray:
+    """Frozen linearization at f = 1: the multiplier Theta_m - kappa."""
+    return _fourier(_theta(state) - constants(state.n).kappa, v)
 
 
-def solve_linearized(state: PeriodicCylinderState, h_hat: np.ndarray) -> np.ndarray:
+def solve_linearized(state: PeriodicCylinderState, h: np.ndarray) -> np.ndarray:
     """Model Green operator: per-mode division by Theta_m - kappa."""
-    denom = _multipliers(state) - constants(state.n).kappa
+    denom = _theta(state) - constants(state.n).kappa
     bad = np.abs(denom) <= RESONANCE_MARGIN
     if np.any(bad):
         m_bad, k_bad = np.argwhere(bad)[0]
         raise ResonanceError(
             f"multiplier vanishes at mode {m_bad}, frequency index {k_bad}")
-    return h_hat / denom
+    return _fourier(1.0 / denom, h)
 
 
 def _jacobian_matvec(state: PeriodicCylinderState):
     """Exact derivative of apply_Q at the given state, as a matvec on
-    coefficient tables: DQ(f) w = f^{-N} P w - N f^{-N-1} (P f) w."""
-    mults = _multipliers(state)
+    per-mode samples: DQ(f) w = f^{-N} P w - N f^{-N-1} (P f) w."""
+    mults = _theta(state)
     to_grid, to_modes = _zonal(state.n, state.m_max)
-    f_grid = to_grid(state.mode_values())
-    Pf_grid = to_grid(np.real(np.fft.ifft(mults * state.f_hat, axis=1)))
+    f_grid = to_grid(state.values)
+    Pf_grid = to_grid(_fourier(mults, state.values))
     coef_a, coef_b = curvature_linearization(state.n, f_grid, Pf_grid)
 
-    def matvec(w_hat: np.ndarray) -> np.ndarray:
-        Pw_grid = to_grid(np.real(np.fft.ifft(mults * w_hat, axis=1)))
-        w_grid = to_grid(np.real(np.fft.ifft(w_hat, axis=1)))
-        out_grid = coef_a * Pw_grid + coef_b * w_grid
-        return np.fft.fft(to_modes(out_grid), axis=1)
+    def matvec(w: np.ndarray) -> np.ndarray:
+        return to_modes(coef_a * to_grid(_fourier(mults, w)) + coef_b * to_grid(w))
 
     return matvec
 
@@ -243,11 +245,11 @@ def _jacobian_matvec(state: PeriodicCylinderState):
 # norms and reports
 
 
-def state_norm(state: PeriodicCylinderState, table: np.ndarray) -> float:
-    """Sup norm of a coefficient table on the collocation grid (unweighted:
+def state_norm(state: PeriodicCylinderState, v: np.ndarray) -> float:
+    """Sup norm of per-mode samples on the collocation grid (unweighted:
     the periodic model has no neck funnel)."""
     to_grid, _ = _zonal(state.n, state.m_max)
-    return float(np.max(np.abs(to_grid(np.real(np.fft.ifft(table, axis=1))))))
+    return float(np.max(np.abs(to_grid(v))))
 
 
 @dataclass(frozen=True)
@@ -260,9 +262,9 @@ class NewtonReport:
     notes: str = ""
 
 
-def _residual_table(state: PeriodicCylinderState) -> np.ndarray:
+def _residual(state: PeriodicCylinderState) -> np.ndarray:
     out = apply_Q(state)
-    out[0, 0] -= constants(state.n).c * state.N_s
+    out[0] -= constants(state.n).c
     return out
 
 
@@ -275,6 +277,10 @@ def newton_solve(state0: PeriodicCylinderState, tol: float = 1e-11, max_iter: in
     basin: initial perturbation sup-norm <~ 0.05).  newton: re-linearized
     steps, preconditioned by G, for quadratic tails.  Three consecutive
     residual increases raise Diverged carrying the partial report.
+
+    P amplifies the samples' rounding by up to its Nyquist multiplier, so
+    the residual floor grows like 1e-16 * N_s: about 3e-14 at N_s = 256,
+    2e-13 at 1024 and 9e-13 at 4096.  A tol below it cannot be met.
     """
     if method not in ("fixed-point", "newton"):
         raise ValidationError(f"unknown method {method!r}")
@@ -284,7 +290,7 @@ def newton_solve(state0: PeriodicCylinderState, tol: float = 1e-11, max_iter: in
     history = []
     rising = 0
     for it in range(max_iter + 1):
-        res = _residual_table(state)
+        res = _residual(state)
         rnorm = state_norm(state, res)
         history.append(rnorm)
         if rnorm <= tol:
@@ -305,7 +311,7 @@ def newton_solve(state0: PeriodicCylinderState, tol: float = 1e-11, max_iter: in
             step = solve_linearized(state, res)
         else:
             step = _newton_step(state, res)
-        state = state.with_table(state.f_hat - step)
+        state = replace(state, values=state.values - step)
     return NewtonReport(iterations=max_iter, residual_history=tuple(history),
                         converged=False, final_f=state, method=method,
                         notes="max_iter reached")
@@ -322,25 +328,24 @@ def _newton_step(state: PeriodicCylinderState, res: np.ndarray) -> np.ndarray:
         return solve_linearized(state, x.reshape(shape)).ravel()
 
     dim = res.size
-    A = scipy.sparse.linalg.LinearOperator((dim, dim), matvec=mv_flat,
-                                           dtype=complex)
-    M = scipy.sparse.linalg.LinearOperator((dim, dim), matvec=prec_flat,
-                                           dtype=complex)
+    A = scipy.sparse.linalg.LinearOperator((dim, dim), matvec=mv_flat, dtype=float)
+    M = scipy.sparse.linalg.LinearOperator((dim, dim), matvec=prec_flat, dtype=float)
+    # the next residual is C |res|^2 + rtol |res|, so 1e-11 keeps the tail
+    # quadratic and stays above the Krylov floor (4e-13 at N_s = 4096)
     sol, info = scipy.sparse.linalg.lgmres(A, res.ravel(), M=M,
-                                           rtol=1e-13, atol=0.0, maxiter=200)
+                                           rtol=1e-11, atol=0.0, maxiter=200)
     if info != 0:
         raise ResonanceError("inner linear solve failed to converge; "
                              "the linearized operator is near-singular")
     return sol.reshape(shape)
 
 
-def quadratic_remainder(state1: PeriodicCylinderState, v_hat: np.ndarray) -> float:
+def quadratic_remainder(state1: PeriodicCylinderState, v: np.ndarray) -> float:
     """||Q(1+v) - c - Lv|| / ||v||^2 — the constant whose boundedness makes
     the remainder genuinely quadratic."""
-    pert = state1.with_table(state1.f_hat + v_hat)
-    res = _residual_table(pert)
-    rem = res - apply_linearized(state1, v_hat)
-    vn = state_norm(state1, v_hat)
+    res = _residual(replace(state1, values=state1.values + v))
+    rem = res - apply_linearized(state1, v)
+    vn = state_norm(state1, v)
     if vn == 0.0:
         raise ValidationError("need a nonzero direction")
     return state_norm(state1, rem) / vn**2

@@ -33,11 +33,14 @@ The symbol is even in xi and Theta_m(-xi - i beta) = conj Theta_m(xi - i beta),
 so on real samples every multiplier is read on the half spectrum
 `frequencies(N, ds)` and applied with rfft/irfft.
 
-Domain: n, m, |xi| and |zeta| up to DOMAIN_MAX.  The log-Gamma difference
-cancels, losing about one ulp per unit of log|Gamma|.  Inside the domain the
-symbol is within 1e-10 relative of 50-digit mpmath (worst 5.6e-11 over 3,000
-random (n, gamma, m, zeta) draws at gamma in {0.3, 0.5, 0.8}); outside it,
-ModeSpec, theta and theta_analytic raise ValidationError.
+Domain: n, m, |xi| and |zeta| up to DOMAIN_MAX, and gamma below GAMMA_MAX.
+The log-Gamma difference cancels, losing about one ulp per unit of
+log|Gamma|.  Inside the domain the symbol is within 1e-10 relative of
+50-digit mpmath (worst 5.6e-11 over 3,000 random (n, gamma, m, zeta) draws
+at gamma in {0.3, 0.5, 0.8}, 4.6e-11 over 600 real-xi draws at gamma up to
+31.9); outside it, ModeSpec, theta and theta_analytic raise ValidationError.
+Theta grows like |xi|^(2 gamma) and peaks at n = m = |xi| = DOMAIN_MAX, where
+mpmath gives 10^272.4 at gamma = 32 and 10^340.5 at 40 (floats end at 10^308.3).
 """
 
 from __future__ import annotations
@@ -51,11 +54,13 @@ from scipy.special import psi
 from .errors import DegenerateSpec, PoleError, ValidationError
 from .specfun import POLE_TOL, _near_pole, log_gamma, log_rgamma
 
-__all__ = ["ModeSpec", "Constants", "DOMAIN_MAX", "frequencies", "theta", "theta_analytic",
-           "theta_log_derivative", "theta_table", "constants"]
+__all__ = ["ModeSpec", "Constants", "DOMAIN_MAX", "GAMMA_MAX", "frequencies", "theta",
+           "theta_analytic", "theta_log_derivative", "theta_table", "constants"]
 
-# Largest n, m and |frequency| the symbol accepts (see the module docstring).
+# Largest n, m and |frequency|, and the gamma bound that keeps Theta finite there
+# (see the module docstring).
 DOMAIN_MAX = 10_000
+GAMMA_MAX = 32.0
 
 
 @dataclass(frozen=True)
@@ -63,7 +68,7 @@ class ModeSpec:
     """One cross-sectional mode of the cylinder operator.
 
     n      -- boundary dimension (the cylinder boundary is R x S^(n-1)), n >= 2
-    gamma  -- operator order / 2, in (0, n/2); 1/2 is the curvature case
+    gamma  -- operator order / 2, in (0, min(n/2, GAMMA_MAX)); 1/2: curvature
     m      -- spherical-harmonic degree on S^(n-1), m >= 0
     """
 
@@ -74,8 +79,8 @@ class ModeSpec:
     def __post_init__(self):
         if not isinstance(self.n, (int, np.integer)) or not 2 <= self.n <= DOMAIN_MAX:
             raise ValidationError(f"n must be an integer >= 2 and <= {DOMAIN_MAX}, got {self.n!r}")
-        if not (0.0 < self.gamma < self.n / 2.0):
-            raise ValidationError(f"gamma must lie in (0, n/2), got {self.gamma!r}")
+        if not (0.0 < self.gamma < min(self.n / 2.0, GAMMA_MAX)):
+            raise ValidationError(f"gamma must lie in (0, min(n/2, {GAMMA_MAX:g})), got {self.gamma!r}")
         if not isinstance(self.m, (int, np.integer)) or not 0 <= self.m <= DOMAIN_MAX:
             raise ValidationError(f"m must be an integer >= 0 and <= {DOMAIN_MAX}, got {self.m!r}")
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neckforge.acceptance import EPS_SWEEP
-from neckforge.errors import ConfigOverlap, ValidationError
+from neckforge.errors import ValidationError
 from neckforge.neck import (CUTOFF_WIDTH, NeckConfig, approximate_curvature_error,
                             build_glued_factor, covariance_selftest, error_sweep,
                             glued_u, weight, weighted_norm, window, _cutoff)
@@ -90,7 +90,7 @@ def test_perturbed_factor_size():
     cfg = NeckConfig(epsilon=0.05)
     U = build_glued_factor(cfg, 3, window(cfg.L, cfg.n_s))
     dev = np.max(np.abs(U - 1.0))
-    d2 = cfg.resolved_delta ** 2
+    d2 = cfg.delta ** 2
     assert 0.1 * d2 <= dev <= 1.5 * d2
 
 
@@ -141,16 +141,10 @@ def test_error_amplitude_tracks_perturbation_size():
     cfg = NeckConfig(epsilon=0.05)
     err, E = approximate_curvature_error(cfg, 3)
     from neckforge.symbol import constants
-    scale = constants(3).c * cfg.resolved_delta ** 2 / 2.0
+    scale = constants(3).c * cfg.delta ** 2 / 2.0
     sup = np.max(np.abs(err))
     assert 0.5 * scale <= sup <= 2.0 * scale
     assert E > 0
-
-
-def test_chart_overlap_rejected():
-    cfg = NeckConfig(epsilon=0.2, delta=0.25)
-    with pytest.raises(ConfigOverlap):
-        build_glued_factor(cfg, 3, window(cfg.L, cfg.n_s))
 
 
 def test_epsilon_range_validated():

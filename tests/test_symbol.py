@@ -1,6 +1,7 @@
 """Boundary symbol: anchors, closed forms, and shape properties."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -9,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neckforge.errors import DegenerateSpec, PoleError, ValidationError
-from neckforge.symbol import (DOMAIN_MAX, ModeSpec, constants, theta, theta_analytic,
-                              theta_table)
+from neckforge.symbol import (DOMAIN_MAX, GAMMA_MAX, ModeSpec, constants, theta,
+                              theta_analytic, theta_table)
 
 
 def test_constant_anchor_n3():
@@ -137,6 +138,34 @@ def test_outside_the_domain_refused():
         ModeSpec(n=3, m=10**20)
     with pytest.raises(ValidationError, match="n must be"):
         ModeSpec(n=DOMAIN_MAX + 1, m=0)
+
+
+@pytest.mark.parametrize("n,gamma", [(2000, 400.0), (400, 150.0), (300, 100.0), (100, 40.0)])
+def test_gamma_past_the_cap_refused(n, gamma):
+    # Theta grows like |xi|^(2 gamma): these overflowed to inf with only a
+    # RuntimeWarning, in theta, theta_analytic and constants alike
+    with pytest.raises(ValidationError, match="gamma"):
+        ModeSpec(n=n, gamma=gamma, m=0)
+    with pytest.raises(ValidationError, match="gamma"):
+        constants(n, gamma)
+
+
+@pytest.mark.parametrize("n,m,xi", [(DOMAIN_MAX, DOMAIN_MAX, DOMAIN_MAX), (DOMAIN_MAX, 0, 0.0),
+                                    (65, DOMAIN_MAX, -DOMAIN_MAX), (65, 0, 1.0)])
+def test_accurate_just_below_the_gamma_cap(n, m, xi):
+    # the largest accepted gamma stays finite and within 1e-10 relative at the
+    # corners of the domain
+    gamma = float(np.nextafter(GAMMA_MAX, 0.0))
+    spec = ModeSpec(n=n, gamma=gamma, m=m)
+    with mpmath.workdps(40):
+        h = mpmath.mpc(0, xi / 2)
+        ratio = mpmath.gamma(spec.a_offset + h) / mpmath.gamma(spec.b_offset + h)
+        want = 2 ** (2 * mpmath.mpf(gamma)) * abs(ratio) ** 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, got_analytic = theta(spec, xi), theta_analytic(spec, complex(xi))
+        assert abs(got - want) / want <= 1e-10
+        assert abs(got_analytic - want) / want <= 1e-10
 
 
 def test_bad_spec_rejected():
