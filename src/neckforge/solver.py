@@ -32,9 +32,9 @@ from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse.linalg
 from numpy.lib.stride_tricks import sliding_window_view
+from scipy.linalg import lapack
 from scipy.special import eval_chebyt, eval_gegenbauer, roots_jacobi
 
 from .errors import (Diverged, NonPositiveConformalFactor, NumericalError,
@@ -333,7 +333,7 @@ def _newton_step(state: PeriodicCylinderState, res: np.ndarray) -> np.ndarray:
     # the next residual is C |res|^2 + rtol |res|, so 1e-11 keeps the tail
     # quadratic and stays above the Krylov floor (4e-13 at N_s = 4096)
     sol, info = scipy.sparse.linalg.lgmres(A, res.ravel(), M=M,
-                                           rtol=1e-11, atol=0.0, maxiter=200)
+                                           rtol=1e-11, atol=0.0, maxiter=20)
     if info != 0:
         raise ResonanceError("inner linear solve failed to converge; "
                              "the linearized operator is near-singular")
@@ -419,10 +419,14 @@ def uniform_invertibility_study(n: int, eps_list, mu: float, m_max: int = 3,
     block on the indices 0..N_s/2 and an odd block on the paired indices
     1..N_s/2-1 (the Toeplitz-plus-Hankel fold of its circulant), and A^{-1}
     is read from the two block inverses; a factor that is not even raises
-    NumericalError.  The measure reported per mode is the operator smallest
-    singular value between the weighted sup-norm spaces (1/||A^{-1}|| with
-    the max-row-sum operator norm), the quantity matching the sup-norm
-    estimates the inversion theory runs on.
+    NumericalError.  With a = u^{-N} > 0 and b the linearization, the even
+    block is diag(a) S C and the odd one diag(a) S, S being the symmetric
+    fold plus diag(b/(a c)) (c = 1/2 at the mirror points 0 and N_s/2, else
+    1).  Each S is inverted once by LDL^T, a singular one raising
+    ResonanceError, and the weight w enters by one matvec: |A_w^{-1}| has
+    row sums (w/c)_i sum_j |S^{-1}|_ij / (a w)_j.  Reported per mode is the
+    smallest operator singular value 1/||A^{-1}|| between the weighted
+    sup-norm spaces (max row sum), the norm the inversion theory runs on.
     """
     eps_list = [float(e) for e in eps_list]
     if not eps_list:
@@ -445,9 +449,9 @@ def uniform_invertibility_study(n: int, eps_list, mu: float, m_max: int = 3,
     t = np.arange(N_s + 1)
     lag = sliding_window_view(kern[:, (h - t) % N_s], h + 1, axis=1)[:, ::-1]
     lead = sliding_window_view(kern[:, t % N_s], h + 1, axis=1)
-    even = lag + lead
-    even[:, :, [0, h]] *= 0.5  # 0 and h are their own mirrors
-    odd = lag[:, 1:h, 1:h] - lead[:, 1:h, 1:h]
+    folds = (np.triu(lag + lead), np.triu(lag[:, 1:h, 1:h] - lead[:, 1:h, 1:h]))
+    c = np.r_[0.5, np.ones(h - 1), 0.5]
+    lwork = [int(lapack.dsytrf_lwork(k, lower=1)[0]) for k in (h + 1, h - 1)]
     rows = []
     for eps in eps_list:
         cfg = NeckConfig(epsilon=eps)  # epsilon and chart scale; the window is L
@@ -457,21 +461,27 @@ def uniform_invertibility_study(n: int, eps_list, mu: float, m_max: int = 3,
                                  "the study's half-window fold does not apply")
         a, b = curvature_linearization(n, u[:h + 1], Pu[:h + 1])
         wl = neck_weight(cfg, s[:h + 1]) ** (-mu)
-        blocks = []
-        for fold, idx in ((even, slice(None)), (odd, slice(1, h))):
-            Aw = (wl * a)[idx, None] * fold
-            Aw /= wl[idx]
-            diag = np.arange(Aw.shape[-1])
-            Aw[:, diag, diag] += b[idx]
-            blocks.append(scipy.linalg.inv(Aw))
-        Einv, Oinv = blocks
-        # on rows 0..h, columns j and N_s - j of A^{-1} hold (E +- O)/2 (O is
-        # zero on rows 0 and h), and |x + y| + |x - y| = 2 max(|x|, |y|);
-        # rows i and N_s - i share a sum
-        np.abs(Einv, out=Einv)
-        np.maximum(Einv[:, 1:h, 1:h], np.abs(Oinv), out=Einv[:, 1:h, 1:h])
-        row_sums = np.sum(Einv, axis=2)
-        per_mode = {m: float(1.0 / np.max(row_sums[m])) for m in range(m_max + 1)}
+        r = 1.0 / (a * wl)
+        per_mode = {}
+        for m in range(m_max + 1):
+            inverses = []
+            for fold, shift, work, parity in zip(folds, (b / (a * c), b[1:h] / a[1:h]),
+                                                 lwork, ("even", "odd")):
+                S = fold[m].copy().T  # Fortran order: the kept upper triangle is now lower
+                S.flat[::S.shape[0] + 1] += shift
+                ldu, piv, _ = lapack.dsytrf(S, lower=1, lwork=work, overwrite_a=1)
+                ldu, info = lapack.dsytri(ldu, piv, lower=1, overwrite_a=1)
+                if info > 0:  # sytri refuses the zero pivots sytrf reports
+                    raise ResonanceError(f"{parity} fold block of mode {m} is singular "
+                                         f"at epsilon {eps:g}")
+                inverses.append(np.abs(ldu, out=ldu))
+            # on rows 0..h, columns j and N_s - j of A^{-1} hold (E +- O)/2 (O
+            # is zero on rows 0 and h), and |x + y| + |x - y| = 2 max(|x|, |y|);
+            # rows i and N_s - i share a sum.  M holds its lower triangle only
+            M, odd = inverses
+            np.maximum(M[1:h, 1:h], odd, out=M[1:h, 1:h])
+            row_sums = wl / c * (M @ r + r @ M - np.diagonal(M) * r)
+            per_mode[m] = float(1.0 / np.max(row_sums))
         rows.append({"epsilon": eps, "per_mode": per_mode,
                      "sigma_min": min(per_mode.values())})
 
