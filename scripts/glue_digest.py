@@ -11,7 +11,7 @@ Sweep:
     error      E and the pointwise error Q - c for n 2..4, epsilon in
                EPS_SWEEP + (0.2, 0.003), mu default and -0.5, under the
                default config and one variant of each CLI-settable option
-               (n_s 512, pad 3, no perturbation, paper-literal weight)
+               (n_s 512, pad 3)
     selftest   covariance_selftest for n 2, 3 at two epsilons
     study      per-mode sup-norm sigmas of 12 single-epsilon studies (n 2
                and 3, six epsilons each)
@@ -40,8 +40,7 @@ from neckforge.neck import NeckConfig, approximate_curvature_error, covariance_s
 from neckforge.solver import (PeriodicCylinderState, apply_Q, ball_newton_probe,
                               newton_solve, uniform_invertibility_study)
 
-VARIANTS = ({}, {"n_s": 512}, {"pad": 3.0}, {"perturbation": False},
-            {"weight_convention": "paper-literal"})
+VARIANTS = ({}, {"n_s": 512}, {"pad": 3.0})
 STUDY_MU = {2: -0.4, 3: -0.5}
 FULL = {
     "error": dict(n=(2, 3, 4), eps=EPS_SWEEP + (0.2, 0.003), mu=(None, -0.5),
@@ -53,7 +52,7 @@ FULL = {
     "solve": dict(method=("newton", "fixed-point")),
 }
 QUICK = {
-    "error": dict(n=(2, 3), eps=(0.1, 0.003), mu=(None,), variant=(0, 4)),
+    "error": dict(n=(2, 3), eps=(0.1, 0.003), mu=(None,), variant=(1, 2)),
     "selftest": dict(n=(3,), eps=(0.1,)),
     "study": dict(n=(3,), eps=(0.025,)),
     "c10": dict(N_s=()),

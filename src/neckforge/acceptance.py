@@ -78,7 +78,7 @@ def criterion_3():
         coarse = cross_validate(n, modes, xis, phi_grid=256, scheme="finite-difference")
         fine = cross_validate(n, modes, xis, phi_grid=512, scheme="finite-difference")
         ratios.append(max(r["rel_err"] for r in coarse) / max(r["rel_err"] for r in fine))
-    ok = worst <= 1e-4 and min(ratios) >= 3.0
+    ok = worst <= 1e-12 and min(ratios) >= 3.0
     return ok, (f"worst ODE-route rel err {worst:.2e}; "
                 f"doubling ratios {[f'{r:.2f}' for r in ratios]}")
 
@@ -101,7 +101,7 @@ def criterion_4():
             for side, sign in (("+", -1.0), ("-", +1.0)):
                 fit = fit_tail_rate(v, side)
                 worst_fit = max(worst_fit, abs(fit - sign * delta) / delta)
-        for w in homogeneous_basis(spec, j_max=2):
+        for w in homogeneous_basis(spec):
             lw = apply_L0(spec, w)
             rel = np.max(np.abs(lw.values)) / (constants(3).kappa
                                                * np.max(np.abs(w.values)))

@@ -126,6 +126,12 @@ def _float_in(lo, hi):
     return coerce
 
 
+def _eps_set(raw, key):
+    """Neck parameters: a float set as for _float_grid, each entry in (0, 0.25)."""
+    inside = _float_in(0.0, 0.25)
+    return [inside(x, key) for x in _float_grid(raw, key)]
+
+
 def _pos_int(raw, key):
     v = _as_int(raw, key)
     if v < 1:
@@ -373,14 +379,8 @@ def _run_extension_validate(config: RunConfig, out) -> int:
 def _run_glue(config: RunConfig, out) -> int:
     from .neck import error_sweep
     p = config.parameters
-    eps_list = [p["epsilon"]] if p["epsilon"] is not None else list(p["eps"])
-    if not p["sweep"] and p["epsilon"] is None:
-        eps_list = eps_list[:1]
     rows = [(r["epsilon"], r["S_eps"], r["delta"], r["E"])
-            for r in error_sweep(p["n"], eps_list, p["mu"],
-                                 n_s=p["n_s"], pad=p["pad"],
-                                 perturbation=p["perturbation"],
-                                 weight_convention=p["weight_convention"])]
+            for r in error_sweep(p["n"], p["eps"], p["mu"], n_s=p["n_s"], pad=p["pad"])]
     _emit(config, out, ("epsilon", "S", "delta", "E"), rows)
     return 0
 
@@ -455,15 +455,11 @@ _TABLE = {
         "scheme": (_choice("collocation-ODE", "finite-difference"), "collocation-ODE"),
     }, _run_extension_validate),
     "glue": ("approximate-curvature error for glued necks", {
-        "sweep": (_as_bool, False),
-        "eps": (_float_grid, [1e-1, 5e-2, 2.5e-2, 1.25e-2, 6.25e-3]),
-        "epsilon": (_float_in(0.0, 0.25), None),
+        "eps": (_eps_set, [0.1]),
         "n": (_pos_int, 3),
         "mu": (_as_float, -0.5),
         "n_s": (_pos_int, 4096),
         "pad": (_as_float, 4.0),
-        "perturbation": (_as_bool, True),
-        "weight_convention": (_choice("centered", "paper-literal"), "centered"),
     }, _run_glue),
     "solve": ("nonlinear curvature solve on the periodic cylinder", {
         "n": (_pos_int, 3),
@@ -507,15 +503,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     # one flag per schema key, '--' + key with '_' -> '-'; values are coerced
-    # by load_config, so every flag takes its raw string except the switch --sweep
+    # by load_config, so every flag takes its raw string
     for name, (help_text, schema, _) in _TABLE.items():
         sp = sub.add_parser(name, parents=[common], help=help_text)
         for key in schema:
-            flag = "--" + key.replace("_", "-")
-            if key == "sweep":
-                sp.add_argument(flag, action="store_const", const="true")
-            else:
-                sp.add_argument(flag)
+            sp.add_argument("--" + key.replace("_", "-"))
     return parser
 
 

@@ -390,17 +390,11 @@ class LemmaReport:
     clause_d -- all higher exponents exceed (n-1)/2, in certified catalogs
     """
 
-    n: int
-    gamma: float
-    m_max: int
-    j_max: int
     clause_a: bool = False
     clause_b: bool = False
     clause_c: bool = False
     clause_d: bool = False
     tau0: float = float("nan")
-    sigma_first: dict = field(default_factory=dict)
-    ladders: dict = field(default_factory=dict)
     notes: list = field(default_factory=list)
 
     @property
@@ -410,11 +404,13 @@ class LemmaReport:
 
 def check_lemma(n: int, gamma: float = 0.5, m_max: int = 6, j_max: int = 3,
                 tol_b: float = 1e-8) -> LemmaReport:
-    """Verify the structural picture of the indicial set for one dimension n."""
+    """Verify the structural picture of the indicial set for one dimension n:
+    clauses a-d of `LemmaReport` over the modes 0..m_max, reading the first
+    j_max + 1 roots of each certified catalog; a failed check leaves a note."""
     if not tol_b > 0.0:
         raise ValidationError(f"tol_b must be positive, got {tol_b}")
-    report = LemmaReport(n=n, gamma=gamma, m_max=m_max, j_max=j_max)
-    ok_d, bar = True, (n - 1) / 2.0
+    report = LemmaReport()
+    ok_d, bar, sigma_first = True, (n - 1) / 2.0, {}
     # mode 1 is read even when m_max = 0: clause b needs its first exponent
     for m in range(0, max(m_max, 1) + 1):
         cat = root_catalog(ModeSpec(n=n, gamma=gamma, m=m), j_max + 1)
@@ -425,12 +421,11 @@ def check_lemma(n: int, gamma: float = 0.5, m_max: int = 6, j_max: int = 3,
             if not report.clause_a:
                 report.notes.append(f"mode-0 first root not purely oscillatory: {r0}")
         else:
-            report.sigma_first[m] = r0.sigma
+            sigma_first[m] = r0.sigma
             if r0.tau != 0.0:
                 report.notes.append(f"mode-{m} first root unexpectedly off-axis: {r0}")
         if m > m_max:
             continue
-        report.ladders[m] = [(r.sigma, r.tau) for r in cat.roots[: j_max + 1]]
         if not cat.certified:
             ok_d = False
             report.notes.append(f"mode-{m} catalog count not certified")
@@ -440,9 +435,9 @@ def check_lemma(n: int, gamma: float = 0.5, m_max: int = 6, j_max: int = 3,
                 report.notes.append(
                     f"mode {m} root j={j} has sigma {cat.roots[j].sigma} <= {bar}"
                 )
-    report.clause_b = abs(report.sigma_first[1] - 1.0) <= tol_b
+    report.clause_b = abs(sigma_first[1] - 1.0) <= tol_b
 
-    sigmas = [report.sigma_first[m] for m in range(1, m_max + 1)]
+    sigmas = [sigma_first[m] for m in range(1, m_max + 1)]
     report.clause_c = all(b > a for a, b in zip(sigmas[:-1], sigmas[1:]))
     if not report.clause_c:
         report.notes.append(f"first exponents not increasing: {sigmas}")

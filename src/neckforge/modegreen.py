@@ -24,7 +24,7 @@ oscillatory tail sin(tau_0 s) on the left, with coefficient
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -49,7 +49,6 @@ __all__ = [
     "classify_growth",
     "synthesize_kernel",
     "fit_tail_rate",
-    "resonant_window",
 ]
 
 
@@ -296,7 +295,7 @@ def green_solve(spec: ModeSpec, h: LineFunction, profile: DecayProfile,
                         envelope_rate=-beta)
 
 
-def resonant_window(tau: float):
+def _resonant_window(tau: float):
     """Symmetric window of 4096 points, half-length near 30, whose length is
     an exact period multiple of cos(tau s)."""
     target_half, N = 30.0, 4096
@@ -317,8 +316,9 @@ def _homogeneous_pair(root, s):
     return [(np.cos(root.tau * s), sign * root.sigma) for sign in (-1.0, +1.0)]
 
 
-def homogeneous_basis(spec: ModeSpec, j_max: int = 2) -> list:
-    """Sampled homogeneous solutions, one pair per indicial exponent.
+def homogeneous_basis(spec: ModeSpec) -> list:
+    """Sampled homogeneous solutions, one pair for each of the first three
+    indicial exponents.
 
     Decaying/growing pairs are carried as envelopes over cosine profiles, so
     each element is annihilated by apply_L0 to roundoff rather than to
@@ -326,8 +326,8 @@ def homogeneous_basis(spec: ModeSpec, j_max: int = 2) -> list:
     to an exact period multiple.
     """
     out = []
-    for root in root_catalog(spec, j_max + 1).roots[: j_max + 1]:
-        s0, ds, n_s = resonant_window(root.tau)
+    for root in root_catalog(spec, 3).roots[:3]:
+        s0, ds, n_s = _resonant_window(root.tau)
         s = s0 + ds * np.arange(n_s)
         out += [LineFunction(s0, ds, n_s, w, spec.m, rate)
                 for w, rate in _homogeneous_pair(root, s)]
@@ -347,9 +347,7 @@ def homogeneous_columns(catalog: RootCatalog, s) -> np.ndarray:
 class GrowthVerdict:
     verdict: str  # "trivial" | "non-admissible" | "liouville-violation"
     sup: float
-    bound_constant: float
     coefficients: np.ndarray | None = None
-    notes: list = field(default_factory=list)
 
 
 def classify_growth(v: LineFunction, mu: float, spec: ModeSpec,
@@ -358,9 +356,10 @@ def classify_growth(v: LineFunction, mu: float, spec: ModeSpec,
 
     Checks whether |v| fits under C * e^{mu |s|} with mu < 0 (C anchored to
     the central quarter).  A function in the numerical kernel that obeys the
-    bound must be trivial (sup at most 1e-6); a surviving non-trivial one is
-    flagged, and its least-squares coordinates in the homogeneous basis are
-    reported.
+    bound must be trivial (sup at most 1e-6).  A non-trivial one is
+    "non-admissible" when it breaks the bound and a "liouville-violation"
+    when it obeys it; either way its least-squares coordinates in the
+    homogeneous basis are reported.
     """
     tol = 1e-6
     bar = -(spec.n - 1) / 2.0
@@ -384,7 +383,7 @@ def classify_growth(v: LineFunction, mu: float, spec: ModeSpec,
     y = np.abs(v.materialize())
     sup = float(y.max())
     if sup <= tol:
-        return GrowthVerdict("trivial", sup, 0.0)
+        return GrowthVerdict("trivial", sup)
 
     k = int(0.25 * v.N)  # the central half of the window
     resid = float(np.abs(apply_L0(spec, v).materialize())[k: v.N - k].max())
@@ -395,17 +394,13 @@ def classify_growth(v: LineFunction, mu: float, spec: ModeSpec,
 
     s = v.grid()
     quarter = np.abs(s - (v.s0 + 0.5 * v.window_length)) <= 0.125 * v.window_length
-    c_bound = 10.0 * float(y[quarter].max())
-    envelope = c_bound * np.exp(mu * np.abs(s))
+    envelope = 10.0 * float(y[quarter].max()) * np.exp(mu * np.abs(s))
     ok = bool(np.all(y <= envelope + tol))
 
     # coordinates in the analytic homogeneous basis
     coef, *_ = np.linalg.lstsq(homogeneous_columns(catalog, s), v.materialize(), rcond=None)
 
-    if not ok:
-        return GrowthVerdict("non-admissible", sup, c_bound, coef)
-    return GrowthVerdict("liouville-violation", sup, c_bound, coef,
-                         notes=["bounded by the weight yet not trivial"])
+    return GrowthVerdict("liouville-violation" if ok else "non-admissible", sup, coef)
 
 
 def synthesize_kernel(spec: ModeSpec, s):

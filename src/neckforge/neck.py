@@ -11,9 +11,9 @@ cylinder with factor
 where chi is a smooth partition transitioning in the unit band |s| <= 1
 and G_i = 1 + delta^2 q_i are the summand chart deviations: q_i == 1 on
 the i-th cap side and decaying like e^{-2|s|} into the other half (a
-smooth-max ramp).  For ideally flat summands the deviation vanishes and
-U == 1 identically; the synthetic O(delta^2) deviation is ON by default
-(delta = epsilon^{1/4}) so the construction error and its decay in
+smooth-max ramp).  For ideally flat summands the deviation would vanish
+and U == 1 identically; the synthetic O(delta^2) deviation (delta =
+epsilon^{1/4}) is always on, so the construction error and its decay in
 epsilon are non-trivial.
 
 The boundary curvature of the glued metric follows from conformal
@@ -55,13 +55,11 @@ RAMP_WIDTH = 0.5  # smooth-max scale of the chart deviation profile
 
 @dataclass(frozen=True)
 class NeckConfig:
-    """Neck geometry: window, cutoff stations, deviation and weight options."""
+    """Neck geometry: the neck parameter, the sample count and the cap pad."""
 
     epsilon: float
     n_s: int = 4096
     pad: float = 4.0
-    weight_convention: str = "centered"  # or "paper-literal"
-    perturbation: bool = True
 
     def __post_init__(self):
         if not (0.0 < self.epsilon < 0.25):
@@ -70,8 +68,6 @@ class NeckConfig:
             raise ValidationError("need at least 256 neck samples")
         if self.pad < 2.0:
             raise ValidationError("pad must leave room for the caps (>= 2)")
-        if self.weight_convention not in ("centered", "paper-literal"):
-            raise ValidationError(f"unknown weight convention {self.weight_convention!r}")
 
     @property
     def S_eps(self) -> float:
@@ -95,18 +91,9 @@ def window(L: float, N: int) -> np.ndarray:
 
 
 def weight(config: NeckConfig, s) -> np.ndarray:
-    """Neck weight: cosh-shaped, tiny at the neck middle.
-
-    Centered convention: cosh(s)/cosh(S/2), equal to 1 exactly at the neck
-    ends, then smoothly capped into (1, 2) over the caps.  Paper-literal
-    convention: cosh(s)/cosh(S), which behaves like 2*eps*cosh(s).
-    """
-    s = np.asarray(s, dtype=float)
-    S = config.S_eps
-    if config.weight_convention == "centered":
-        raw = np.cosh(s) / np.cosh(0.5 * S)
-    else:
-        raw = np.cosh(s) / np.cosh(S)
+    """Neck weight cosh(s)/cosh(S/2): tiny at the neck middle, equal to 1
+    exactly at the neck ends, then smoothly capped into (1, 2) over the caps."""
+    raw = np.cosh(np.asarray(s, dtype=float)) / np.cosh(0.5 * config.S_eps)
     # identity below 1, C^1 saturation toward 2 above (caps only)
     return np.where(raw <= 1.0, raw, 2.0 - 1.0 / np.maximum(raw, 1.0))
 
@@ -163,12 +150,8 @@ def build_glued_factor(config: NeckConfig, n: int, s) -> np.ndarray:
     d2 = config.delta**2
     s = np.asarray(s, dtype=float)
     chi = _cutoff(s)
-    if config.perturbation:
-        g1 = 1.0 + d2 * _deviation_profile(s)
-        g2 = 1.0 + d2 * _deviation_profile(-s)
-    else:
-        g1 = np.ones_like(s)
-        g2 = np.ones_like(s)
+    g1 = 1.0 + d2 * _deviation_profile(s)
+    g2 = 1.0 + d2 * _deviation_profile(-s)
     U = chi * g1 + (1.0 - chi) * g2  # chi(-s) = 1 - chi(s), an exact partition
     if U.min() <= 0.0:
         raise NonPositiveConformalFactor("glued factor lost positivity")

@@ -102,7 +102,6 @@ class ModeSpec:
 class Constants:
     """Curvature constant of the exact cylinder and its linearization shift."""
 
-    n: int
     c: float
     kappa: float
 
@@ -206,4 +205,4 @@ def constants(n: int, gamma: float = 0.5) -> Constants:
     """Cylinder curvature constant c_g = Theta_0(0) and the linearization
     shift kappa_g = (n + 2 gamma)/(n - 2 gamma) * c_g."""
     c = theta(ModeSpec(n=n, gamma=gamma, m=0), 0.0)
-    return Constants(n=n, c=c, kappa=(n + 2.0 * gamma) / (n - 2.0 * gamma) * c)
+    return Constants(c=c, kappa=(n + 2.0 * gamma) / (n - 2.0 * gamma) * c)

@@ -34,13 +34,24 @@ def test_symbol_grid_row_count(tmp_path):
 
 def test_glue_sweep_decreasing(tmp_path):
     out = tmp_path / "glue.csv"
-    code = main(["glue", "--sweep", "--eps", "1e-1,5e-2,2.5e-2",
+    code = main(["glue", "--eps", "1e-1,5e-2,2.5e-2",
                  "--deterministic", "--out", str(out)])
     assert code == 0
     rows = [ln.split(",") for ln in _body(out)[1:]]
     assert len(rows) == 3
     E = [float(r[-1]) for r in rows]
     assert E[0] > E[1] > E[2]
+
+
+def test_glue_prints_one_row_per_eps(capsys):
+    # every entry of eps is a row; with no flags the one row is eps = 0.1
+    assert main(["glue", "--eps", "0.1,0.05", "--deterministic"]) == 0
+    rows = [ln for ln in capsys.readouterr().out.splitlines() if not ln.startswith("#")]
+    assert rows[0] == "epsilon,S,delta,E"
+    assert [float(r.split(",")[0]) for r in rows[1:]] == [0.1, 0.05]
+    assert main(["glue", "--deterministic"]) == 0
+    rows = [ln for ln in capsys.readouterr().out.splitlines() if not ln.startswith("#")]
+    assert [float(r.split(",")[0]) for r in rows[1:]] == [0.1]
 
 
 def test_indicial_fractional_order_leads_with_translation_exponent(tmp_path):
@@ -100,9 +111,9 @@ def test_parse_error_carries_line_number(tmp_path):
 
 def test_flags_override_file(tmp_path):
     cfg = tmp_path / "c.cfg"
-    cfg.write_text("[global]\ndeterministic = true\n[glue]\nepsilon = 0.1\nmu = -0.4\n")
-    rc = load_config(str(cfg), "glue", overrides={"epsilon": "0.05"})
-    assert rc.parameters["epsilon"] == 0.05
+    cfg.write_text("[global]\ndeterministic = true\n[glue]\neps = 0.1\nmu = -0.4\n")
+    rc = load_config(str(cfg), "glue", overrides={"eps": "0.05,0.025"})
+    assert rc.parameters["eps"] == [0.05, 0.025]
     assert rc.parameters["mu"] == -0.4
     assert rc.parameters["deterministic"] is True
 
@@ -141,14 +152,18 @@ def test_command_from_file_global_section(tmp_path):
 
 
 def test_out_of_range_epsilon_rejected(tmp_path):
+    # one entry outside (0, 0.25) rejects the whole set when the config loads
     cfg = tmp_path / "c.cfg"
-    cfg.write_text("[glue]\nepsilon = 0.5\n")
-    with pytest.raises(ValidationError, match="epsilon"):
-        load_config(str(cfg), "glue")
+    for text in ("0.5", "0.1,0.5", "0:0.1:0.3", "0"):
+        cfg.write_text(f"[glue]\neps = {text}\n")
+        with pytest.raises(ValidationError, match="key 'eps'"):
+            load_config(str(cfg), "glue")
 
 
 def test_exit_code_2_for_config_error(capsys):
-    assert main(["glue", "--epsilon", "0.7"]) == 2
+    assert main(["glue", "--eps", "0.7"]) == 2
+    err = capsys.readouterr().err
+    assert "key 'eps'" in err and "Traceback" not in err
     # tolerances are open below at 0: a zero or negative one names its key
     for argv in (["solve", "--tol", "0"], ["solve", "--tol", "-1"],
                  ["check-lemma", "--tol-b", "0"]):
@@ -282,16 +297,20 @@ def test_sets_past_the_cap_rejected():
             load_config(None, "symbol", overrides={key: text})
 
 
+def _flag_overrides(parser, argv):
+    """The flags set on the command line, as `main` hands them to load_config."""
+    ns = vars(parser.parse_args(argv))
+    return {k: v for k, v in ns.items() if k not in ("command", "config") and v is not None}
+
+
 # one raw value per schema key that its coercer accepts and that differs
-# from the default; the switch --sweep takes no value
+# from the default
 FLAG_SAMPLES = {
     "n": "4", "gamma": "0.3", "m": "1..2", "xi": "0,1.5", "j_count": "2",
     "m_max": "4", "j_max": "2", "tol_b": "1e-6", "delta": "0.75",
     "half_window": "20", "points": "512", "beta": "0.1", "phi_grid": "256",
-    "scheme": "finite-difference", "sweep": None, "eps": "0.1,0.05",
-    "epsilon": "0.1", "mu": "-0.25", "n_s": "512", "pad": "3",
-    "perturbation": "false", "weight_convention": "paper-literal",
-    "modes": "1", "amplitude": "0.02", "method": "fixed-point", "tol": "1e-9",
+    "scheme": "finite-difference", "eps": "0.1,0.05", "mu": "-0.25",
+    "n_s": "512", "pad": "3", "modes": "1", "amplitude": "0.02", "method": "fixed-point", "tol": "1e-9",
     "max_iter": "10", "criteria": "1,2",
 }
 
@@ -301,13 +320,10 @@ def test_every_schema_key_has_a_flag(command):
     parser = _build_parser()
     for key, (coerce, default) in _SCHEMAS[command].items():
         raw = FLAG_SAMPLES[key]
-        argv = [command, "--" + key.replace("_", "-")] + ([] if raw is None else [raw])
-        ns = vars(parser.parse_args(argv))
-        overrides = {k: v for k, v in ns.items()
-                     if k not in ("command", "config") and v is not None}
+        overrides = _flag_overrides(parser, [command, "--" + key.replace("_", "-"), raw])
         assert set(overrides) == {key}
         got = load_config(None, command, overrides=overrides).parameters[key]
-        assert got == coerce("true" if raw is None else raw, key) and got != default
+        assert got == coerce(raw, key) and got != default
 
 
 def test_unknown_command_rejected():
@@ -400,3 +416,13 @@ def test_readme_quick_start_commands_run(tmp_path):
     for argv in commands:
         code = main(argv + ["--deterministic", "--out", str(tmp_path / "out.csv")])
         assert code == 0, argv
+
+
+def test_readme_quick_start_commands_parse():
+    # every Quick start line, accept included, names only flags the parser
+    # knows and values the schema accepts; nothing is run
+    parser = _build_parser()
+    commands = _readme_quick_start()
+    assert len(commands) == 7
+    for argv in commands:
+        load_config(None, argv[0], overrides=_flag_overrides(parser, argv))

@@ -20,7 +20,7 @@ from neckforge.symbol import ModeSpec, constants
 TAU0 = {2: 0.80990727068780252, 3: 1.2191319876982279,
         4: 1.54527531318392, 5: 1.8230586436431967}
 
-# exponent ladders, n = 3 (mode 0 leads with its oscillatory sigma = 0 root)
+# the first real exponents of modes 0 and 1, n = 3 (mode 0 leads with its oscillatory sigma = 0 root)
 LADDER_M0 = (0.0, 2.7214109165766458, 4.8361113978734753, 6.8835616365043332)
 LADDER_M1 = (1.0, 3.7787019380974985, 5.8598340748607976)
 

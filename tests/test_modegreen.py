@@ -112,7 +112,7 @@ def test_green_solve_fits_the_right_tail_once(monkeypatch):
 def test_homogeneous_basis_annihilated():
     for m in range(4):
         spec = ModeSpec(n=3, m=m)
-        for w in homogeneous_basis(spec, j_max=2):
+        for w in homogeneous_basis(spec):
             lw = apply_L0(spec, w)
             rel = np.max(np.abs(lw.values)) / (
                 constants(3).kappa * np.max(np.abs(w.values)))
@@ -156,7 +156,7 @@ def test_classify_growth_flags_homogeneous_content():
     # basis coordinates are recovered
     spec = ModeSpec(n=3, m=1)
     cat = root_catalog(spec, 3)
-    w = homogeneous_basis(spec, j_max=1)[0]
+    w = homogeneous_basis(spec)[0]
     verdict = classify_growth(w, -0.5, spec, cat)
     assert verdict.verdict != "trivial"
     assert verdict.coefficients is not None

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from neckforge.acceptance import EPS_SWEEP
 from neckforge.errors import ValidationError
 from neckforge.neck import (CUTOFF_WIDTH, NeckConfig, approximate_curvature_error,
-                            build_glued_factor, covariance_selftest, error_sweep,
-                            glued_u, weight, weighted_norm, window, _cutoff)
-from neckforge.symbol import ModeSpec, theta
+                            build_glued_factor, covariance_selftest, curvature,
+                            error_sweep, glued_u, weight, weighted_norm, window, _cutoff)
+from neckforge.symbol import ModeSpec, constants, theta, theta_table
 
 
 def test_weight_anchors_centered():
@@ -27,14 +27,6 @@ def test_weight_cap_and_symmetry():
     w = weight(cfg, s)
     assert np.all(w > 0) and np.all(w < 2.0)    # capped extension outside
     assert np.max(np.abs(w - w[::-1])) <= 5e-15
-
-
-def test_paper_literal_weight_small_in_neck():
-    cfg = NeckConfig(epsilon=0.05, weight_convention="paper-literal")
-    w0 = weight(cfg, np.array([0.0]))[0]
-    # cosh(s)/cosh(S) ~ 2 eps at the waist
-    assert abs(w0 - 1.0 / np.cosh(cfg.S_eps)) <= 1e-15
-    assert w0 < 3 * cfg.epsilon
 
 
 def test_norm_monotone_toward_weaker_weight():
@@ -80,24 +72,12 @@ def test_partition_exact_for_symmetric_profile():
     assert np.all(chi[s > CUTOFF_WIDTH] < 1e-12)
 
 
-def test_factor_is_one_without_perturbation():
-    cfg = NeckConfig(epsilon=0.05, perturbation=False)
-    U = build_glued_factor(cfg, 3, window(cfg.L, cfg.n_s))
-    assert np.max(np.abs(U - 1.0)) <= 1e-14
-
-
 def test_perturbed_factor_size():
     cfg = NeckConfig(epsilon=0.05)
     U = build_glued_factor(cfg, 3, window(cfg.L, cfg.n_s))
     dev = np.max(np.abs(U - 1.0))
     d2 = cfg.delta ** 2
     assert 0.1 * d2 <= dev <= 1.5 * d2
-
-
-def test_unperturbed_error_is_roundoff():
-    cfg = NeckConfig(epsilon=0.05, perturbation=False)
-    _, E = approximate_curvature_error(cfg, 3)
-    assert E <= 1e-10
 
 
 # E(epsilon) over EPS_SWEEP at the default exponent mu = -(n-1)/4, frozen
@@ -108,13 +88,13 @@ E_PINNED = {
     3: (0.11185752635715819, 0.0837321086291093, 0.06180741833554071,
         0.04512719397562394, 0.032674428603774314),
 }
-# the same for n_s = 512, pad = 3 and the paper-literal weight
-VARIANT = dict(n_s=512, pad=3.0, weight_convention="paper-literal")
+# the same for n_s = 512 and pad = 3
+VARIANT = dict(n_s=512, pad=3.0)
 E_PINNED_VARIANT = {
-    2: (0.03233512701439693, 0.024029247343376147, 0.017520344039440673,
-        0.012545454464520937, 0.008802058693006926),
-    3: (0.1061600118226597, 0.07805530001963186, 0.05609444559547057,
-        0.03935825845952572, 0.026744172379313653),
+    2: (0.040434170884654404, 0.028170899018253148, 0.019216936492489997,
+        0.013405484815768878, 0.009724807942190664),
+    3: (0.10958947744396283, 0.08219149325092362, 0.06075540626585558,
+        0.04440826680956819, 0.032182540471766115),
 }
 
 
@@ -124,10 +104,32 @@ def test_error_norm_values_pinned(n):
         for eps, ref in zip(EPS_SWEEP, pinned):
             _, E = approximate_curvature_error(NeckConfig(epsilon=eps, **kw), n)
             assert abs(E - ref) <= 1e-13 * ref, (kw, eps)
-    # without the perturbation U == 1, and P0 1 = c comes out exact
-    for eps in EPS_SWEEP:
-        cfg = NeckConfig(epsilon=eps, perturbation=False, **VARIANT)
-        assert approximate_curvature_error(cfg, n)[1] == 0.0
+
+
+def _flat_curvature(n, cfg):
+    # u == 1 is the unglued cylinder: P0 1 keeps only the zero-frequency bin,
+    # and theta_table's Theta_0(0) = c, so Q(1) = c on every window
+    N = cfg.n_s
+    one = np.ones(N)
+    P1 = np.fft.irfft(theta_table(n, 0, N, cfg.L / N)[0] * np.fft.rfft(one), N)
+    return curvature(n, one, P1)
+
+
+def test_factor_is_one_without_perturbation():
+    # the factor without the chart deviation is u == 1, and its curvature
+    # comes out exact, not merely to roundoff
+    for n in (2, 3, 4):
+        for kw in ({}, VARIANT):
+            for eps in EPS_SWEEP:
+                Q = _flat_curvature(n, NeckConfig(epsilon=eps, **kw))
+                assert np.all(Q == constants(n).c), (n, kw, eps)
+
+
+def test_unperturbed_error_is_roundoff():
+    cfg = NeckConfig(epsilon=0.05)
+    s = window(cfg.L, cfg.n_s)
+    E = weighted_norm(-0.5, cfg, s, _flat_curvature(3, cfg) - constants(3).c)
+    assert E <= 1e-10
 
 
 def test_error_sweep_decreasing():
@@ -140,7 +142,6 @@ def test_error_amplitude_tracks_perturbation_size():
     # so the raw sup should sit near c * delta^2 / 2 (q <= 1, plateau ~ 1/2)
     cfg = NeckConfig(epsilon=0.05)
     err, E = approximate_curvature_error(cfg, 3)
-    from neckforge.symbol import constants
     scale = constants(3).c * cfg.delta ** 2 / 2.0
     sup = np.max(np.abs(err))
     assert 0.5 * scale <= sup <= 2.0 * scale
