@@ -34,7 +34,7 @@ from functools import lru_cache, partial
 import numpy as np
 import scipy.sparse.linalg
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 from scipy.special import eval_chebyt, eval_gegenbauer, roots_jacobi
 
 from .errors import (Diverged, NonPositiveConformalFactor, NumericalError,
@@ -70,12 +70,12 @@ RESONANCE_MARGIN = 1e-3
 def _zonal(n: int, m_max: int):
     """Discrete zonal transform on S^{n-1} as the pair (to_grid, to_modes).
 
-    to_grid maps (m_max+1, ...) per-mode samples to (n_nodes, ...) values at
-    the Gauss nodes of the cross-section measure (1-x^2)^{(n-3)/2} dx, and
-    to_modes projects back.  The degree-m zonal rows are normalized so the
-    constant function is exactly mode 0 with coefficient 1, and the Gauss
-    quadrature makes the projection exact on products of two truncated
-    expansions.
+    to_grid maps per-mode samples of shape (m_max+1,) or (m_max+1, N) to
+    values of shape (n_nodes,) or (n_nodes, N) at the Gauss nodes of the
+    cross-section measure (1-x^2)^{(n-3)/2} dx, and to_modes projects back.
+    The degree-m zonal rows are normalized so the constant function is
+    exactly mode 0 with coefficient 1, and the Gauss quadrature makes the
+    projection exact on products of two truncated expansions.
     """
     if n < 2:
         raise ValidationError(f"need n >= 2, got {n}")
@@ -94,7 +94,7 @@ def _zonal(n: int, m_max: int):
     rows /= norms[:, None]
     proj = rows * w[None, :] / mass
     rows.flags.writeable = proj.flags.writeable = False
-    return partial(np.tensordot, rows.T, axes=1), partial(np.tensordot, proj, axes=1)
+    return partial(np.matmul, rows.T), partial(np.matmul, proj)
 
 
 # ---------------------------------------------------------------------------
@@ -215,15 +215,20 @@ def apply_linearized(state: PeriodicCylinderState, v: np.ndarray) -> np.ndarray:
     return _fourier(_theta(state) - constants(state.n).kappa, v)
 
 
-def solve_linearized(state: PeriodicCylinderState, h: np.ndarray) -> np.ndarray:
-    """Model Green operator: per-mode division by Theta_m - kappa."""
+def _green_multiplier(state: PeriodicCylinderState) -> np.ndarray:
+    """1 / (Theta_m - kappa), raising ResonanceError where it is unbounded."""
     denom = _theta(state) - constants(state.n).kappa
     bad = np.abs(denom) <= RESONANCE_MARGIN
     if np.any(bad):
         m_bad, k_bad = np.argwhere(bad)[0]
         raise ResonanceError(
             f"multiplier vanishes at mode {m_bad}, frequency index {k_bad}")
-    return _fourier(1.0 / denom, h)
+    return 1.0 / denom
+
+
+def solve_linearized(state: PeriodicCylinderState, h: np.ndarray) -> np.ndarray:
+    """Model Green operator: per-mode division by Theta_m - kappa."""
+    return _fourier(_green_multiplier(state), h)
 
 
 def _jacobian_matvec(state: PeriodicCylinderState):
@@ -319,13 +324,14 @@ def newton_solve(state0: PeriodicCylinderState, tol: float = 1e-11, max_iter: in
 
 def _newton_step(state: PeriodicCylinderState, res: np.ndarray) -> np.ndarray:
     matvec = _jacobian_matvec(state)
+    green = _green_multiplier(state)
     shape = res.shape
 
     def mv_flat(x):
         return matvec(x.reshape(shape)).ravel()
 
     def prec_flat(x):
-        return solve_linearized(state, x.reshape(shape)).ravel()
+        return _fourier(green, x.reshape(shape)).ravel()
 
     dim = res.size
     A = scipy.sparse.linalg.LinearOperator((dim, dim), matvec=mv_flat, dtype=float)
@@ -422,11 +428,13 @@ def uniform_invertibility_study(n: int, eps_list, mu: float, m_max: int = 3,
     NumericalError.  With a = u^{-N} > 0 and b the linearization, the even
     block is diag(a) S C and the odd one diag(a) S, S being the symmetric
     fold plus diag(b/(a c)) (c = 1/2 at the mirror points 0 and N_s/2, else
-    1).  Each S is inverted once by LDL^T, a singular one raising
-    ResonanceError, and the weight w enters by one matvec: |A_w^{-1}| has
-    row sums (w/c)_i sum_j |S^{-1}|_ij / (a w)_j.  Reported per mode is the
-    smallest operator singular value 1/||A^{-1}|| between the weighted
-    sup-norm spaces (max row sum), the norm the inversion theory runs on.
+    1).  Each fold is written straight into the buffer dsytrf factors, S is
+    inverted once by LDL^T, a singular one raising ResonanceError, and the
+    weight w enters by one symmetric matvec (dsymv) on the lower triangle
+    dsytri writes: |A_w^{-1}| has row sums (w/c)_i sum_j |S^{-1}|_ij / (a w)_j.
+    Reported per mode is the smallest operator singular value 1/||A^{-1}||
+    between the weighted sup-norm spaces (max row sum), the norm the
+    inversion theory runs on.
     """
     eps_list = [float(e) for e in eps_list]
     if not eps_list:
@@ -449,7 +457,6 @@ def uniform_invertibility_study(n: int, eps_list, mu: float, m_max: int = 3,
     t = np.arange(N_s + 1)
     lag = sliding_window_view(kern[:, (h - t) % N_s], h + 1, axis=1)[:, ::-1]
     lead = sliding_window_view(kern[:, t % N_s], h + 1, axis=1)
-    folds = (np.triu(lag + lead), np.triu(lag[:, 1:h, 1:h] - lead[:, 1:h, 1:h]))
     c = np.r_[0.5, np.ones(h - 1), 0.5]
     lwork = [int(lapack.dsytrf_lwork(k, lower=1)[0]) for k in (h + 1, h - 1)]
     rows = []
@@ -462,12 +469,15 @@ def uniform_invertibility_study(n: int, eps_list, mu: float, m_max: int = 3,
         a, b = curvature_linearization(n, u[:h + 1], Pu[:h + 1])
         wl = neck_weight(cfg, s[:h + 1]) ** (-mu)
         r = 1.0 / (a * wl)
+        shifts = (b / (a * c), b[1:h] / a[1:h])
         per_mode = {}
         for m in range(m_max + 1):
+            blocks = ((np.add, lag[m], lead[m], "even"),
+                      (np.subtract, lag[m, 1:h, 1:h], lead[m, 1:h, 1:h], "odd"))
             inverses = []
-            for fold, shift, work, parity in zip(folds, (b / (a * c), b[1:h] / a[1:h]),
-                                                 lwork, ("even", "odd")):
-                S = fold[m].copy().T  # Fortran order: the kept upper triangle is now lower
+            for (fold, x, y, parity), shift, work in zip(blocks, shifts, lwork):
+                S = np.empty(x.shape, order="F")  # the buffer dsytrf factors in place
+                fold(x, y, out=S.T)
                 S.flat[::S.shape[0] + 1] += shift
                 ldu, piv, _ = lapack.dsytrf(S, lower=1, lwork=work, overwrite_a=1)
                 ldu, info = lapack.dsytri(ldu, piv, lower=1, overwrite_a=1)
@@ -477,10 +487,10 @@ def uniform_invertibility_study(n: int, eps_list, mu: float, m_max: int = 3,
                 inverses.append(np.abs(ldu, out=ldu))
             # on rows 0..h, columns j and N_s - j of A^{-1} hold (E +- O)/2 (O
             # is zero on rows 0 and h), and |x + y| + |x - y| = 2 max(|x|, |y|);
-            # rows i and N_s - i share a sum.  M holds its lower triangle only
+            # rows i and N_s - i share a sum; only lower triangles are read
             M, odd = inverses
             np.maximum(M[1:h, 1:h], odd, out=M[1:h, 1:h])
-            row_sums = wl / c * (M @ r + r @ M - np.diagonal(M) * r)
+            row_sums = wl / c * blas.dsymv(1.0, M, r, lower=1)
             per_mode[m] = float(1.0 / np.max(row_sums))
         rows.append({"epsilon": eps, "per_mode": per_mode,
                      "sigma_min": min(per_mode.values())})

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.linalg.blas
 import scipy.linalg.lapack
 import scipy.sparse.linalg
 
@@ -259,6 +260,26 @@ def test_ball_probe_reports_resonance():
         assert 0.5 * 0.01**2 <= hist[0] <= 2.0 * 0.01**2
 
 
+@pytest.mark.parametrize("m_max", [3, 8])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_zonal_transform_round_trip(n, m_max):
+    # to_modes inverts to_grid on per-mode samples of either rank, and the
+    # 2-D transform is the 1-D one column by column; both to roundoff on the
+    # scale of the grid values summed (the normalized rows reach 6 at n = 4,
+    # m = 8), as matrix and vector products sum in different orders
+    to_grid, to_modes = solver._zonal(n, m_max)
+    v = np.random.default_rng(n).standard_normal((m_max + 1, 16))
+    grid = to_grid(v)
+    back = to_modes(grid)
+    assert grid.shape == (2 * (m_max + 1), 16)
+    assert np.max(np.abs(back - v)) <= 1e-14 * np.max(np.abs(grid))
+    for k in range(v.shape[1]):
+        tol = 1e-14 * np.max(np.abs(grid[:, k]))
+        assert np.max(np.abs(to_grid(v[:, k]) - grid[:, k])) <= tol
+        assert np.max(np.abs(to_modes(grid[:, k]) - back[:, k])) <= tol
+        assert np.max(np.abs(to_modes(to_grid(v[:, k])) - v[:, k])) <= tol
+
+
 def test_smallest_multiplier_at_default_period():
     # frozen from the invertibility study; also the margin the resonance
     # check enforces at construction
@@ -376,23 +397,35 @@ def test_invertibility_study_folds_are_symmetric():
 
 
 def test_invertibility_study_runs_one_ldlt_per_block(monkeypatch):
-    # 2 (m_max + 1) symmetric factorizations per epsilon, and no general
-    # (LU) inverse anywhere in the study
-    factored = []
-    dsytrf = scipy.linalg.lapack.dsytrf
+    # 2 (m_max + 1) symmetric factorizations and m_max + 1 symmetric matvecs
+    # per epsilon, and no general (LU) inverse anywhere in the study
+    calls = {"dsytrf": 0, "dsymv": 0}
 
-    def spy(*args, **kwargs):
-        factored.append(1)
-        return dsytrf(*args, **kwargs)
+    def spy(module, name):
+        orig = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return orig(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the invertibility study ran a general inverse")
 
-    monkeypatch.setattr(scipy.linalg.lapack, "dsytrf", spy)
+    spy(scipy.linalg.lapack, "dsytrf")
+    spy(scipy.linalg.blas, "dsymv")
     monkeypatch.setattr(scipy.linalg, "inv", forbidden)
     monkeypatch.setattr(scipy.linalg.lapack, "dgetri", forbidden)
     uniform_invertibility_study(3, [0.1, 0.05, 0.025], mu=-0.5, m_max=2, N_s=256)
-    assert len(factored) == 3 * 2 * 3
+    assert calls == {"dsytrf": 3 * 2 * 3, "dsymv": 3 * 3}
+
+
+def test_invertibility_study_repeated_epsilon_is_bit_equal():
+    # the window follows the smallest epsilon, so both 0.1 rows share it; a
+    # fold buffer reused after dsytrf overwrote it would make them differ
+    rows = uniform_invertibility_study(3, [0.1, 0.025, 0.1], mu=-0.5, m_max=2,
+                                       N_s=256)["rows"]
+    assert rows[0] == rows[2]
 
 
 def test_invertibility_study_singular_block_is_typed(monkeypatch):
