@@ -154,7 +154,7 @@ def fit_tail_rate(v: LineFunction, side: str = "+") -> float | None:
     """
     if side not in ("+", "-"):
         raise ValidationError(f"tail side must be '+' or '-', got {side!r}")
-    band, floor_rel, blocks = (0.45, 0.82), 1e-12, 8
+    band, blocks = (0.45, 0.82), 8
     s = v.grid()
     y = np.abs(np.asarray(v.values))
     sup = y.max()
@@ -166,17 +166,17 @@ def fit_tail_rate(v: LineFunction, side: str = "+") -> float | None:
         lo, hi = center + band[0] * half, center + band[1] * half
     else:
         lo, hi = center - band[1] * half, center - band[0] * half
-    mask = (s >= lo) & (s <= hi) & (y > floor_rel * sup)
-    if mask.sum() < 8:
+    floor = 1e-12 * sup  # s increases, so the band and its blocks are index ranges
+    if np.count_nonzero(y[np.searchsorted(s, lo):np.searchsorted(s, hi, "right")] > floor) < 8:
         return None
-    edges = np.linspace(lo, hi, blocks + 1)
+    cuts = np.searchsorted(s, np.linspace(lo, hi, blocks + 1))
     xs, ys = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        mb = mask & (s >= a) & (s < b)
-        if np.any(mb):
-            k = np.argmax(np.where(mb, y, -1.0))
-            xs.append(s[k])
-            ys.append(np.log(y[k]))
+    for i, j in zip(cuts[:-1], cuts[1:]):
+        if j > i:
+            k = i + np.argmax(y[i:j])
+            if y[k] > floor:
+                xs.append(s[k])
+                ys.append(np.log(y[k]))
     if len(xs) < 3:
         return None
     return float(np.polyfit(np.array(xs), np.array(ys), 1)[0]) + v.envelope_rate

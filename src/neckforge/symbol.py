@@ -163,26 +163,26 @@ def theta_analytic(spec: ModeSpec, zeta):
     Returns exact zeros where the denominator Gammas have poles; raises
     PoleError where the numerator Gammas do (a genuine pole of the symbol),
     and ValidationError for |zeta| > DOMAIN_MAX.  Scalar or array input.
+    One log_rgamma call on the stacked arguments A +- h, B +- h (h = i zeta/2);
+    at real zeta A - h is exactly conj(A + h), and log Gamma is exactly
+    conjugate-symmetric, so only the rows A + h, B + h are evaluated.
     """
     z_arr = np.asarray(zeta, dtype=np.complex128)
     _check_frequency(z_arr, "zeta")
     scalar = z_arr.ndim == 0
     z_flat = np.atleast_1d(z_arr)
 
-    za_p = spec.a_offset + 0.5j * z_flat
-    za_m = spec.a_offset - 0.5j * z_flat
-    zb_p = spec.b_offset + 0.5j * z_flat
-    zb_m = spec.b_offset - 0.5j * z_flat
-
-    # one pole mask per Gamma argument: log_gamma raises on a numerator pole,
-    # log_rgamma reads -inf on a denominator pole, where the symbol is zero
-    try:
-        lg_ap, lg_am = log_gamma(za_p), log_gamma(za_m)
-    except PoleError:
-        num_pole = _near_pole(za_p) | _near_pole(za_m)
-        raise PoleError(f"theta_analytic pole at zeta = {z_flat[num_pole]}") from None
-    log_val = (2.0 * spec.gamma * np.log(2.0) + lg_ap + lg_am
-               + log_rgamma(zb_p) + log_rgamma(zb_m))
+    a, b, h = spec.a_offset, spec.b_offset, 0.5j * z_flat
+    # -inf on a numerator row is a pole of the symbol, on a denominator row a zero
+    if h.real.any():
+        lr = log_rgamma(np.array([a + h, a - h, b + h, b - h]))
+    else:
+        lr_a, lr_b = log_rgamma(np.array([a + h, b + h]))
+        lr = lr_a, lr_a.conj(), lr_b, lr_b.conj()
+    num_pole = (lr[0].real == -np.inf) | (lr[1].real == -np.inf)
+    if num_pole.any():
+        raise PoleError(f"theta_analytic pole at zeta = {z_flat[num_pole]}")
+    log_val = 2.0 * spec.gamma * np.log(2.0) - lr[0] - lr[1] + lr[2] + lr[3]
     out = np.exp(log_val)
     out[log_val.real == -np.inf] = 0.0
     return complex(out[0]) if scalar else out.reshape(z_arr.shape)

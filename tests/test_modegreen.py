@@ -73,6 +73,88 @@ def test_fit_tail_rate_rejects_unknown_side(side):
         fit_tail_rate(v, side)
 
 
+def _fit_tail_rate_on_masks(v, side):
+    """fit_tail_rate as first written, on full-length boolean masks: the
+    oracle for the index-range version."""
+    band, floor_rel, blocks = (0.45, 0.82), 1e-12, 8
+    s = v.grid()
+    y = np.abs(np.asarray(v.values))
+    sup = y.max()
+    if sup == 0.0:
+        return None
+    center = v.s0 + 0.5 * v.window_length
+    half = 0.5 * v.window_length
+    if side == "+":
+        lo, hi = center + band[0] * half, center + band[1] * half
+    else:
+        lo, hi = center - band[1] * half, center - band[0] * half
+    mask = (s >= lo) & (s <= hi) & (y > floor_rel * sup)
+    if mask.sum() < 8:
+        return None
+    edges = np.linspace(lo, hi, blocks + 1)
+    xs, ys = [], []
+    for a, b in zip(edges[:-1], edges[1:]):
+        mb = mask & (s >= a) & (s < b)
+        if np.any(mb):
+            k = np.argmax(np.where(mb, y, -1.0))
+            xs.append(s[k])
+            ys.append(np.log(y[k]))
+    if len(xs) < 3:
+        return None
+    return float(np.polyfit(np.array(xs), np.array(ys), 1)[0]) + v.envelope_rate
+
+
+_TAIL_SAMPLES = {
+    "decaying": lambda s, r, w, c, rng: np.exp(-r * np.abs(s)),
+    "oscillatory": lambda s, r, w, c, rng: np.exp(-r * np.abs(s)) * np.cos(w * s),
+    "narrow": lambda s, r, w, c, rng: np.exp(-((s - c) / (0.05 * w)) ** 2),
+    "noisy": lambda s, r, w, c, rng: rng.normal(size=s.size) * np.exp(-r * np.abs(s)),
+    "stepped": lambda s, r, w, c, rng: np.floor(8.0 * np.exp(-r * np.abs(s))) / 8.0,
+    # sup 1 and a tail clipped to exactly the noise floor 1e-12, which is excluded
+    "clipped": lambda s, r, w, c, rng: np.maximum(np.exp(-r * np.abs(s - s[0])), 1e-12),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(N=st.integers(16, 4096), half=st.floats(0.5, 80.0), shift=st.floats(-20.0, 20.0),
+       kind=st.sampled_from(sorted(_TAIL_SAMPLES)), r=st.floats(0.0, 4.0),
+       w=st.floats(0.01, 8.0), c=st.floats(-1.0, 1.0), seed=st.integers(0, 2**16),
+       envelope=st.sampled_from([0.0, -0.75, 0.3]), side=st.sampled_from(["+", "-"]))
+def test_fit_tail_rate_equals_the_mask_oracle(N, half, shift, kind, r, w, c, seed, envelope,
+                                              side):
+    # the band and its blocks read as index ranges pick the same points, so
+    # the fit is bit-equal, None included
+    s0 = shift - half
+    s = s0 + (2.0 * half / N) * np.arange(N)
+    values = _TAIL_SAMPLES[kind](s, r, w, c * half, np.random.default_rng(seed))
+    v = LineFunction(s0=s0, ds=2.0 * half / N, N=N, values=values, envelope_rate=envelope)
+    assert fit_tail_rate(v, side) == _fit_tail_rate_on_masks(v, side)
+
+
+@pytest.mark.parametrize("side", ["+", "-"])
+def test_fit_tail_rate_on_samples_at_the_cuts(side):
+    # with s = -200 + k/4 the band [90, 164] (mirrored for '-') and its block
+    # edges 90, 99.25, ..., 164 are grid points.  The band is closed, a block
+    # is closed on the left and open on the right, a tie picks the first
+    # sample and a sample on the floor 1e-12 * sup is left out
+    v = LineFunction(s0=-200.0, ds=0.25, N=1600, values=np.zeros(1600))
+    s = v.grid()
+    cuts = np.linspace(90.0, 164.0, 9) * (1.0 if side == "+" else -1.0)
+    assert np.isin(cuts, s).all()
+    # the sup at s = -150 and eight nonzero samples in the band: the cuts
+    # but one interior edge, so the count needs both ends of the band
+    sparse = np.zeros(1600)
+    sparse[200] = 1.0
+    sparse[np.searchsorted(s, np.delete(cuts, 1))] = np.exp(-0.05 * np.abs(np.delete(cuts, 1)))
+    profiles = [np.exp(-0.05 * np.abs(s)), sparse,
+                np.ceil(8.0 * np.exp(-0.02 * np.abs(s))) / 8.0,       # steps of 1/8
+                np.maximum(np.exp(-0.2 * np.abs(s)), 1e-12)]         # floor from |s| = 138
+    for values in profiles:
+        w = replace(v, values=values)
+        rate = fit_tail_rate(w, side)
+        assert rate is not None and rate == _fit_tail_rate_on_masks(w, side)
+
+
 def test_explicit_beta_needs_no_indicial_ladder_past_delta():
     # with beta given, the declared rate only gates the right-tail fit; a
     # rate far above every tabulated exponent must not block the solve

@@ -141,8 +141,23 @@ def test_log_rgamma_negates_log_gamma_and_is_minus_inf_on_poles():
     assert log_rgamma(-4.0) == -np.inf
 
 
+def test_log_rgamma_keeps_a_2d_stack_row_by_row():
+    # theta_analytic passes its Gamma arguments as one (rows, k) stack
+    rows = np.array([[0.5, 3.7, 0.75 + 0.3j], [1.25 + 4.0j, -3.0, 2.0 - 9.5j],
+                     [-2.5 + 0.1j, 12.25, 0.25 + 17.0j], [2.0 + 9.5j, 0.75 - 0.3j, 1.0]])
+    out = log_rgamma(rows)
+    assert out.shape == rows.shape
+    assert np.array_equal(out, np.array([log_rgamma(r) for r in rows]))
+    assert np.argwhere(out.real == -np.inf).tolist() == [[1, 1]] and out[1, 1] == -np.inf
+    off = np.ones(rows.shape, dtype=bool)
+    off[1, 1] = False
+    assert np.array_equal(out[off], -log_gamma(rows[off]))
+
+
 def test_theta_analytic_masks_each_argument_once(monkeypatch):
-    # one pole mask per Gamma argument (four), whether or not a pole is hit
+    # one pole mask per call, on the stacked Gamma arguments: 4k of them at
+    # non-real zeta, 2k at real zeta (the minus rows are conjugates), whether
+    # or not a pole is hit
     masks, near_pole = [], specfun._near_pole
 
     def spy(z):
@@ -151,10 +166,15 @@ def test_theta_analytic_masks_each_argument_once(monkeypatch):
     monkeypatch.setattr(specfun, "_near_pole", spy)
     monkeypatch.setattr(symbol, "_near_pole", spy)
     spec = ModeSpec(n=3, m=1)
-    for zeta in (0.7 + 0.2j, -1.3j, 2j * (spec.b_offset + 1)):
+    on_b_pole = ModeSpec(n=2, gamma=1.0 - 1e-13)  # B = 5e-14: a zero at zeta = 0
+    cases = [(spec, 0.7 + 0.2j, 4), (spec, -1.3j, 4), (spec, 2j * (spec.b_offset + 1), 4),
+             (spec, 0.7, 2), (spec, 0.0, 2), (on_b_pole, 0.0, 2),
+             (spec, np.linspace(-4.0, 4.0, 9) + 0.5j, 36), (spec, np.linspace(-4.0, 4.0, 9), 18)]
+    for sp, zeta, size in cases:
         masks.clear()
-        theta_analytic(spec, zeta)
-        assert masks == [1, 1, 1, 1]
+        theta_analytic(sp, zeta)
+        assert masks == [size]
     masks.clear()
-    theta_analytic(spec, np.linspace(-4.0, 4.0, 9) + 0.5j)
-    assert masks == [9, 9, 9, 9]
+    with pytest.raises(PoleError, match="theta_analytic pole"):
+        theta_analytic(spec, np.array([0.5j, 2j * spec.a_offset]))
+    assert masks == [8]

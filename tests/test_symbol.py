@@ -100,6 +100,27 @@ def test_analytic_continuation_matches_axis():
     assert np.allclose(theta_analytic(spec, xi + 0j), theta(spec, xi), rtol=1e-12)
 
 
+@pytest.mark.parametrize("gamma", [0.3, 0.5, 0.8])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_analytic_real_path_equals_the_general_path(n, gamma):
+    # at real zeta only A + i zeta/2 and B + i zeta/2 are evaluated and the
+    # minus arguments are their conjugates; a 1e-300 imaginary part rounds
+    # away in A +- i zeta/2 but runs all four rows, on the same arguments
+    xi = np.concatenate([[0.0, 1e-3, -DOMAIN_MAX, DOMAIN_MAX], np.linspace(-40.0, 40.0, 81)])
+    assert (0.5j * (xi + 1e-300j)).real.all()
+    for m in range(7):
+        spec = ModeSpec(n=n, gamma=gamma, m=m)
+        assert np.array_equal(theta_analytic(spec, xi + 0j), theta_analytic(spec, xi + 1e-300j))
+
+
+def test_analytic_real_path_zero_at_a_denominator_pole():
+    spec = ModeSpec(n=2, gamma=1.0 - 1e-13)  # B = 5e-14: B + i zeta/2 is a pole at zeta = 0
+    vals = theta_analytic(spec, np.array([0.0, 1.0]))
+    assert vals[0] == 0.0 and np.isfinite(vals[1]) and vals[1] != 0.0
+    assert theta_analytic(spec, 0.0) == 0.0
+    assert theta_analytic(spec, 1.0) == vals[1]
+
+
 def test_analytic_numerator_pole_raises():
     # A + i z / 2 at a non-positive integer
     spec = ModeSpec(n=3, m=0)
