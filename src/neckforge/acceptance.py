@@ -116,23 +116,22 @@ def criterion_4():
 
 
 def criterion_5():
-    """Bounded + annihilated implies trivial (coefficient bound)."""
-    worst_coef, worst_sup = 0.0, 0.0
+    """Bounded + annihilated implies trivial."""
+    worst_sup = 0.0
+    prof = DecayProfile(delta=0.75)
     for m, betas in ((0, (0.2, 0.45)), (1, (0.2, 0.45))):
         spec = ModeSpec(n=3, gamma=0.5, m=m)
         h = LineFunction.from_callable(lambda s: np.exp(-0.75 * np.sqrt(s * s + 4.0)),
                                        s0=-30.0, s1=30.0, N=4096, mode=m)
-        prof = DecayProfile(delta=0.75)
         # same-contour linearity: the difference is an annihilated candidate
         h_a = LineFunction.from_callable(lambda s: np.exp(-0.8 * np.sqrt(s * s + 1.0)),
                                          s0=-30.0, s1=30.0, N=4096, mode=m)
         h_sum = LineFunction(h.s0, h.ds, h.N, h.values + h_a.values, m, 0.0)
-        va = green_solve(spec, h_sum, DecayProfile(delta=0.75), beta=betas[0])
-        vb = green_solve(spec, h, prof, beta=betas[0])
-        vc = green_solve(spec, h_a, DecayProfile(delta=0.75), beta=betas[0])
-        lin_vals = va.values - vb.values - vc.values
-        # cross-contour difference, projected on the homogeneous span
+        va = green_solve(spec, h_sum, prof, beta=betas[0])
         v1 = green_solve(spec, h, prof, beta=betas[0])
+        vc = green_solve(spec, h_a, prof, beta=betas[0])
+        lin_vals = va.values - v1.values - vc.values
+        # cross-contour difference, projected on the homogeneous span
         v2 = green_solve(spec, h, prof, beta=betas[1])
         sl = slice(h.N // 4, 3 * h.N // 4)
         s_in = h.grid()[sl]
@@ -146,14 +145,10 @@ def criterion_5():
                 cand = LineFunction(s_in[0], h.ds, s_in.size, vals, m, base)
                 verdict = classify_growth(cand, mu, spec, cat)
                 worst_sup = max(worst_sup, verdict.sup)
-                if verdict.coefficients is not None:
-                    worst_coef = max(worst_coef, float(np.max(np.abs(verdict.coefficients))))
                 if verdict.verdict != "trivial":
                     return False, (f"m={m} mu={mu}: verdict {verdict.verdict}, "
                                    f"sup {verdict.sup:.2e}")
-    ok = worst_coef <= 1e-6
-    return ok, (f"all candidates trivial; worst sup {worst_sup:.2e}; "
-                f"worst basis coefficient {worst_coef:.2e}")
+    return True, f"all candidates trivial; worst sup {worst_sup:.2e}"
 
 
 def criterion_6():
@@ -212,7 +207,7 @@ def criterion_9():
     k = np.arange(9.0)
     spec_ok = np.array_equal(eig, k + 1.0) and np.array_equal(lam, k - 1.0)
     outcome, msg, _hist = ball_newton_probe(3)
-    detect_ok = outcome in ("resonance", "stall")
+    detect_ok = outcome == "resonance"
     ok = spec_ok and detect_ok
     return ok, f"spectrum exact: {spec_ok}; degree-1 probe outcome: {outcome}"
 

@@ -17,11 +17,13 @@ is real-valued: the oscillatory pair on the imaginary axis (sigma = 0) and
 the real decay exponents (tau = 0); each catalog checks this by a count.  Each axis is scanned for sign changes
 between the known simple poles of F at +-2(A + k), A the numerator Gamma
 offset, and each bracket is refined by Illinois false position; all brackets
-of one scan are solved in lockstep, one vector call of F per step.  Each
-root is polished by Newton on F, with the analytic derivative
-F'(lambda) = -i Theta'(zeta) from the digamma form of Theta'/Theta, and
-reported with the residual |F| and the symbol derivative Theta' at the root
-(the ingredient of Green-kernel residues).
+of one scan are solved in lockstep, one vector call of F per step, to a
+bracket width of BRACKET_TOL * (1 + |lambda|).  Each root is then certified
+by one read of F and of the analytic derivative F'(lambda) = -i Theta'(zeta)
+(the digamma form of Theta'/Theta): |F| <= RESIDUAL_TOL, or a Newton
+correction |F / Theta'| within the bracket tolerance.  It is reported with
+the residual |F| and the symbol derivative Theta' at the root (the
+ingredient of Green-kernel residues).
 
 Nothing in the scans looks off the axes; an independent count does.  By the
 argument principle for meromorphic functions,
@@ -61,6 +63,10 @@ __all__ = [
 # Height of every imaginary-axis scan: the oscillatory pair's tau, and the
 # top edge of every counting box.
 TAU_MAX = 20.0
+# Bracket width each root is solved to, relative to 1 + |lambda|, and the
+# residual bound |F| that certifies a root outright.
+BRACKET_TOL = 1e-14
+RESIDUAL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -85,9 +91,6 @@ class RootCatalog:
     search_box: tuple
     certified: bool
 
-    def __len__(self):
-        return len(self.roots)
-
 
 def _char_fn(spec: ModeSpec, kappa: float):
     """F(lambda) = Theta_m(-i lambda) - kappa, with ``F.dtheta(lam, F(lam))``
@@ -111,16 +114,10 @@ def _pole_ladder(spec: ModeSpec, limit: float):
 
 
 def _poles_inside(spec: ModeSpec, box):
-    slo, shi, tlo, thi = box
-    if not (tlo < 0.0 < thi):
-        return 0
-    count = 0
-    for p in _pole_ladder(spec, abs(slo) + abs(shi) + 2.0):
-        if slo < p < shi:
-            count += 1
-        if slo < -p < shi:
-            count += 1
-    return count
+    """Poles of F inside a counting box.  Every box straddles the real axis
+    and starts at sigma >= -eta > -2A, so these are the 2(A + k) in (slo, shi)."""
+    slo, shi = box[0], box[1]
+    return sum(slo < p < shi for p in _pole_ladder(spec, shi))
 
 
 def _box_path(box, pts_per_edge):
@@ -174,32 +171,7 @@ def _winding(F, box, kappa_scale, max_points=120000):
     raise NonConvergence(f"contour refinement did not settle on box {box}")
 
 
-def _newton_polish(F, lam0, tol, max_iter=80):
-    """Damped Newton on F from lam0; returns (lambda, |F|, dTheta/dzeta).
-
-    Stops at |F| <= tol, or once the Newton step is a few ulps of lambda:
-    where |Theta'| is large, one ulp of lambda moves F by more than tol.
-    """
-    lam = complex(lam0)
-    for _ in range(max_iter):
-        f0 = complex(F(lam))
-        dtheta = F.dtheta(lam, f0)
-        if abs(f0) <= tol:
-            return lam, abs(f0), dtheta
-        if dtheta == 0 or not cmath.isfinite(dtheta):
-            break
-        # F'(lambda) = -i Theta'(zeta) at zeta = -i lambda
-        step = 1j * f0 / dtheta
-        if abs(step) <= 4.0 * np.finfo(float).eps * abs(lam):
-            return lam, abs(f0), dtheta
-        cap = 0.5 * (1.0 + abs(lam))
-        if abs(step) > cap:
-            step *= cap / abs(step)
-        lam = lam - step
-    raise NonConvergence(f"Newton polish failed to reach |F| <= {tol:g} from {lam0}")
-
-
-def _false_position(g, a, b, fa, fb, tol=1e-14, max_iter=200):
+def _false_position(g, a, b, fa, fb, tol=BRACKET_TOL, max_iter=200):
     """Zeros of g on the sign-change brackets [a_k, b_k] with end values
     fa_k = g(a_k), fb_k = g(b_k), by Illinois false position, each to a
     bracket width of tol * (1 + |x|).
@@ -248,13 +220,23 @@ def _fold(x, tol=1e-9):
     return 0.0 if abs(x) < tol else x
 
 
-def _make_root(F, lam, tol):
-    lam_p, res, dtheta = _newton_polish(F, lam, tol)
-    return IndicialRoot(sigma=_fold(lam_p.real), tau=_fold(abs(lam_p.imag)),
-                        residual=res, dtheta=dtheta)
+def _make_root(F, lam):
+    """The root at lam, certified by one read of F and Theta' there:
+    |F| <= RESIDUAL_TOL, or a Newton correction |F / Theta'| (|F'| = |Theta'|)
+    within BRACKET_TOL * (1 + |lambda|), where |Theta'| is so large that one
+    ulp of lambda moves F by more than RESIDUAL_TOL.  Otherwise NonConvergence."""
+    lam = complex(lam)
+    f = complex(F(lam))
+    dtheta = F.dtheta(lam, f)
+    if not (abs(f) <= RESIDUAL_TOL or (cmath.isfinite(dtheta) and
+            abs(f) <= BRACKET_TOL * (1.0 + abs(lam)) * abs(dtheta))):
+        raise NonConvergence(f"root {lam} not certified: |F| = {abs(f):.3g}, "
+                             f"|Theta'| = {abs(dtheta):.3g}")
+    return IndicialRoot(sigma=_fold(lam.real), tau=_fold(abs(lam.imag)),
+                        residual=abs(f), dtheta=dtheta)
 
 
-def _axis_roots_real(F, spec, sigma_max, tol):
+def _axis_roots_real(F, spec, sigma_max):
     """Sign-change roots of the real-valued restriction F(lambda), lambda real > 0,
     scanned between the poles in one call of F."""
     poles = _pole_ladder(spec, sigma_max + 1.0)
@@ -271,21 +253,21 @@ def _axis_roots_real(F, spec, sigma_max, tol):
     flip[np.cumsum([len(g) for g in grids[:-1]], dtype=int) - 1] = False  # across a pole
     i = np.nonzero(flip)[0]
     x0 = _false_position(lambda x: np.real(F(x)), grid[i], grid[i + 1], vals[i], vals[i + 1])
-    return [_make_root(F, complex(x), tol) for x in x0]
+    return [_make_root(F, x) for x in x0]
 
 
-def _axis_roots_imag(F, spec, kappa, tau_max, tol):
+def _axis_roots_imag(F, spec, kappa, tau_max):
     grid = np.linspace(1e-9, tau_max, 600)
     vals = theta(spec, grid) - kappa
     i = np.nonzero(np.signbit(vals[1:]) != np.signbit(vals[:-1]))[0]
     t0 = _false_position(lambda t: theta(spec, t) - kappa, grid[i], grid[i + 1],
                          vals[i], vals[i + 1])
-    return [_make_root(F, 1j * float(t), tol) for t in t0]
+    return [_make_root(F, 1j * float(t)) for t in t0]
 
 
 def first_root(spec: ModeSpec) -> IndicialRoot:
     """Smallest-sigma indicial root: the lowest root of the catalog's own
-    axis scan, polished by Newton to |F| <= 1e-12.  Mode 0 scans the real
+    axis scan, certified as every catalog root is.  Mode 0 scans the real
     frequency axis up to tau = TAU_MAX for the oscillatory pair (sigma = 0,
     tau > 0); mode >= 1 scans (0, 2B) on the real axis, where the symbol
     continuation falls from Theta_m(0) > kappa to 0.
@@ -293,9 +275,9 @@ def first_root(spec: ModeSpec) -> IndicialRoot:
     kappa = constants(spec.n, spec.gamma).kappa
     F = _char_fn(spec, kappa)
     if spec.m == 0:
-        roots = _axis_roots_imag(F, spec, kappa, TAU_MAX, 1e-12)
+        roots = _axis_roots_imag(F, spec, kappa, TAU_MAX)
     else:
-        roots = _axis_roots_real(F, spec, 2.0 * spec.b_offset, 1e-12)
+        roots = _axis_roots_real(F, spec, 2.0 * spec.b_offset)
     if not roots:
         raise NonConvergence(f"no real first root found by the axis scan for {spec}")
     return roots[0]
@@ -331,7 +313,6 @@ def _grow_count(F, spec, count, sigma_lo, sigma_hi, tau_max, kappa):
 def _catalog_cached(n, gamma, m, j_count):
     spec = ModeSpec(n=n, gamma=gamma, m=m)
     kappa = constants(n, gamma).kappa
-    tol = 1e-10
     F = _char_fn(spec, kappa)
     # growth offset keeps the search edge off the real pole ladder 2(A + k)
     sigma_max = 2.0 * spec.a_offset + 2.3137
@@ -345,9 +326,9 @@ def _catalog_cached(n, gamma, m, j_count):
     counted_at = sigma_max
     # the two scans return disjoint sets (sigma = 0 and tau = 0), and the
     # imaginary-axis roots do not depend on sigma_max
-    imag = _axis_roots_imag(F, spec, kappa, TAU_MAX, tol)
+    imag = _axis_roots_imag(F, spec, kappa, TAU_MAX)
     while True:
-        roots = imag + _axis_roots_real(F, spec, sigma_max, tol)
+        roots = imag + _axis_roots_real(F, spec, sigma_max)
         if len(roots) >= j_count or sigma_max > sigma_cap:
             break
         sigma_max += 2.0
@@ -373,9 +354,10 @@ def root_catalog(spec: ModeSpec, j_count: int) -> RootCatalog:
     by a whole-box count).  The two axes, where the characteristic function
     is real, are then scanned once in the final box; when no counting contour
     can be cleared (no count), the real-axis scan alone grows the box.  Each
-    root is polished by Newton to |F| <= 1e-10.  The catalog is certified
-    when the count equals the roots located: the count is the one guarantee
-    that no root lies off the axes.
+    root is certified by one read of F and Theta' at its bracket solution
+    (see `_make_root`); one that fails raises NonConvergence.  The catalog
+    is certified when the count equals the roots located: the count is the
+    one guarantee that no root lies off the axes.
     """
     return _catalog_cached(spec.n, float(spec.gamma), spec.m, int(j_count))
 

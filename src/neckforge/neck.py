@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPositiveConformalFactor, ValidationError
+from .errors import NonPositiveConformalFactor, NumericalError, ValidationError
 from .symbol import ModeSpec, constants, frequencies, theta_table
 
 __all__ = [
@@ -182,7 +182,9 @@ def curvature_linearization(n: int, u, Pu):
 def approximate_curvature_error(config: NeckConfig, n: int, mu: float | None = None):
     """Pointwise construction error Q - c of the glued metric U * g_cyl on
     window(config.L, config.n_s), its curvature Q from conformal covariance,
-    and the weighted norm E(epsilon) with exponent mu (default -(n-1)/4)."""
+    and the weighted norm E(epsilon) with exponent mu (default -(n-1)/4).
+    An E that is not finite (the weight's (-mu)-th power overflows on the
+    caps once mu is below about -1100) raises NumericalError."""
     if mu is None:
         mu = -(n - 1) / 4.0
     if not (np.isfinite(mu) and mu < 0.0):
@@ -191,7 +193,11 @@ def approximate_curvature_error(config: NeckConfig, n: int, mu: float | None = N
     L, N = config.L, config.n_s
     u, Pu = glued_u(config, n, L, N)
     err = curvature(n, u, Pu) - constants(n).c
-    return err, weighted_norm(mu, config, window(L, N), err)
+    with np.errstate(over="ignore"):
+        E = weighted_norm(mu, config, window(L, N), err)
+    if not np.isfinite(E):
+        raise NumericalError(f"weighted error norm with mu = {mu} is not finite")
+    return err, E
 
 
 def covariance_selftest(config: NeckConfig, n: int) -> float:

@@ -374,33 +374,28 @@ def ball_spectrum(n: int):
 
 
 def ball_newton_probe(n: int):
-    """Fixed-point iteration on the ball (degrees 0..8) from a degree-1
-    perturbation of size 0.01, for at most 12 steps.
+    """First Newton residual on the ball (degrees 0..8) at a degree-1
+    perturbation of size 0.01 of the constant factor (which stays above 0.97).
 
-    Returns (outcome, message, residual_history) with outcome 'resonance'
-    when the residual has content on the kernel of the linearization, so a
-    step would divide by zero, or 'stall' if iteration proceeds without the
-    quadratic collapse -- for degree 1 it must never converge quadratically.
+    Returns (outcome, message, residual_history) with the one residual's
+    sup in the history.  The outcome is 'resonance' when the residual has
+    content on the kernel of the linearization, so a Newton step would
+    divide by zero -- the degree-1 perturbation's quadratic residual always
+    does -- and 'clear' when it has none.
     """
     eig, lam = ball_spectrum(n)
     to_grid, to_modes = _zonal(n, eig.size - 1)
     kernel = np.abs(lam) <= RESONANCE_MARGIN
     coeffs = np.zeros(eig.size)
     coeffs[0], coeffs[1] = 1.0, 0.01
-    history = []
-    for _ in range(12):
-        f_grid = to_grid(coeffs)
-        if np.min(f_grid) <= 0.0:
-            raise NonPositiveConformalFactor("ball factor lost positivity")
-        res = to_modes(curvature(n, f_grid, to_grid(eig * coeffs)))
-        res[0] -= eig[0]
-        history.append(float(np.max(np.abs(res))))
-        if np.any(kernel & (np.abs(res) > 1e-14 * max(np.max(np.abs(res)), 1.0))):
-            k_bad = int(np.flatnonzero(kernel)[0])
-            return "resonance", (f"linearized ball operator has kernel at degree {k_bad}; "
-                                 "data with that content cannot be inverted"), tuple(history)
-        coeffs = coeffs - np.where(kernel, 0.0, res / np.where(kernel, 1.0, lam))
-    return "stall", "no quadratic collapse", tuple(history)
+    res = to_modes(curvature(n, to_grid(coeffs), to_grid(eig * coeffs)))
+    res[0] -= eig[0]
+    history = (float(np.max(np.abs(res))),)
+    if not np.any(kernel & (np.abs(res) > 1e-14 * max(history[0], 1.0))):
+        return "clear", "residual has no content on the kernel", history
+    k_bad = int(np.flatnonzero(kernel)[0])
+    return "resonance", (f"linearized ball operator has kernel at degree {k_bad}; "
+                         "data with that content cannot be inverted"), history
 
 
 # ---------------------------------------------------------------------------

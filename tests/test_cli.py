@@ -3,14 +3,17 @@
 import dataclasses
 import importlib
 import os
+import re
 import shlex
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from neckforge.cli import (_SCHEMAS, COMMANDS, SET_CAP, RunConfig, _build_parser, load_config,
-                           main)
-from neckforge.errors import ParseError, ValidationError
+from neckforge.cli import (_SCHEMAS, COMMANDS, SET_CAP, RunConfig, _build_parser,
+                           _known_keys, load_config, main)
+from neckforge.errors import ConfigError, ParseError, ValidationError
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -109,6 +112,47 @@ def test_parse_error_carries_line_number(tmp_path):
         load_config(str(cfg), "glue")
 
 
+_VALUES = st.one_of(
+    st.sampled_from(["3", "0", "-1", "0.5", "1e400", "nan", "-inf", "0..4", "4..0", "0..1e3",
+                     f"0..{10**20}", "1,2,,3", "0:0.5:4", "0:0:1", "4:1:0", "0:1e-320:1",
+                     "1:2", "true", "maybe", "0.1,0.5", "collocation-ODE", "glue", ""]),
+    st.text(alphabet="0123456789.,:-+eE nainf", max_size=12),
+)
+_HEADERS = st.builds("[{}]".format,
+                     st.sampled_from(("global",) + COMMANDS + ("gluee", "", " ")))
+_JUNK = st.one_of(
+    st.sampled_from(["", "# comment", "[", "[glue", "= 3", "n 3", "   ", "n = 3 # note",
+                     "seed = 1", "j-count = 2", "command = glue"]),
+    st.text(max_size=20),
+)
+
+
+@st.composite
+def _config_text(draw):
+    """A command and config text for it: mostly `key = value` lines with
+    the command's own keys, some section headers and junk lines."""
+    command = draw(st.sampled_from(COMMANDS))
+    key_line = st.builds("{} = {}".format, st.sampled_from(sorted(_known_keys(command))),
+                         _VALUES)
+    lines = draw(st.lists(st.one_of(key_line, key_line, key_line, _HEADERS, _JUNK),
+                          max_size=8))
+    return command, "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_config_text())
+def test_malformed_config_is_a_named_config_error(tmp_path_factory, case):
+    # any text either loads or is a ConfigError (exit 2) that names the
+    # offending key, line or section; no other exception escapes the parser
+    command, text = case
+    cfg = tmp_path_factory.getbasetemp() / "fuzz.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    try:
+        load_config(str(cfg), command)
+    except ConfigError as exc:
+        assert re.search(r"key '|line \d+|section '", str(exc)), str(exc)
+
+
 def test_flags_override_file(tmp_path):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("[global]\ndeterministic = true\n[glue]\neps = 0.1\nmu = -0.4\n")
@@ -177,6 +221,13 @@ def test_green_beta_on_an_indicial_exponent_exits_3(capsys):
     assert main(["green", "--m", "0", "--beta", "0"]) == 3
     err = capsys.readouterr().err
     assert "numerical failure" in err and "indicial exponent" in err
+
+
+def test_glue_overflowing_error_norm_exits_3(capsys):
+    assert main(["glue", "--mu=-2000"]) == 3
+    captured = capsys.readouterr()
+    assert "numerical failure" in captured.err and "not finite" in captured.err
+    assert "inf" not in captured.out and "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("criteria, unknown", [("11", "[11]"), ("0..20", "[0, 11, 12, ")])

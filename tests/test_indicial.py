@@ -212,6 +212,23 @@ def test_polish_stops_at_the_last_ulp(n, m):
         assert r.residual <= max(1e-10, 4.0 * eps * abs(r.lam) * abs(r.dtheta))
 
 
+@pytest.mark.parametrize("n", [10, 11, 12])
+def test_first_root_is_the_catalog_root_at_high_order(n):
+    # at kappa near 300 |F| cannot reach 1e-12 within an ulp of the root;
+    # the bracket solve's root is certified by its Newton correction instead
+    spec = ModeSpec(n=n, gamma=1.7, m=0)
+    root = first_root(spec)
+    assert root == root_catalog(spec, 1).roots[0]
+
+
+def test_root_failing_both_certification_rules_raises():
+    spec = ModeSpec(n=3, m=1)
+    F = indicial._char_fn(spec, constants(3).kappa)
+    assert indicial._make_root(F, complex(1.0)).sigma == 1.0
+    with pytest.raises(NonConvergence, match="1.000001"):
+        indicial._make_root(F, complex(1.000001))
+
+
 def test_uncertified_catalog_fails_clause_d(monkeypatch):
     # certification is the only guard against an off-axis root, so a catalog
     # whose count does not match its roots fails the clause that reads it

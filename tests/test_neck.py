@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neckforge.acceptance import EPS_SWEEP
-from neckforge.errors import ValidationError
+from neckforge.errors import NumericalError, ValidationError
 from neckforge.neck import (CUTOFF_WIDTH, NeckConfig, approximate_curvature_error,
                             build_glued_factor, covariance_selftest, curvature,
                             error_sweep, glued_u, weight, weighted_norm, window, _cutoff)
@@ -176,3 +176,9 @@ def test_glued_u_matches_full_spectrum_multiplier(n, N):
 def test_error_norm_needs_finite_negative_exponent(mu):
     with pytest.raises(ValidationError, match="finite negative"):
         approximate_curvature_error(NeckConfig(epsilon=0.05), 3, mu)
+
+
+def test_overflowing_error_norm_raises():
+    # the weight (-mu)-th power overflows on the caps for mu near -1100
+    with pytest.raises(NumericalError, match="not finite"):
+        approximate_curvature_error(NeckConfig(epsilon=0.1), 3, -2000.0)

@@ -260,6 +260,16 @@ def test_ball_probe_reports_resonance():
         assert 0.5 * 0.01**2 <= hist[0] <= 2.0 * 0.01**2
 
 
+def test_ball_probe_without_a_kernel_is_clear(monkeypatch):
+    # the probe reads one residual and tests its kernel content; with no
+    # eigenvalue inside the margin there is nothing to refuse
+    _, _, want = ball_newton_probe(3)
+    monkeypatch.setattr(solver, "RESONANCE_MARGIN", -1.0)
+    outcome, msg, hist = ball_newton_probe(3)
+    assert outcome == "clear" and "no content on the kernel" in msg
+    assert hist == want
+
+
 @pytest.mark.parametrize("m_max", [3, 8])
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_zonal_transform_round_trip(n, m_max):
