@@ -18,12 +18,13 @@ the real decay exponents (tau = 0); each catalog checks this by a count.  Each a
 between the known simple poles of F at +-2(A + k), A the numerator Gamma
 offset, and each bracket is refined by Illinois false position; all brackets
 of one scan are solved in lockstep, one vector call of F per step, to a
-bracket width of BRACKET_TOL * (1 + |lambda|).  Each root is then certified
-by one read of F and of the analytic derivative F'(lambda) = -i Theta'(zeta)
-(the digamma form of Theta'/Theta): |F| <= RESIDUAL_TOL, or a Newton
-correction |F / Theta'| within the bracket tolerance.  It is reported with
-the residual |F| and the symbol derivative Theta' at the root (the
-ingredient of Green-kernel residues).
+bracket width of BRACKET_TOL * (1 + |lambda|).  The roots of one scan are
+then certified together, by one vector read of F and one of the analytic
+derivative F'(lambda) = -i Theta'(zeta) (the digamma form of Theta'/Theta)
+at all of them: each needs |F| <= RESIDUAL_TOL, or a Newton correction
+|F / Theta'| within the bracket tolerance.  Each is reported with the
+residual |F| and the symbol derivative Theta' at the root (the ingredient of
+Green-kernel residues).
 
 Nothing in the scans looks off the axes; an independent count does.  By the
 argument principle for meromorphic functions,
@@ -98,7 +99,7 @@ def _char_fn(spec: ModeSpec, kappa: float):
     log-derivative Theta'/Theta at the same point."""
     def F(lam):
         return theta_analytic(spec, -1j * np.asarray(lam, dtype=np.complex128)) - kappa
-    F.dtheta = lambda lam, f: complex((f + kappa) * theta_log_derivative(spec, -1j * lam))
+    F.dtheta = lambda lam, f: (f + kappa) * theta_log_derivative(spec, -1j * lam)
     return F
 
 
@@ -123,10 +124,11 @@ def _poles_inside(spec: ModeSpec, box):
 def _box_path(box, pts_per_edge):
     slo, shi, tlo, thi = box
     corners = [complex(slo, tlo), complex(shi, tlo), complex(shi, thi), complex(slo, thi)]
+    top = max(8, int(np.ceil(pts_per_edge * (shi - slo) / (thi - tlo))))
     ts = []
-    for i in range(4):
+    for i, count in enumerate((pts_per_edge, pts_per_edge, top, pts_per_edge)):
         a, b = corners[i], corners[(i + 1) % 4]
-        frac = np.linspace(0.0, 1.0, pts_per_edge, endpoint=False)
+        frac = np.linspace(0.0, 1.0, count, endpoint=False)
         ts.append(a + (b - a) * frac)
     path = np.concatenate(ts)
     return np.append(path, path[0])
@@ -135,9 +137,14 @@ def _box_path(box, pts_per_edge):
 def _winding(F, box, kappa_scale, max_points=120000):
     """Winding number of F along the box boundary, counterclockwise.
 
-    Adaptively inserts midpoints until consecutive phase increments are
-    below pi/2.  Raises ContourThroughRoot when the boundary runs into a
-    near-zero of F, NonConvergence when refinement stalls.
+    The first pass samples each edge on its own count (`_box_path`): 96
+    points on the bottom edge and the two sides, which pass within eta (or
+    about 0.3) of the axis roots and poles, and max(8, ceil(96 * width /
+    height)) on the top edge at tau = TAU_MAX, far from all of them.  Then it
+    inserts midpoints until consecutive phase increments are below pi/2, so
+    a coarse edge is refined where F turns fast.  Raises ContourThroughRoot
+    when the boundary runs into a near-zero of F, NonConvergence when
+    refinement stalls.
     """
     pts = _box_path(box, 96)
     try:
@@ -220,20 +227,26 @@ def _fold(x, tol=1e-9):
     return 0.0 if abs(x) < tol else x
 
 
-def _make_root(F, lam):
-    """The root at lam, certified by one read of F and Theta' there:
-    |F| <= RESIDUAL_TOL, or a Newton correction |F / Theta'| (|F'| = |Theta'|)
-    within BRACKET_TOL * (1 + |lambda|), where |Theta'| is so large that one
-    ulp of lambda moves F by more than RESIDUAL_TOL.  Otherwise NonConvergence."""
-    lam = complex(lam)
-    f = complex(F(lam))
-    dtheta = F.dtheta(lam, f)
-    if not (abs(f) <= RESIDUAL_TOL or (cmath.isfinite(dtheta) and
-            abs(f) <= BRACKET_TOL * (1.0 + abs(lam)) * abs(dtheta))):
-        raise NonConvergence(f"root {lam} not certified: |F| = {abs(f):.3g}, "
-                             f"|Theta'| = {abs(dtheta):.3g}")
-    return IndicialRoot(sigma=_fold(lam.real), tau=_fold(abs(lam.imag)),
-                        residual=abs(f), dtheta=dtheta)
+def _make_roots(F, lams):
+    """The roots at lams, certified by one vector read of F and of Theta' at
+    them all: each needs |F| <= RESIDUAL_TOL, or a Newton correction
+    |F / Theta'| (|F'| = |Theta'|) within BRACKET_TOL * (1 + |lambda|), where
+    |Theta'| is so large that one ulp of lambda moves F by more than
+    RESIDUAL_TOL.  The first root that fails raises NonConvergence."""
+    lams = np.asarray(lams, dtype=np.complex128)
+    if not len(lams):
+        return []
+    fs = F(lams)
+    dthetas = F.dtheta(lams, fs)
+    roots = []
+    for lam, f, dtheta in zip(lams.tolist(), fs.tolist(), dthetas.tolist()):
+        if not (abs(f) <= RESIDUAL_TOL or (cmath.isfinite(dtheta) and
+                abs(f) <= BRACKET_TOL * (1.0 + abs(lam)) * abs(dtheta))):
+            raise NonConvergence(f"root {lam} not certified: |F| = {abs(f):.3g}, "
+                                 f"|Theta'| = {abs(dtheta):.3g}")
+        roots.append(IndicialRoot(sigma=_fold(lam.real), tau=_fold(abs(lam.imag)),
+                                  residual=abs(f), dtheta=dtheta))
+    return roots
 
 
 def _axis_roots_real(F, spec, sigma_max):
@@ -253,7 +266,7 @@ def _axis_roots_real(F, spec, sigma_max):
     flip[np.cumsum([len(g) for g in grids[:-1]], dtype=int) - 1] = False  # across a pole
     i = np.nonzero(flip)[0]
     x0 = _false_position(lambda x: np.real(F(x)), grid[i], grid[i + 1], vals[i], vals[i + 1])
-    return [_make_root(F, x) for x in x0]
+    return _make_roots(F, x0)
 
 
 def _axis_roots_imag(F, spec, kappa, tau_max):
@@ -262,15 +275,20 @@ def _axis_roots_imag(F, spec, kappa, tau_max):
     i = np.nonzero(np.signbit(vals[1:]) != np.signbit(vals[:-1]))[0]
     t0 = _false_position(lambda t: theta(spec, t) - kappa, grid[i], grid[i + 1],
                          vals[i], vals[i + 1])
-    return [_make_root(F, 1j * float(t)) for t in t0]
+    return _make_roots(F, 1j * t0)
 
 
 def first_root(spec: ModeSpec) -> IndicialRoot:
-    """Smallest-sigma indicial root: the lowest root of the catalog's own
-    axis scan, certified as every catalog root is.  Mode 0 scans the real
-    frequency axis up to tau = TAU_MAX for the oscillatory pair (sigma = 0,
-    tau > 0); mode >= 1 scans (0, 2B) on the real axis, where the symbol
-    continuation falls from Theta_m(0) > kappa to 0.
+    """Smallest-sigma indicial root, certified as every catalog root is.
+
+    Mode 0 scans the real frequency axis up to tau = TAU_MAX for the
+    oscillatory pair (sigma = 0, tau > 0): the catalog's own imaginary-axis
+    scan, so the root is bit for bit `root_catalog(spec, 1).roots[0]`.
+    Mode >= 1 scans (0, 2B) on the real axis, where the symbol continuation
+    falls from Theta_m(0) > kappa to 0.  The catalog scans its own box, so
+    false position starts from other brackets and the two roots can differ
+    by a few bracket widths (up to 3.3 BRACKET_TOL * (1 + |lambda|) over
+    gamma 0.05-1.7, n 2-12, m 1-10, at gamma 0.05, n 10, m 1).
     """
     kappa = constants(spec.n, spec.gamma).kappa
     F = _char_fn(spec, kappa)
@@ -353,11 +371,12 @@ def root_catalog(spec: ModeSpec, j_count: int) -> RootCatalog:
     and adding its count to the running one (a strip no margin keeps clear is replaced
     by a whole-box count).  The two axes, where the characteristic function
     is real, are then scanned once in the final box; when no counting contour
-    can be cleared (no count), the real-axis scan alone grows the box.  Each
-    root is certified by one read of F and Theta' at its bracket solution
-    (see `_make_root`); one that fails raises NonConvergence.  The catalog
-    is certified when the count equals the roots located: the count is the
-    one guarantee that no root lies off the axes.
+    can be cleared (no count), the real-axis scan alone grows the box.  The
+    roots of each scan are certified by one vector read of F and of Theta'
+    at their bracket solutions (see `_make_roots`); the first that fails
+    raises NonConvergence.  The catalog is certified when the count equals
+    the roots located: the count is the one guarantee that no root lies off
+    the axes.
     """
     return _catalog_cached(spec.n, float(spec.gamma), spec.m, int(j_count))
 

@@ -224,9 +224,100 @@ def test_first_root_is_the_catalog_root_at_high_order(n):
 def test_root_failing_both_certification_rules_raises():
     spec = ModeSpec(n=3, m=1)
     F = indicial._char_fn(spec, constants(3).kappa)
-    assert indicial._make_root(F, complex(1.0)).sigma == 1.0
+    assert indicial._make_roots(F, [1.0])[0].sigma == 1.0
     with pytest.raises(NonConvergence, match="1.000001"):
-        indicial._make_root(F, complex(1.000001))
+        indicial._make_roots(F, [1.000001])
+
+
+def test_batch_certification():
+    spec = ModeSpec(n=3, m=1)
+    F = indicial._char_fn(spec, constants(3).kappa)
+    assert indicial._make_roots(F, []) == []
+    # the first root that fails names itself, after the ones that pass
+    with pytest.raises(NonConvergence, match=r"root \(1\.000001\+0j\) not certified"):
+        indicial._make_roots(F, [1.0, 1.000001])
+    # re-certifying a catalog's roots gives them back, fields as Python scalars
+    roots = root_catalog(spec, 4).roots + root_catalog(ModeSpec(n=3, m=0), 4).roots[:1]
+    got = indicial._make_roots(F, [r.lam for r in roots[:4]])
+    assert tuple(got) == roots[:4]
+    for r in got + [roots[4]]:
+        assert [type(v) for v in (r.sigma, r.tau, r.residual, r.dtheta)] == \
+            [float, float, float, complex]
+
+
+@pytest.mark.parametrize("n, m", [(3, 0), (3, 2), (5, 6)])
+def test_each_axis_scan_certifies_in_one_read(monkeypatch, n, m):
+    # one vector call of Theta'/Theta per scan that finds roots, whatever
+    # their number (mode 0 has one on each axis, the higher modes only real ones)
+    calls = []
+    log_derivative = indicial.theta_log_derivative
+
+    def counted(spec, zeta):
+        calls.append(np.size(zeta))
+        return log_derivative(spec, zeta)
+    monkeypatch.setattr(indicial, "theta_log_derivative", counted)
+    indicial._catalog_cached.cache_clear()
+    cat = root_catalog(ModeSpec(n=n, m=m), 4)
+    indicial._catalog_cached.cache_clear()
+    assert len(calls) == len({r.tau == 0.0 for r in cat.roots}) == (2 if m == 0 else 1)
+    assert sum(calls) == len(cat.roots) >= 4
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_mode0_first_root_is_the_catalog_root(n):
+    # at mode 0 both read the same imaginary-axis scan
+    spec = ModeSpec(n=n, gamma=0.5, m=0)
+    assert first_root(spec) == root_catalog(spec, 1).roots[0]
+
+
+@pytest.mark.parametrize("gamma, n, m", [(0.05, 10, 1), (0.05, 2, 1), (0.3, 7, 3),
+                                         (0.5, 3, 2), (0.8, 5, 6), (1.7, 12, 10)])
+def test_first_root_within_the_bracket_tolerance_of_the_catalog_root(gamma, n, m):
+    # at m >= 1 first_root scans (0, 2B) and the catalog its own box, so false
+    # position starts from other brackets; the two agree to a few bracket
+    # widths (3.28 of them at gamma 0.05, n 10, m 1, the worst of 693 specs)
+    spec = ModeSpec(n=n, gamma=gamma, m=m)
+    got, want = first_root(spec), root_catalog(spec, 1).roots[0]
+    assert got.tau == want.tau == 0.0
+    assert abs(got.sigma - want.sigma) <= 4.0 * indicial.BRACKET_TOL * (1.0 + want.sigma)
+
+
+def _dense_winding(F, box, per_edge=2048):
+    """Winding of F along the box boundary from the phase sum over per_edge
+    points on every edge, each step checked to turn by less than pi/2."""
+    slo, shi, tlo, thi = box
+    corners = [complex(slo, tlo), complex(shi, tlo), complex(shi, thi), complex(slo, thi)]
+    path = np.concatenate([a + (b - a) * np.linspace(0.0, 1.0, per_edge, endpoint=False)
+                           for a, b in zip(corners, corners[1:] + corners[:1])])
+    vals = F(np.append(path, path[0]))
+    d_arg = np.angle(vals[1:] / vals[:-1])
+    assert np.max(np.abs(d_arg)) < 0.5 * np.pi
+    w = np.sum(d_arg) / (2.0 * np.pi)
+    assert abs(w - round(w)) < 1e-6
+    return round(w)
+
+
+def test_sized_top_edge_winds_as_a_dense_path(monkeypatch):
+    # every box a criterion-2 catalog winds (the first box and its two growth
+    # strips), with the top edge's first pass sized by its length
+    wound, winding = [], indicial._winding
+
+    def recorded(F, box, kappa_scale):
+        w = winding(F, box, kappa_scale)
+        wound.append((F, box, w))
+        return w
+    monkeypatch.setattr(indicial, "_winding", recorded)
+    indicial._catalog_cached.cache_clear()
+    for n in range(2, 6):
+        for m in range(7):
+            root_catalog(ModeSpec(n=n, m=m), 4)
+    indicial._catalog_cached.cache_clear()
+    assert len(wound) == 84
+    for F, box, w in wound:
+        width, height = box[1] - box[0], box[3] - box[2]
+        top = max(8, int(np.ceil(96 * width / height)))
+        assert len(indicial._box_path(box, 96)) == 3 * 96 + top + 1
+        assert w == _dense_winding(F, box)
 
 
 def test_uncertified_catalog_fails_clause_d(monkeypatch):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln, loggamma
 
 from neckforge import specfun, symbol
 from neckforge.errors import PoleError
@@ -152,6 +153,78 @@ def test_log_rgamma_keeps_a_2d_stack_row_by_row():
     off = np.ones(rows.shape, dtype=bool)
     off[1, 1] = False
     assert np.array_equal(out[off], -log_gamma(rows[off]))
+
+
+def _split_reference(z, reciprocal):
+    """Entry by entry: gammaln on the positive real axis (a -0.0 imaginary
+    part included), scipy's complex loggamma elsewhere, and for log 1/Gamma
+    exactly -inf on the poles."""
+    z = np.asarray(z, dtype=np.complex128)
+    out = np.empty(z.shape, dtype=np.complex128)
+    for idx in np.ndindex(z.shape):
+        w = z[idx]
+        if reciprocal and w.imag == 0.0 and w.real <= 0.0 and w.real == np.rint(w.real):
+            out[idx] = complex(-np.inf, 0.0)
+            continue
+        val = np.complex128(gammaln(w.real)) if w.imag == 0.0 and w.real > 0.0 else loggamma(w)
+        out[idx] = -val if reciprocal else val
+    return out
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.complex128).reshape(-1).view(np.uint64)
+
+
+_SPLIT_CASES = {
+    "0d-real": np.asarray(2.5 + 0.0j),
+    "0d-real-minus-zero": np.asarray(complex(3.0, -0.0)),
+    "0d-complex": np.asarray(1.25 + 3.0j),
+    "0d-negative-real": np.asarray(-2.5 + 0.0j),
+    "1d-complex": np.array([0.75 + 0.3j, 1.25 + 4.0j, -3.6 + 2.2j, 2.0 - 9.5j, 0.25 + 17.0j]),
+    "1d-positive-real": np.array([1e-3, 0.5, 1.0, 3.7, 12.25, 170.5], dtype=np.complex128),
+    "2d-positive-real": np.array([[0.5, 1.5, 2.5], [3.5, 4.5, 5.5]], dtype=np.complex128),
+    "2d-mixed": np.array([[0.5, -2.5, 1.5 + 2.0j, complex(3.0, -0.0)],
+                          [complex(-1.5, -0.0), 0.25 + 17.0j, 7.0, -0.5 - 0.25j]]),
+    # one positive real entry in 128: below the share that pays for a gather
+    "1d-sparse-real": np.concatenate([[1.5], np.linspace(0.5, 9.0, 127) + 0.75j]),
+}
+_POLE_CASES = {
+    "0d-pole": np.asarray(-2.0 + 0.0j),
+    "1d-poles-and-reals": np.array([0.0, 0.5, -3.0, 2.0, complex(-1.0, -0.0)]),
+    "2d-mixed-with-poles": np.array([[-2.0, 0.5, 1.0 + 1.0j], [0.0, complex(-1.5, -0.0),
+                                                               complex(2.0, -0.0)]]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SPLIT_CASES) + sorted(_POLE_CASES))
+def test_log_gamma_is_the_per_entry_split_bit_for_bit(case):
+    z = _SPLIT_CASES.get(case, _POLE_CASES.get(case))
+    calls = [(log_rgamma, True)] + [(log_gamma, False)] * (case in _SPLIT_CASES)
+    for fn, reciprocal in calls:
+        got = fn(z)
+        assert np.shape(got) == z.shape
+        assert np.array_equal(_bits(got), _bits(_split_reference(z, reciprocal)))
+
+
+def test_loggamma_runs_off_the_positive_real_axis(monkeypatch):
+    # with at least 1/64 of the entries positive real, loggamma sees the
+    # others only; with fewer it runs on the whole array
+    seen = []
+
+    def spy(z):
+        seen.append(np.array(z, dtype=np.complex128))
+        return loggamma(z)
+    monkeypatch.setattr(specfun, "loggamma", spy)
+    for case, z in list(_SPLIT_CASES.items()) + list(_POLE_CASES.items()):
+        seen.clear()
+        log_rgamma(z)
+        if case == "1d-sparse-real":
+            assert [w.size for w in seen] == [z.size]
+            continue
+        real = (z.imag == 0.0) & (z.real > 0.0)
+        poles = (z.imag == 0.0) & (z.real <= 0.0) & (z.real == np.rint(z.real))
+        assert sum(w.size for w in seen) == np.count_nonzero(~real & ~poles)
+        assert not any(np.any((w.imag == 0.0) & (w.real > 0.0)) for w in seen)
 
 
 def test_theta_analytic_masks_each_argument_once(monkeypatch):
