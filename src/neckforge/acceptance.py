@@ -2,7 +2,8 @@
 
 Each criterion function is self-contained, deterministic (fixed seeds),
 and returns a CriterionResult with a one-line detail string; `run_all`
-executes them in order and prints one PASS/FAIL line per criterion.
+executes them in order and `format_line` renders one PASS/FAIL line per
+result, with the criterion's wall time when it is recorded.
 The same functions back both the `accept` CLI subcommand and the
 acceptance test module, so there is exactly one source of truth for
 tolerances.
@@ -38,7 +39,7 @@ class CriterionResult:
     name: str
     passed: bool
     detail: str
-    elapsed: float
+    elapsed: float | None  # wall time in seconds; None leaves it off the line
 
 
 def criterion_1():
@@ -237,7 +238,8 @@ CRITERIA = (
 
 def format_line(r: CriterionResult) -> str:
     tag = "PASS" if r.passed else "FAIL"
-    return f"{tag} {r.index:2d} {r.name:<22s} ({r.elapsed:6.1f}s)  {r.detail}"
+    took = "" if r.elapsed is None else f" ({r.elapsed:6.1f}s)"
+    return f"{tag} {r.index:2d} {r.name:<22s}{took}  {r.detail}"
 
 
 def run_all(indices=None) -> list:
@@ -256,5 +258,4 @@ def run_all(indices=None) -> list:
         res = CriterionResult(index=idx, name=name, passed=passed,
                               detail=detail, elapsed=time.perf_counter() - t0)
         results.append(res)
-        print(format_line(res), flush=True)
     return results

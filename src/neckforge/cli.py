@@ -6,7 +6,8 @@ format parseable with a dozen lines in any language.  CLI flags override
 file values.  All floats are printed with 17 significant digits so output
 can be compared across languages bit-for-bit; bodies are byte-identical
 between runs, and the only timestamp lives in a comment header that
-``--deterministic`` suppresses.
+``--deterministic`` suppresses (for ``accept``, it also drops each
+criterion's wall time).
 
 Exit codes: 0 success, 2 config error, 3 numerical failure, 4 acceptance
 (or lemma-suite) failure.
@@ -18,7 +19,7 @@ import argparse
 import datetime
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -411,9 +412,13 @@ def _run_accept(config: RunConfig, out) -> int:
     p = config.parameters
     indices = set(p["criteria"]) if p["criteria"] else None
     results = run_all(indices=indices)
+    if p["deterministic"]:  # wall times differ from run to run
+        results = [replace(r, elapsed=None) for r in results]
+    lines = [format_line(r) + "\n" for r in results]
+    sys.stdout.writelines(lines)
     if out is not None:
         _header(config, out)
-        out.writelines(format_line(r) + "\n" for r in results)
+        out.writelines(lines)
     return 0 if results and all(r.passed for r in results) else 4
 
 

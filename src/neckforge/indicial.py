@@ -269,32 +269,38 @@ def _axis_roots_real(F, spec, sigma_max):
     return _make_roots(F, x0)
 
 
-def _axis_roots_imag(F, spec, kappa, tau_max):
-    grid = np.linspace(1e-9, tau_max, 600)
+@lru_cache(maxsize=256)
+def _axis_roots_imag(n, gamma, m):
+    """Sign-change roots on the imaginary axis lambda = i*tau, 0 < tau <= TAU_MAX,
+    as a tuple: the oscillatory pair.  They do not depend on a catalog's box,
+    so one scan per spec serves `first_root` at mode 0 and every catalog."""
+    spec = ModeSpec(n=n, gamma=gamma, m=m)
+    kappa = constants(n, gamma).kappa
+    grid = np.linspace(1e-9, TAU_MAX, 600)
     vals = theta(spec, grid) - kappa
     i = np.nonzero(np.signbit(vals[1:]) != np.signbit(vals[:-1]))[0]
     t0 = _false_position(lambda t: theta(spec, t) - kappa, grid[i], grid[i + 1],
                          vals[i], vals[i + 1])
-    return _make_roots(F, 1j * t0)
+    return tuple(_make_roots(_char_fn(spec, kappa), 1j * t0))
 
 
 def first_root(spec: ModeSpec) -> IndicialRoot:
     """Smallest-sigma indicial root, certified as every catalog root is.
 
-    Mode 0 scans the real frequency axis up to tau = TAU_MAX for the
-    oscillatory pair (sigma = 0, tau > 0): the catalog's own imaginary-axis
-    scan, so the root is bit for bit `root_catalog(spec, 1).roots[0]`.
+    Mode 0 reads the oscillatory pair (sigma = 0, tau > 0) off the real
+    frequency axis up to tau = TAU_MAX: the imaginary-axis scan every catalog
+    of the spec reads too, run once per spec, so the root is bit for bit
+    `root_catalog(spec, 1).roots[0]`.
     Mode >= 1 scans (0, 2B) on the real axis, where the symbol continuation
     falls from Theta_m(0) > kappa to 0.  The catalog scans its own box, so
     false position starts from other brackets and the two roots can differ
     by a few bracket widths (up to 3.3 BRACKET_TOL * (1 + |lambda|) over
     gamma 0.05-1.7, n 2-12, m 1-10, at gamma 0.05, n 10, m 1).
     """
-    kappa = constants(spec.n, spec.gamma).kappa
-    F = _char_fn(spec, kappa)
     if spec.m == 0:
-        roots = _axis_roots_imag(F, spec, kappa, TAU_MAX)
+        roots = _axis_roots_imag(spec.n, float(spec.gamma), spec.m)
     else:
+        F = _char_fn(spec, constants(spec.n, spec.gamma).kappa)
         roots = _axis_roots_real(F, spec, 2.0 * spec.b_offset)
     if not roots:
         raise NonConvergence(f"no real first root found by the axis scan for {spec}")
@@ -344,7 +350,7 @@ def _catalog_cached(n, gamma, m, j_count):
     counted_at = sigma_max
     # the two scans return disjoint sets (sigma = 0 and tau = 0), and the
     # imaginary-axis roots do not depend on sigma_max
-    imag = _axis_roots_imag(F, spec, kappa, TAU_MAX)
+    imag = list(_axis_roots_imag(n, gamma, m))
     while True:
         roots = imag + _axis_roots_real(F, spec, sigma_max)
         if len(roots) >= j_count or sigma_max > sigma_cap:

@@ -19,12 +19,19 @@ shift is returned as the output envelope.  Mode 0 always needs a shift:
 its first indicial pair sits on the axis and produces the half-line
 oscillatory tail sin(tau_0 s) on the left, with coefficient
 2/|Theta_0'(tau_0)|.
+
+The last shifted multiplier built is kept and shared: a round trip
+apply_L0(green_solve(h)) needs Theta_m(xi - i*rate) - kappa on the same
+half-spectrum bins at the same rate (the solve's output carries rate
+-beta), and the symbol continuation is most of the cost of either half.
+Only the array is kept; every check on it runs on each call.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -108,14 +115,29 @@ class DecayProfile:
             raise ValidationError("decay rate must be finite")
 
 
-def _multiplier(spec: ModeSpec, xi: np.ndarray, rate: float, kappa: float) -> np.ndarray:
-    # representation f = w * e^{rate s} turns the multiplier argument into
-    # xi - i*rate (contour shifted to the envelope's strip)
-    return theta_analytic(spec, xi - 1j * rate) - kappa
+@lru_cache(maxsize=1)
+def _multiplier(spec: ModeSpec, N: int, ds: float, rate: float) -> np.ndarray:
+    """Read-only shifted multiplier Theta_m(xi - i*rate) - kappa on
+    `frequencies(N, ds)`.
+
+    The representation f = w * e^{rate s} turns the multiplier argument into
+    xi - i*rate (contour shifted to the envelope's strip).  The last one
+    built is kept: green_solve divides by it and apply_L0 on its output
+    multiplies by it again, with the same key.  One entry is enough because
+    every reuse in the acceptance suite is the very next call (an apply
+    after its solve, or criterion 5's same-contour solves).  An exception
+    (PoleError from the symbol) is never kept, and rates 0.0 and -0.0 give
+    the same contour bit for bit.
+    """
+    kappa = constants(spec.n, spec.gamma).kappa
+    out = theta_analytic(spec, frequencies(N, ds) - 1j * rate) - kappa
+    out.setflags(write=False)
+    return out
 
 
-def _alias_check(vhat: np.ndarray, xi: np.ndarray, N: int, what: str):
+def _alias_check(vhat: np.ndarray, N: int, ds: float, what: str):
     # vhat = rfft of N real samples: bins 1..(N-1)//2 stand for a +-xi pair
+    xi = frequencies(N, ds)
     power = np.abs(vhat) ** 2
     power[1:(N + 1) // 2] *= 2.0
     total = power.sum()
@@ -132,13 +154,11 @@ def _alias_check(vhat: np.ndarray, xi: np.ndarray, N: int, what: str):
 
 def apply_L0(spec: ModeSpec, v: LineFunction) -> LineFunction:
     """Linearized operator as a discrete Fourier multiplier on the bounded part."""
-    kappa = constants(spec.n, spec.gamma).kappa
     if spec.m != v.mode:
         raise ValidationError(f"mode mismatch: spec m={spec.m}, samples m={v.mode}")
-    xi = frequencies(v.N, v.ds)
     vhat = np.fft.rfft(v.values)
-    _alias_check(vhat, xi, v.N, "apply_L0")
-    out = np.fft.irfft(_multiplier(spec, xi, v.envelope_rate, kappa) * vhat, v.N)
+    _alias_check(vhat, v.N, v.ds, "apply_L0")
+    out = np.fft.irfft(_multiplier(spec, v.N, v.ds, v.envelope_rate) * vhat, v.N)
     return replace(v, values=out)
 
 
@@ -280,8 +300,7 @@ def green_solve(spec: ModeSpec, h: LineFunction, profile: DecayProfile,
                 f"({ends:.2e} vs sup {np.abs(g).max():.2e}); widen the window "
                 "or declare slower rates"
             )
-    xi = frequencies(h.N, h.ds)
-    denom = _multiplier(spec, xi, -beta, kappa)
+    denom = _multiplier(spec, h.N, h.ds, -beta)
     dmin = np.abs(denom).min()
     if dmin < 1e-7 * kappa:
         raise ResonanceError(
@@ -289,7 +308,7 @@ def green_solve(spec: ModeSpec, h: LineFunction, profile: DecayProfile,
             f"contour {beta} too close to an indicial exponent"
         )
     ghat = np.fft.rfft(g)
-    _alias_check(ghat, xi, h.N, "green_solve")
+    _alias_check(ghat, h.N, h.ds, "green_solve")
     w = np.fft.irfft(ghat / denom, h.N)
     return LineFunction(s0=h.s0, ds=h.ds, N=h.N, values=w, mode=h.mode,
                         envelope_rate=-beta)

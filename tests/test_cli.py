@@ -91,6 +91,24 @@ def test_deterministic_outputs_byte_identical(tmp_path):
     assert _body(a) == _body(b)
 
 
+def test_deterministic_accept_byte_identical(tmp_path, capsys):
+    # each criterion's wall time varies from run to run, so none is printed
+    outs, printed = [], []
+    for name in ("a.txt", "b.txt"):
+        out = tmp_path / name
+        assert main(["accept", "--deterministic", "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+        printed.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] and printed[0] == printed[1]
+    lines = outs[0].decode().splitlines()
+    assert lines[0].startswith("# neckforge") and len(lines) == 11
+    assert printed[0].splitlines() == lines[1:]
+    assert all(re.match(rf"PASS {i:2d} [a-z-]+ +[^( ]", ln) for i, ln in enumerate(lines[1:], 1))
+    # without the flag the time stays on the line
+    assert main(["accept", "--criteria", "1"]) == 0
+    assert re.match(r"PASS  1 constant-anchor +\( *\d+\.\ds\)  \|c\(3\)", capsys.readouterr().out)
+
+
 def test_unknown_key_named(tmp_path):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("[glue]\nfoo = 1\n")

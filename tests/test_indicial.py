@@ -257,6 +257,7 @@ def test_each_axis_scan_certifies_in_one_read(monkeypatch, n, m):
         return log_derivative(spec, zeta)
     monkeypatch.setattr(indicial, "theta_log_derivative", counted)
     indicial._catalog_cached.cache_clear()
+    indicial._axis_roots_imag.cache_clear()
     cat = root_catalog(ModeSpec(n=n, m=m), 4)
     indicial._catalog_cached.cache_clear()
     assert len(calls) == len({r.tau == 0.0 for r in cat.roots}) == (2 if m == 0 else 1)

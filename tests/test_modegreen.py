@@ -9,12 +9,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from neckforge import modegreen
-from neckforge.errors import AliasWarning, ResonanceError, TailMismatch, ValidationError
+from neckforge.errors import (AliasWarning, PoleError, ResonanceError, TailMismatch,
+                              ValidationError)
 from neckforge.indicial import first_root, root_catalog
 from neckforge.modegreen import (DecayProfile, LineFunction, apply_L0,
                                  classify_growth, fit_tail_rate, green_solve,
                                  homogeneous_basis, synthesize_kernel)
-from neckforge.symbol import ModeSpec, constants, theta_analytic
+from neckforge.symbol import ModeSpec, constants, frequencies, theta_analytic
 
 DELTA = 0.5
 
@@ -176,6 +177,88 @@ def test_explicit_beta_on_an_indicial_exponent_rejected(m, beta, delta):
     with pytest.raises(ResonanceError, match="indicial exponent"):
         green_solve(ModeSpec(n=3, m=m), _rhs(m, delta=delta), DecayProfile(delta=delta),
                     beta=beta)
+
+
+@pytest.mark.parametrize("m,beta,delta", [(0, None, DELTA), (1, None, DELTA),
+                                          (2, None, 0.75), (3, None, DELTA), (1, 0.5, 1.5)])
+def test_round_trip_bit_equal_to_an_uncached_multiplier(m, beta, delta):
+    # the solve builds the shifted multiplier, the apply reads it back; both
+    # halves equal the same steps with Theta_m(xi - i*rate) - kappa built here
+    spec, h = ModeSpec(n=3, m=m), _rhs(m, delta=delta)
+    modegreen._multiplier.cache_clear()
+    v = green_solve(spec, h, DecayProfile(delta=delta), beta=beta)
+    back = apply_L0(spec, v)
+    rate = v.envelope_rate
+    M = theta_analytic(spec, frequencies(h.N, h.ds) - 1j * rate) - constants(3).kappa
+    g = h.values * np.exp(-rate * h.grid()) if rate != 0.0 else h.values
+    w = np.fft.irfft(np.fft.rfft(g) / M, h.N)
+    assert v.values.tobytes() == w.tobytes()
+    assert back.values.tobytes() == np.fft.irfft(M * np.fft.rfft(w), h.N).tobytes()
+    assert modegreen._multiplier.cache_info()[:2] == (1, 1)  # hits, misses
+
+
+def _counted_theta(monkeypatch):
+    calls = []
+
+    def spy(spec, zeta):
+        calls.append(np.shape(zeta))
+        return theta_analytic(spec, zeta)
+    monkeypatch.setattr(modegreen, "theta_analytic", spy)
+    modegreen._multiplier.cache_clear()
+    return calls
+
+
+def test_one_symbol_continuation_per_round_trip(monkeypatch):
+    calls = _counted_theta(monkeypatch)
+    for m in range(4):
+        spec, h = ModeSpec(n=3, m=m), _rhs(m)
+        apply_L0(spec, green_solve(spec, h, DecayProfile(delta=DELTA)))
+        assert len(calls) == m + 1
+    assert calls == [(h.N // 2 + 1,)] * 4
+
+
+def test_shared_multiplier_is_read_only():
+    spec, h = ModeSpec(n=3, m=1), _rhs(1)
+    v = green_solve(spec, h, DecayProfile(delta=DELTA))
+    M = modegreen._multiplier(spec, h.N, h.ds, v.envelope_rate)
+    assert M.dtype == np.complex128 and M.shape == (h.N // 2 + 1,)
+    assert not M.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        M[0] = 0.0
+
+
+def test_shared_multiplier_checked_on_every_call(monkeypatch):
+    # n = 3, m = 1: sigma = 1 exactly, so on the contour beta = 1 the xi = 0
+    # bin is a zero of the multiplier; with the margin off, only the grid
+    # minimum stops the solve, and it must stop the second (cached) one too
+    calls = _counted_theta(monkeypatch)
+    spec, h, prof = ModeSpec(n=3, m=1), _rhs(1, delta=1.5), DecayProfile(delta=1.5)
+    for _ in range(2):
+        with pytest.raises(ResonanceError, match="indicial exponent"):
+            green_solve(spec, h, prof, beta=1.0)  # the margin check
+    monkeypatch.setattr(modegreen, "_BETA_MARGIN", 0.0)
+    for _ in range(2):
+        with pytest.raises(ResonanceError, match="nearly vanishes"):
+            green_solve(spec, h, prof, beta=1.0)
+    assert len(calls) == 1
+    # the alias check reads each call's own spectrum
+    v = LineFunction.from_callable(lambda s: 1.0 + 0.2 * np.cos(157.0 * s), -30.0, 30.0, 4096)
+    for _ in range(2):
+        with pytest.warns(AliasWarning, match="top frequency decade"):
+            apply_L0(ModeSpec(n=3, m=0), v)
+    assert len(calls) == 2
+
+
+def test_pole_error_is_never_cached(monkeypatch):
+    # n = 3, m = 0: A = 1, so the envelope rate +-2A puts a numerator Gamma
+    # on its pole at xi = 0
+    calls = _counted_theta(monkeypatch)
+    spec = ModeSpec(n=3, m=0)
+    for rate in (2.0, 2.0, -2.0):
+        v = replace(_rhs(0), envelope_rate=rate)
+        with pytest.raises(PoleError):
+            apply_L0(spec, v)
+    assert len(calls) == 3 and modegreen._multiplier.cache_info().currsize == 0
 
 
 def test_green_solve_fits_the_right_tail_once(monkeypatch):

@@ -67,6 +67,17 @@ def test_glue_digest_script_is_deterministic():
     assert all(len(ln.split()[1]) == 64 for ln in first[1:])
 
 
+def test_green_digest_script_is_deterministic():
+    first, second = (_run("green_digest.py", "--quick").splitlines() for _ in range(2))
+    assert first == second
+    total = first[0].split()
+    assert len(total[0]) == 64 and total[1:] == [
+        "c4=2", "c5=2", "bench=2", "beta=12", "raised=4"]
+    # then one digest per kind
+    assert [ln.split()[0] for ln in first[1:]] == ["c4", "c5", "bench", "beta"]
+    assert all(len(ln.split()[1]) == 64 for ln in first[1:])
+
+
 def test_option_count_script_runs():
     lines = _run("option_count.py").splitlines()
     modules = [ln for ln in lines if not ln.startswith((" ", "total:"))]
