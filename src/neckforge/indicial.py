@@ -291,17 +291,18 @@ def first_root(spec: ModeSpec) -> IndicialRoot:
     frequency axis up to tau = TAU_MAX: the imaginary-axis scan every catalog
     of the spec reads too, run once per spec, so the root is bit for bit
     `root_catalog(spec, 1).roots[0]`.
-    Mode >= 1 scans (0, 2B) on the real axis, where the symbol continuation
-    falls from Theta_m(0) > kappa to 0.  The catalog scans its own box, so
-    false position starts from other brackets and the two roots can differ
-    by a few bracket widths (up to 3.3 BRACKET_TOL * (1 + |lambda|) over
-    gamma 0.05-1.7, n 2-12, m 1-10, at gamma 0.05, n 10, m 1).
+    Mode >= 1 scans the real axis up to the first pole 2A: the root lies
+    below 2B < 2A, where the symbol continuation falls from
+    Theta_m(0) > kappa to 0.  That interval's grid, brackets and lockstep
+    false position are the ones every catalog of the spec runs on it (each
+    point of a vector F call is computed on its own), so the root is again
+    bit for bit `root_catalog(spec, 1).roots[0]`.
     """
     if spec.m == 0:
         roots = _axis_roots_imag(spec.n, float(spec.gamma), spec.m)
     else:
         F = _char_fn(spec, constants(spec.n, spec.gamma).kappa)
-        roots = _axis_roots_real(F, spec, 2.0 * spec.b_offset)
+        roots = _axis_roots_real(F, spec, 2.0 * spec.a_offset)
     if not roots:
         raise NonConvergence(f"no real first root found by the axis scan for {spec}")
     return roots[0]

@@ -274,13 +274,12 @@ def test_mode0_first_root_is_the_catalog_root(n):
 @pytest.mark.parametrize("gamma, n, m", [(0.05, 10, 1), (0.05, 2, 1), (0.3, 7, 3),
                                          (0.5, 3, 2), (0.8, 5, 6), (1.7, 12, 10)])
 def test_first_root_within_the_bracket_tolerance_of_the_catalog_root(gamma, n, m):
-    # at m >= 1 first_root scans (0, 2B) and the catalog its own box, so false
-    # position starts from other brackets; the two agree to a few bracket
-    # widths (3.28 of them at gamma 0.05, n 10, m 1, the worst of 693 specs)
+    # at m >= 1 first_root scans the catalog's first pole interval (0, 2A)
+    # on the catalog's grid, so false position runs from the same brackets
     spec = ModeSpec(n=n, gamma=gamma, m=m)
     got, want = first_root(spec), root_catalog(spec, 1).roots[0]
     assert got.tau == want.tau == 0.0
-    assert abs(got.sigma - want.sigma) <= 4.0 * indicial.BRACKET_TOL * (1.0 + want.sigma)
+    assert got == want
 
 
 def _dense_winding(F, box, per_edge=2048):

@@ -1,6 +1,10 @@
 """Periodic-cylinder curvature solver and the flat-ball degenerate variant."""
 
+import concurrent.futures
 import dataclasses
+import multiprocessing
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -409,13 +413,15 @@ def test_invertibility_study_folds_are_symmetric():
 def test_invertibility_study_runs_one_ldlt_per_block(monkeypatch):
     # 2 (m_max + 1) symmetric factorizations and m_max + 1 symmetric matvecs
     # per epsilon, and no general (LU) inverse anywhere in the study
-    calls = {"dsytrf": 0, "dsymv": 0}
+    # the modes run on worker threads, where calls[name] += 1 could drop a
+    # count; list.append is one atomic step
+    calls = []
 
     def spy(module, name):
         orig = getattr(module, name)
 
         def counted(*args, **kwargs):
-            calls[name] += 1
+            calls.append(name)
             return orig(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
 
@@ -427,7 +433,7 @@ def test_invertibility_study_runs_one_ldlt_per_block(monkeypatch):
     monkeypatch.setattr(scipy.linalg, "inv", forbidden)
     monkeypatch.setattr(scipy.linalg.lapack, "dgetri", forbidden)
     uniform_invertibility_study(3, [0.1, 0.05, 0.025], mu=-0.5, m_max=2, N_s=256)
-    assert calls == {"dsytrf": 3 * 2 * 3, "dsymv": 3 * 3}
+    assert (calls.count("dsytrf"), calls.count("dsymv")) == (3 * 2 * 3, 3 * 3)
 
 
 def test_invertibility_study_repeated_epsilon_is_bit_equal():
@@ -447,6 +453,139 @@ def test_invertibility_study_singular_block_is_typed(monkeypatch):
                         lambda n, u, Pu: (np.ones_like(u), np.zeros_like(u)))
     with pytest.raises(ResonanceError, match="even fold block of mode 0 .*epsilon 0.1"):
         uniform_invertibility_study(3, [0.1], mu=-0.5, m_max=2, N_s=256)
+
+
+def test_invertibility_study_pool_is_bit_equal_to_the_inline_loop(monkeypatch):
+    # two CPUs force the pool on any host and one runs the inline loop; each
+    # mode keeps its own buffers, so the floors match bit for bit
+    def studies():
+        return [_c10_study()] + [uniform_invertibility_study(3, [eps], mu=-0.5, m_max=3,
+                                                             N_s=384)
+                                 for eps in (0.1, 0.025, 0.00625)]
+
+    monkeypatch.setattr(solver, "_cpus", lambda: 2)
+    pooled = studies()
+    monkeypatch.setattr(solver, "_cpus", lambda: 1)
+    assert pooled == studies()
+
+
+def test_invertibility_study_names_the_lowest_singular_mode(monkeypatch):
+    # with a = 1, b = 0, a unit symbol leaves mode 0 invertible and a zero one
+    # makes modes 1 and 2 singular; whichever worker fails first, the error
+    # names mode 1
+    def unit_mode0(n, m_max, N, ds):
+        table = np.zeros((m_max + 1, N // 2 + 1))
+        table[0] = 1.0
+        return table
+
+    monkeypatch.setattr(solver, "_cpus", lambda: 2)
+    monkeypatch.setattr(solver, "theta_table", unit_mode0)
+    monkeypatch.setattr(solver, "curvature_linearization",
+                        lambda n, u, Pu: (np.ones_like(u), np.zeros_like(u)))
+    for _ in range(5):
+        with pytest.raises(ResonanceError, match="even fold block of mode 1 .*epsilon 0.1"):
+            uniform_invertibility_study(3, [0.1], mu=-0.5, m_max=2, N_s=256)
+
+
+def _study_in_child(conn):
+    rows = uniform_invertibility_study(3, [0.1, 0.025], mu=-0.5, m_max=2, N_s=256)["rows"]
+    workers = [t for t in threading.enumerate() if t.name.startswith("neckforge-study")]
+    conn.send((rows, len(workers)))
+    conn.close()
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="no fork start method on this platform")
+def test_invertibility_study_runs_in_a_forked_child(monkeypatch):
+    # the parent's pool has no threads in a forked child, so the child makes
+    # its own instead of queueing work for workers that are not there
+    monkeypatch.setattr(solver, "_cpus", lambda: 2)
+    want = uniform_invertibility_study(3, [0.1, 0.025], mu=-0.5, m_max=2, N_s=256)["rows"]
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_study_in_child, args=(send,))
+    child.start()
+    try:
+        assert recv.poll(60), "the forked child's study did not finish within 60 s"
+        assert recv.recv() == (want, 1)
+        child.join(10)
+        assert not child.is_alive() and child.exitcode == 0
+    finally:
+        if child.is_alive():
+            child.kill()
+            child.join(10)
+
+
+def test_invertibility_study_keeps_its_workers(monkeypatch):
+    # the pool is made once: repeated studies run on the same threads and
+    # start none beyond the caller plus one worker per further CPU, at most
+    # one per further mode (3 here)
+    monkeypatch.setattr(solver, "_cpus", lambda: 2)
+
+    def workers():
+        return {t for t in threading.enumerate() if t.name.startswith("neckforge-study")}
+
+    others = threading.active_count() - len(workers())
+    helpers = min(solver._cpus(), 4) - 1
+    seen = set()
+    for eps in np.geomspace(0.1, 0.00625, 12):
+        uniform_invertibility_study(3, [eps], mu=-0.5, m_max=3, N_s=256)
+        seen |= workers()
+        assert threading.active_count() <= others + helpers
+    assert len(seen) <= helpers
+
+
+def test_invertibility_study_does_not_wait_on_a_busy_worker(monkeypatch):
+    # a worker that never starts (its CPU busy or descheduled) leaves every
+    # mode to the calling thread, which finishes with the same floors
+    want = uniform_invertibility_study(3, [0.1, 0.025], mu=-0.5, m_max=2, N_s=256)
+    busy = concurrent.futures.ThreadPoolExecutor(max_workers=1)
+    release = threading.Event()
+    busy.submit(release.wait, 60)
+    monkeypatch.setattr(solver, "_cpus", lambda: 2)
+    monkeypatch.setattr(solver, "_pool", busy)
+    got = []
+    caller = threading.Thread(target=lambda: got.append(uniform_invertibility_study(
+        3, [0.1, 0.025], mu=-0.5, m_max=2, N_s=256)))
+    try:
+        caller.start()
+        caller.join(60)
+        assert not caller.is_alive(), "the study waited on a worker that never started"
+        assert got == [want]
+    finally:
+        release.set()
+        caller.join(60)
+        busy.shutdown()
+
+
+def test_invertibility_study_claims_each_mode_once_under_stress(monkeypatch):
+    # seven workers on the host's cores, switching threads every microsecond:
+    # each of the 8 modes is factored exactly once per epsilon, and the
+    # floors match the inline loop's
+    kw = dict(mu=-0.5, m_max=7, N_s=256)
+    monkeypatch.setattr(solver, "_cpus", lambda: 1)
+    want = uniform_invertibility_study(3, [0.1, 0.025], **kw)
+    calls = []
+    factor = scipy.linalg.lapack.dsytrf
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return factor(*args, **kwargs)
+
+    pool = concurrent.futures.ThreadPoolExecutor(max_workers=7)
+    monkeypatch.setattr(scipy.linalg.lapack, "dsytrf", counted)
+    monkeypatch.setattr(solver, "_cpus", lambda: 8)
+    monkeypatch.setattr(solver, "_pool", pool)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            calls.clear()
+            assert uniform_invertibility_study(3, [0.1, 0.025], **kw) == want
+            assert len(calls) == 2 * 2 * 8
+    finally:
+        sys.setswitchinterval(interval)
+        pool.shutdown()
 
 
 def test_invertibility_study_deterministic():
