@@ -20,11 +20,14 @@ its first indicial pair sits on the axis and produces the half-line
 oscillatory tail sin(tau_0 s) on the left, with coefficient
 2/|Theta_0'(tau_0)|.
 
-The last shifted multiplier built is kept and shared: a round trip
+The last multiplier built is kept and shared: a round trip
 apply_L0(green_solve(h)) needs Theta_m(xi - i*rate) - kappa on the same
 half-spectrum bins at the same rate (the solve's output carries rate
 -beta), and the symbol continuation is most of the cost of either half.
-Only the array is kept; every check on it runs on each call.
+On the real contour (rate 0, the solve at beta = 0) the multiplier is a row
+of the shared `theta_table` less kappa, so a warm real round trip evaluates
+no log-Gamma; only a shifted contour runs the continuation.  Only the array
+is kept; every check on it runs on each call.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from .errors import (
     WindowTooShort,
 )
 from .indicial import RootCatalog, root_catalog
-from .symbol import ModeSpec, constants, frequencies, theta_analytic
+from .symbol import ModeSpec, constants, frequencies, theta_analytic, theta_table
 
 __all__ = [
     "LineFunction",
@@ -121,16 +124,23 @@ def _multiplier(spec: ModeSpec, N: int, ds: float, rate: float) -> np.ndarray:
     `frequencies(N, ds)`.
 
     The representation f = w * e^{rate s} turns the multiplier argument into
-    xi - i*rate (contour shifted to the envelope's strip).  The last one
-    built is kept: green_solve divides by it and apply_L0 on its output
-    multiplies by it again, with the same key.  One entry is enough because
-    every reuse in the acceptance suite is the very next call (an apply
-    after its solve, or criterion 5's same-contour solves).  An exception
-    (PoleError from the symbol) is never kept, and rates 0.0 and -0.0 give
-    the same contour bit for bit.
+    xi - i*rate (contour shifted to the envelope's strip).  On the real
+    contour (rate 0.0 or -0.0) it is row m of the shared
+    `theta_table(n, gamma, m, N, ds)` less kappa, a float64 array: the
+    table's rows outlive this one-entry cache, so a warm real round trip
+    evaluates no log-Gamma.  A shifted contour runs the continuation
+    theta_analytic, a complex128 array.  The last one built is kept:
+    green_solve divides by it and apply_L0 on its output multiplies by it
+    again, with the same key.  One entry is enough because every reuse in
+    the acceptance suite is the very next call (an apply after its solve, or
+    criterion 5's same-contour solves).  An exception (PoleError from the
+    symbol) is never kept.
     """
     kappa = constants(spec.n, spec.gamma).kappa
-    out = theta_analytic(spec, frequencies(N, ds) - 1j * rate) - kappa
+    if rate == 0.0:
+        out = theta_table(spec.n, spec.gamma, spec.m, N, ds)[spec.m] - kappa
+    else:
+        out = theta_analytic(spec, frequencies(N, ds) - 1j * rate) - kappa
     out.setflags(write=False)
     return out
 

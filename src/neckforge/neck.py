@@ -163,7 +163,7 @@ def glued_u(config: NeckConfig, n: int, L: float, N: int):
     on window(L, N), and P0 u: the mode-0 row of `theta_table` with step
     L/N applied as a half-spectrum Fourier multiplier."""
     u = build_glued_factor(config, n, window(L, N)) ** ((n - 1) / 4.0)
-    return u, np.fft.irfft(theta_table(n, 0, N, L / N)[0] * np.fft.rfft(u), N)
+    return u, np.fft.irfft(theta_table(n, 0.5, 0, N, L / N)[0] * np.fft.rfft(u), N)
 
 
 def curvature(n: int, u, Pu):
@@ -213,7 +213,7 @@ def covariance_selftest(config: NeckConfig, n: int) -> float:
 
     L, N = config.L, config.n_s
     u, Pu_a = glued_u(config, n, L, N)
-    mult_b = theta_table(n, 0, N, L / N)[0].copy()
+    mult_b = theta_table(n, 0.5, 0, N, L / N)[0].copy()
     mult_b[:49] = [dtn_cylinder(HalfCylinderProblem(ModeSpec(n=n, m=0), xi=x))
                    for x in frequencies(N, L / N)[:49]]
     Pu_b = np.fft.irfft(mult_b * np.fft.rfft(u), N)

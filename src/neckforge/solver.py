@@ -115,7 +115,7 @@ def _check_m_max(m_max: int):
 
 def _mode0_gap(n: int, L: float, N_s: int) -> float:
     """Distance from kappa of the mode-0 multiplier on the period-L lattice."""
-    return float(np.min(np.abs(theta_table(n, 0, N_s, L / N_s)[0] - constants(n).kappa)))
+    return float(np.min(np.abs(theta_table(n, 0.5, 0, N_s, L / N_s)[0] - constants(n).kappa)))
 
 
 def nonresonant_window(n: int, L_min: float, N_s: int) -> float:
@@ -203,7 +203,7 @@ def _fourier(mult: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _theta(state: PeriodicCylinderState) -> np.ndarray:
-    return theta_table(state.n, state.m_max, state.N_s, state.L / state.N_s)
+    return theta_table(state.n, 0.5, state.m_max, state.N_s, state.L / state.N_s)
 
 
 def apply_Q(state: PeriodicCylinderState) -> np.ndarray:
@@ -522,7 +522,7 @@ def uniform_invertibility_study(n: int, eps_list, mu: float, m_max: int = 3,
     s = window(L, N_s)
     h = N_s // 2
     mirror = (-np.arange(N_s)) % N_s
-    kern = np.fft.irfft(theta_table(n, m_max, N_s, L / N_s), N_s, axis=1)
+    kern = np.fft.irfft(theta_table(n, 0.5, m_max, N_s, L / N_s), N_s, axis=1)
     # fold each circulant kern[(i - j) % N_s] onto the half window: an even
     # vector is its values at 0..h, an odd one its values at 1..h-1, and the
     # pair j, N_s - j enters as kern[i - j] +- kern[i + j]

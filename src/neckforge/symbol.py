@@ -147,12 +147,15 @@ def frequencies(N: int, ds: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=128)
-def theta_table(n: int, m_max: int, N: int, ds: float) -> np.ndarray:
-    """Read-only (m_max+1, N//2+1) table of Theta_m at gamma = 1/2 on
-    `frequencies(N, ds)`: row m is the boundary operator on mode m as a
-    half-spectrum multiplier, P u = irfft(row * rfft(u), N)."""
+def theta_table(n: int, gamma: float, m_max: int, N: int, ds: float) -> np.ndarray:
+    """Read-only (m_max+1, N//2+1) table of Theta_m at order 2*gamma on
+    `frequencies(N, ds)`: row m is theta(ModeSpec(n, gamma, m), xi), the
+    boundary operator on mode m as a half-spectrum multiplier,
+    P u = irfft(row * rfft(u), N).  The solver and the neck read it at
+    gamma = 1/2; modegreen's real contours (envelope rate 0) read it at the
+    spec's gamma."""
     xi = frequencies(N, ds)
-    out = np.array([theta(ModeSpec(n=n, gamma=0.5, m=m), xi) for m in range(m_max + 1)])
+    out = np.array([theta(ModeSpec(n=n, gamma=gamma, m=m), xi) for m in range(m_max + 1)])
     out.setflags(write=False)
     return out
 

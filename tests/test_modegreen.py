@@ -8,14 +8,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from neckforge import modegreen
+from neckforge import modegreen, specfun, symbol
 from neckforge.errors import (AliasWarning, PoleError, ResonanceError, TailMismatch,
                               ValidationError)
 from neckforge.indicial import first_root, root_catalog
 from neckforge.modegreen import (DecayProfile, LineFunction, apply_L0,
                                  classify_growth, fit_tail_rate, green_solve,
                                  homogeneous_basis, synthesize_kernel)
-from neckforge.symbol import ModeSpec, constants, frequencies, theta_analytic
+from neckforge.symbol import ModeSpec, constants, frequencies, theta, theta_analytic
 
 DELTA = 0.5
 
@@ -54,6 +54,25 @@ def test_apply_after_solve_round_trip(m, delta, a):
         assert m == 0 and "widen the window" in str(exc)
         err = _round_trip_error(m, delta, a, half=60.0, N=8192)
     assert err <= 1e-10
+
+
+# interior round-trip bound per gamma, about three times the worst measured
+# over m = 1..3 before the real contour read theta_table (1.6e-14, 3.4e-13;
+# 1.4e-14 and 3.8e-13 since)
+FRACTIONAL_ROUNDTRIP_TOL = {0.3: 5e-14, 0.8: 1e-12}
+
+
+@pytest.mark.parametrize("gamma", sorted(FRACTIONAL_ROUNDTRIP_TOL))
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_fractional_round_trip_on_the_real_contour(m, gamma):
+    # beta = 0: the solve and the apply both read theta_table's row at gamma
+    spec, h = ModeSpec(n=3, gamma=gamma, m=m), _rhs(m)
+    v = green_solve(spec, h, DecayProfile(delta=DELTA))
+    assert v.envelope_rate == 0.0
+    back = apply_L0(spec, v).values
+    interior = np.abs(h.grid()) <= 15.0
+    err = np.max(np.abs(back[interior] - h.values[interior]))
+    assert err <= FRACTIONAL_ROUNDTRIP_TOL[gamma]
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -182,14 +201,20 @@ def test_explicit_beta_on_an_indicial_exponent_rejected(m, beta, delta):
 @pytest.mark.parametrize("m,beta,delta", [(0, None, DELTA), (1, None, DELTA),
                                           (2, None, 0.75), (3, None, DELTA), (1, 0.5, 1.5)])
 def test_round_trip_bit_equal_to_an_uncached_multiplier(m, beta, delta):
-    # the solve builds the shifted multiplier, the apply reads it back; both
-    # halves equal the same steps with Theta_m(xi - i*rate) - kappa built here
+    # the solve builds the multiplier, the apply reads it back; both halves
+    # equal the same steps with Theta_m - kappa built here: on the real
+    # contour from theta on the bins (theta_table's row m, bit for bit), off
+    # it from the continuation Theta_m(xi - i*rate)
     spec, h = ModeSpec(n=3, m=m), _rhs(m, delta=delta)
     modegreen._multiplier.cache_clear()
     v = green_solve(spec, h, DecayProfile(delta=delta), beta=beta)
     back = apply_L0(spec, v)
-    rate = v.envelope_rate
-    M = theta_analytic(spec, frequencies(h.N, h.ds) - 1j * rate) - constants(3).kappa
+    rate, xi = v.envelope_rate, frequencies(h.N, h.ds)
+    assert (rate == 0.0) == (beta is None and m > 0)
+    if rate == 0.0:
+        M = theta(spec, xi) - constants(3).kappa
+    else:
+        M = theta_analytic(spec, xi - 1j * rate) - constants(3).kappa
     g = h.values * np.exp(-rate * h.grid()) if rate != 0.0 else h.values
     w = np.fft.irfft(np.fft.rfft(g) / M, h.N)
     assert v.values.tobytes() == w.tobytes()
@@ -209,22 +234,58 @@ def _counted_theta(monkeypatch):
 
 
 def test_one_symbol_continuation_per_round_trip(monkeypatch):
-    calls = _counted_theta(monkeypatch)
-    for m in range(4):
-        spec, h = ModeSpec(n=3, m=m), _rhs(m)
+    # a continuation runs on shifted contours only: one per shifted round
+    # trip (mode 0, and mode 1 on an explicit contour), none on the real
+    # contour (modes 1..3 at beta = 0)
+    calls, shifted = _counted_theta(monkeypatch), 0
+    for m, beta, delta in [(0, None, DELTA), (1, None, DELTA), (2, None, DELTA),
+                           (3, None, DELTA), (1, 0.5, 1.5)]:
+        spec, h = ModeSpec(n=3, m=m), _rhs(m, delta=delta)
+        v = green_solve(spec, h, DecayProfile(delta=delta), beta=beta)
+        apply_L0(spec, v)
+        shifted += v.envelope_rate != 0.0
+        assert len(calls) == shifted
+    assert calls == [(h.N // 2 + 1,)] * 2
+
+
+def test_warm_real_round_trip_evaluates_no_log_gamma(monkeypatch):
+    # once the table rows exist, a real-contour round trip reads them: no
+    # theta, no continuation, and no log-Gamma of any route
+    cases = [(ModeSpec(n=3, m=m), _rhs(m)) for m in (1, 2, 3)]
+    for spec, h in cases:
         apply_L0(spec, green_solve(spec, h, DecayProfile(delta=DELTA)))
-        assert len(calls) == m + 1
-    assert calls == [(h.N // 2 + 1,)] * 4
+    calls = []
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def spy(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, spy)
+
+    counted(modegreen, "theta_analytic")
+    counted(symbol, "theta")
+    counted(specfun, "_log_gamma_core")
+    for spec, h in cases:
+        v = green_solve(spec, h, DecayProfile(delta=DELTA))
+        assert v.envelope_rate == 0.0
+        apply_L0(spec, v)
+    assert calls == []
+    assert modegreen._multiplier.cache_info().hits >= 3
 
 
 def test_shared_multiplier_is_read_only():
-    spec, h = ModeSpec(n=3, m=1), _rhs(1)
-    v = green_solve(spec, h, DecayProfile(delta=DELTA))
-    M = modegreen._multiplier(spec, h.N, h.ds, v.envelope_rate)
-    assert M.dtype == np.complex128 and M.shape == (h.N // 2 + 1,)
-    assert not M.flags.writeable
-    with pytest.raises(ValueError, match="read-only"):
-        M[0] = 0.0
+    # float64 on the real contour (a theta_table row less kappa), complex128
+    # off it; read-only either way
+    for beta, delta, dtype in [(None, DELTA, np.float64), (0.5, 1.5, np.complex128)]:
+        spec, h = ModeSpec(n=3, m=1), _rhs(1, delta=delta)
+        v = green_solve(spec, h, DecayProfile(delta=delta), beta=beta)
+        M = modegreen._multiplier(spec, h.N, h.ds, v.envelope_rate)
+        assert M.dtype == dtype and M.shape == (h.N // 2 + 1,)
+        assert not M.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            M[0] = 0.0
 
 
 def test_shared_multiplier_checked_on_every_call(monkeypatch):
@@ -241,12 +302,14 @@ def test_shared_multiplier_checked_on_every_call(monkeypatch):
         with pytest.raises(ResonanceError, match="nearly vanishes"):
             green_solve(spec, h, prof, beta=1.0)
     assert len(calls) == 1
-    # the alias check reads each call's own spectrum
+    # the alias check reads each call's own spectrum; at rate 0 the cached
+    # multiplier is a table row, so no continuation runs for it
     v = LineFunction.from_callable(lambda s: 1.0 + 0.2 * np.cos(157.0 * s), -30.0, 30.0, 4096)
     for _ in range(2):
         with pytest.warns(AliasWarning, match="top frequency decade"):
             apply_L0(ModeSpec(n=3, m=0), v)
-    assert len(calls) == 2
+    assert len(calls) == 1
+    assert modegreen._multiplier.cache_info()[:2] == (2, 2)  # hits, misses
 
 
 def test_pole_error_is_never_cached(monkeypatch):

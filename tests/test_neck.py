@@ -111,7 +111,7 @@ def _flat_curvature(n, cfg):
     # and theta_table's Theta_0(0) = c, so Q(1) = c on every window
     N = cfg.n_s
     one = np.ones(N)
-    P1 = np.fft.irfft(theta_table(n, 0, N, cfg.L / N)[0] * np.fft.rfft(one), N)
+    P1 = np.fft.irfft(theta_table(n, 0.5, 0, N, cfg.L / N)[0] * np.fft.rfft(one), N)
     return curvature(n, one, P1)
 
 

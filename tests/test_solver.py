@@ -298,7 +298,7 @@ def test_smallest_multiplier_at_default_period():
     # frozen from the invertibility study; also the margin the resonance
     # check enforces at construction
     L = PeriodicCylinderState.ones(3).L
-    got = float(np.min(np.abs(theta_table(3, 8, 256, L / 256) - constants(3).kappa)))
+    got = float(np.min(np.abs(theta_table(3, 0.5, 8, 256, L / 256) - constants(3).kappa)))
     assert abs(got - 0.18757289797052445) <= 1e-12
 
 
@@ -400,7 +400,7 @@ def test_invertibility_study_folds_are_symmetric():
     # what lets the study invert each block by LDL^T
     N_s, h = 384, 192
     L = solver.nonresonant_window(3, NeckConfig(epsilon=0.00625).L, N_s)
-    kern = np.fft.irfft(theta_table(3, 3, N_s, L / N_s), N_s, axis=1)
+    kern = np.fft.irfft(theta_table(3, 0.5, 3, N_s, L / N_s), N_s, axis=1)
     i = np.arange(h + 1)
     lag = kern[:, np.subtract.outer(i, i) % N_s]
     lead = kern[:, np.add.outer(i, i) % N_s]
@@ -448,7 +448,7 @@ def test_invertibility_study_singular_block_is_typed(monkeypatch):
     # a zero symbol with a = 1, b = 0 makes every fold block zero: the study
     # names the block instead of leaking a LinAlgError
     monkeypatch.setattr(solver, "theta_table",
-                        lambda n, m_max, N, ds: np.zeros((m_max + 1, N // 2 + 1)))
+                        lambda n, gamma, m_max, N, ds: np.zeros((m_max + 1, N // 2 + 1)))
     monkeypatch.setattr(solver, "curvature_linearization",
                         lambda n, u, Pu: (np.ones_like(u), np.zeros_like(u)))
     with pytest.raises(ResonanceError, match="even fold block of mode 0 .*epsilon 0.1"):
@@ -473,7 +473,7 @@ def test_invertibility_study_names_the_lowest_singular_mode(monkeypatch):
     # with a = 1, b = 0, a unit symbol leaves mode 0 invertible and a zero one
     # makes modes 1 and 2 singular; whichever worker fails first, the error
     # names mode 1
-    def unit_mode0(n, m_max, N, ds):
+    def unit_mode0(n, gamma, m_max, N, ds):
         table = np.zeros((m_max + 1, N // 2 + 1))
         table[0] = 1.0
         return table

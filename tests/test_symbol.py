@@ -28,14 +28,33 @@ def test_constant_is_symbol_at_zero(n):
 @pytest.mark.parametrize("N", [256, 257, 384, 1001])
 def test_theta_table_rows_equal_pointwise_theta(N):
     # the table holds the N//2 + 1 non-negative frequencies of the rfft
-    # half spectrum; each row must be bit-equal to theta on that grid
+    # half spectrum; each row must be bit-equal to theta on that grid, at
+    # the table's own gamma
+    for gamma in (0.3, 0.5, 0.8):
+        for n in (2, 3, 5):
+            for ds in (0.037, 0.2113):
+                table = theta_table(n, gamma, 3, N, ds)
+                assert table.shape == (4, N // 2 + 1)
+                xi = 2.0 * np.pi * np.fft.rfftfreq(N, d=ds)
+                for m in range(4):
+                    assert np.array_equal(table[m], theta(ModeSpec(n, gamma, m), xi))
+
+
+@pytest.mark.parametrize("gamma", [0.3, 0.5, 0.8])
+def test_theta_table_rows_agree_with_the_real_axis_continuation(gamma):
+    # the two real-axis routes (theta's log|Gamma| rows, read by modegreen's
+    # real contours, and theta_analytic at real zeta, read off them) on the
+    # 4,096-point Green grid of [-30, 30): they differ only by the rounding of
+    # their log-Gamma cancellation (worst measured 2.9e-14, 7.3e-15 and
+    # 5.7e-14 at gamma 0.3, 0.5, 0.8)
+    N, ds = 4096, 60.0 / 4096
+    xi = 2.0 * np.pi * np.fft.rfftfreq(N, d=ds)
     for n in (2, 3, 5):
-        for ds in (0.037, 0.2113):
-            table = theta_table(n, 3, N, ds)
-            assert table.shape == (4, N // 2 + 1)
-            xi = 2.0 * np.pi * np.fft.rfftfreq(N, d=ds)
-            for m in range(4):
-                assert np.array_equal(table[m], theta(ModeSpec(n=n, m=m), xi))
+        table = theta_table(n, gamma, 3, N, ds)
+        for m in range(4):
+            cont = theta_analytic(ModeSpec(n, gamma, m), xi)
+            assert not cont.imag.any()
+            assert np.max(np.abs(cont.real - table[m]) / table[m]) <= 2e-13
 
 
 # relative error bound per gamma of the bubble identity below, about three
