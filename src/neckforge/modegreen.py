@@ -20,14 +20,16 @@ its first indicial pair sits on the axis and produces the half-line
 oscillatory tail sin(tau_0 s) on the left, with coefficient
 2/|Theta_0'(tau_0)|.
 
-The last multiplier built is kept and shared: a round trip
+The 16 most recently used multipliers are kept and shared: a round trip
 apply_L0(green_solve(h)) needs Theta_m(xi - i*rate) - kappa on the same
 half-spectrum bins at the same rate (the solve's output carries rate
 -beta), and the symbol continuation is most of the cost of either half.
 On the real contour (rate 0, the solve at beta = 0) the multiplier is a row
-of the shared `theta_table` less kappa, so a warm real round trip evaluates
-no log-Gamma; only a shifted contour runs the continuation.  Only the array
-is kept; every check on it runs on each call.
+of the shared `theta_table` less kappa; a shifted contour runs the
+continuation once and stays cached, so warm round trips on a handful of
+contours (mode 0's shifted ones among them) evaluate no log-Gamma.  The
+cache holds at most 16 (N/2 + 1)-point arrays, 0.5 MiB of complex128 at
+N = 4096.  Only the arrays are kept; every check on them runs on each call.
 """
 
 from __future__ import annotations
@@ -118,7 +120,7 @@ class DecayProfile:
             raise ValidationError("decay rate must be finite")
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=16)
 def _multiplier(spec: ModeSpec, N: int, ds: float, rate: float) -> np.ndarray:
     """Read-only shifted multiplier Theta_m(xi - i*rate) - kappa on
     `frequencies(N, ds)`.
@@ -126,15 +128,15 @@ def _multiplier(spec: ModeSpec, N: int, ds: float, rate: float) -> np.ndarray:
     The representation f = w * e^{rate s} turns the multiplier argument into
     xi - i*rate (contour shifted to the envelope's strip).  On the real
     contour (rate 0.0 or -0.0) it is row m of the shared
-    `theta_table(n, gamma, m, N, ds)` less kappa, a float64 array: the
-    table's rows outlive this one-entry cache, so a warm real round trip
-    evaluates no log-Gamma.  A shifted contour runs the continuation
-    theta_analytic, a complex128 array.  The last one built is kept:
-    green_solve divides by it and apply_L0 on its output multiplies by it
-    again, with the same key.  One entry is enough because every reuse in
-    the acceptance suite is the very next call (an apply after its solve, or
-    criterion 5's same-contour solves).  An exception (PoleError from the
-    symbol) is never kept.
+    `theta_table(n, gamma, m, N, ds)` less kappa, a float64 array.  A
+    shifted contour runs the continuation theta_analytic, a complex128
+    array.  green_solve divides by it and apply_L0 on its output multiplies
+    by it again, with the same key.  The 16 most recently used are kept, so
+    a sweep over a few modes and contours (the 8 (m, delta) round trips of
+    the green benchmark, mode 0's two shifted contours among them) stays
+    warm; at N = 4096 that is at most 16 x 2,049 complex128 values, 0.5 MiB.
+    A hit returns the array a miss built, so the outputs do not depend on
+    the cache.  An exception (PoleError from the symbol) is never kept.
     """
     kappa = constants(spec.n, spec.gamma).kappa
     if rate == 0.0:

@@ -18,9 +18,13 @@ a periodic domain as a near-resonant grid frequency).
 
 The iteration solves Q(1 + v) = c either in the frozen fixed-point form
 v <- v - G(Q(1+v) - c) or by full Newton steps (re-linearized, solved by a
-real lgmres with G as preconditioner).  The closed-form flat-ball spectrum,
-run through the same zonal machinery, exhibits the degree-1 kernel of the
-linearized operator; its inversion must fail loudly, never silently.
+real lgmres with G as preconditioner).  scipy.sparse.linalg, which holds
+lgmres, is imported on the first Newton step, so importing this module or
+iterating by fixed point does not load scipy.sparse.
+
+The closed-form flat-ball spectrum, run through the same zonal machinery,
+exhibits the degree-1 kernel of the linearized operator; its inversion
+must fail loudly, never silently.
 
 Per-mode work inside a step is vectorized; steps themselves are
 sequential and pure.  The one concurrent piece is the invertibility
@@ -39,7 +43,6 @@ from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 
 import numpy as np
-import scipy.sparse.linalg
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import blas, lapack
 from scipy.special import eval_chebyt, eval_gegenbauer, roots_jacobi
@@ -330,6 +333,8 @@ def newton_solve(state0: PeriodicCylinderState, tol: float = 1e-11, max_iter: in
 
 
 def _newton_step(state: PeriodicCylinderState, res: np.ndarray) -> np.ndarray:
+    import scipy.sparse.linalg  # here, not at module level: see the module docstring
+
     matvec = _jacobian_matvec(state)
     green = _green_multiplier(state)
     shape = res.shape

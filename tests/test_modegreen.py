@@ -275,6 +275,57 @@ def test_warm_real_round_trip_evaluates_no_log_gamma(monkeypatch):
     assert modegreen._multiplier.cache_info().hits >= 3
 
 
+def test_warm_shifted_round_trip_evaluates_no_log_gamma(monkeypatch):
+    # the green benchmark's 8 cases: once each contour is cached, mode 0's two
+    # shifted contours stay warm even with real-contour trips between them
+    cases = {(m, delta): (ModeSpec(n=3, m=m), _rhs(m, delta=delta))
+             for m in range(4) for delta in (0.5, 0.75)}
+
+    def sweep(order):
+        out = {}
+        for key in order:
+            spec, h = cases[key]
+            v = green_solve(spec, h, DecayProfile(delta=key[1]))
+            out[key] = (v, apply_L0(spec, v))
+        return out
+
+    modegreen._multiplier.cache_clear()
+    first = sweep(list(cases))
+    assert all((first[m, d][0].envelope_rate != 0.0) == (m == 0) for m, d in cases)
+    calls = []
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def spy(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, spy)
+
+    counted(modegreen, "theta_analytic")
+    counted(symbol, "theta")
+    counted(specfun, "_log_gamma_core")
+    again = sweep([(0, 0.5), (1, 0.75), (2, 0.5), (3, 0.75),
+                   (0, 0.75), (3, 0.5), (1, 0.5), (2, 0.75)])
+    assert calls == []
+    for key, (v, back) in first.items():
+        assert again[key][0].values.tobytes() == v.values.tobytes()
+        assert again[key][1].values.tobytes() == back.values.tobytes()
+
+
+def test_multiplier_cache_is_bounded():
+    # 20 contours for one mode (clear of the pole at rate 4): the cache keeps
+    # the last 16, and the evicted first one is rebuilt bit for bit
+    spec, h = ModeSpec(n=3, m=2), _rhs(2)
+    modegreen._multiplier.cache_clear()
+    applied = [apply_L0(spec, replace(h, envelope_rate=0.05 * k)) for k in range(1, 21)]
+    assert modegreen._multiplier.cache_info().currsize == 16
+    misses = modegreen._multiplier.cache_info().misses
+    again = apply_L0(spec, replace(h, envelope_rate=0.05))
+    assert modegreen._multiplier.cache_info().misses == misses + 1
+    assert again.values.tobytes() == applied[0].values.tobytes()
+
+
 def test_shared_multiplier_is_read_only():
     # float64 on the real contour (a theta_table row less kappa), complex128
     # off it; read-only either way

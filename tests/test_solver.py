@@ -3,6 +3,8 @@
 import concurrent.futures
 import dataclasses
 import multiprocessing
+import os
+import subprocess
 import sys
 import threading
 
@@ -26,6 +28,8 @@ from neckforge.solver import (PeriodicCylinderState,
                               solve_linearized, state_norm,
                               uniform_invertibility_study)
 from neckforge.symbol import ModeSpec, constants, theta, theta_table
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def _shifted(state, v):
@@ -184,6 +188,32 @@ def test_solve_runs_on_real_samples(monkeypatch, method):
     assert rep.converged and calls == []
     assert all(dt == np.dtype(float) for step in dtypes for dt in step)
     assert len(dtypes) == (rep.iterations if method == "newton" else 0)
+
+
+_LAZY_SPARSE = """
+import sys
+import numpy as np
+from neckforge import extension, indicial, modegreen, neck, solver
+print("scipy.sparse" in sys.modules)
+state = solver.PeriodicCylinderState.ones(3, m_max=8, N_s=256)
+v = np.zeros_like(state.values)
+v[[1, 2]] = 0.01 * np.cos(2.0 * np.pi * np.arange(256) / 256)
+rep = solver.newton_solve(solver.PeriodicCylinderState(3, state.L, state.values + v),
+                          tol=1e-11, method="newton")
+print(rep.converged, "scipy.sparse.linalg" in sys.modules)
+"""
+
+
+def test_sparse_linalg_loads_on_the_first_newton_step():
+    # a fresh interpreter: the package's modules load no scipy.sparse, and a
+    # Newton solve loads it for lgmres and converges
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", _LAZY_SPARSE], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True", "True"]
 
 
 @pytest.mark.parametrize("method", ["newton", "fixed-point"])
