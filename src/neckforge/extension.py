@@ -24,6 +24,9 @@ flux by Clenshaw-Curtis quadrature of the integral form of
 (w chi')' = w V chi, w = phi^(2m) sin^(n-1) phi, whose integrand is positive.
 "finite-difference" is a second-order solve on `phi_grid` points, for
 grid-convergence studies.
+
+scipy.linalg is imported by the solves that call it, so importing this
+module does not load it.
 """
 
 from __future__ import annotations
@@ -32,9 +35,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
-from scipy.linalg.blas import dsyrk, dtrmv
-from scipy.linalg.lapack import dpotrf, dtrtri
 
 from .errors import ResolutionTooCoarse, SingularBVP, ValidationError
 from .symbol import ModeSpec, theta
@@ -85,6 +85,8 @@ def _drift(spec: ModeSpec, phi: np.ndarray) -> np.ndarray:
 
 def _dtn_fd(prob: HalfCylinderProblem) -> float:
     """Uniform second-order finite differences on [0, pi/2] for chi."""
+    from scipy.linalg import solve_banded
+
     spec, xi = prob.spec, prob.xi
     M = prob.phi_grid - 1
     h = 0.5 * np.pi / M
@@ -200,6 +202,8 @@ def dtn_halfdisk_2d(xi: float, m: int) -> float:
     diagonalising the blocks by FFT would separate variables, and this would
     stop being an independent check.
     """
+    from scipy.linalg import blas, lapack
+
     M, K = 96, 64
     h = np.pi / (2 * M - 1)
     ModeSpec(n=2, m=m)  # the integer check every mode goes through
@@ -228,16 +232,16 @@ def dtn_halfdisk_2d(xi: float, m: int) -> float:
         if i == 0:
             S[j[:K // 2] + K // 2, j[:K // 2]] = dn[0]  # across the pole
         else:  # S_i = B_i - c L^(-T) L^(-1)
-            S = dsyrk(-(dn[i] * up[i - 1]), linv, beta=1.0, c=S, trans=1, lower=1,
-                      overwrite_c=1)
-        L, info = dpotrf(S, lower=1, clean=0, overwrite_a=1)
+            S = blas.dsyrk(-(dn[i] * up[i - 1]), linv, beta=1.0, c=S, trans=1, lower=1,
+                           overwrite_c=1)
+        L, info = lapack.dpotrf(S, lower=1, clean=0, overwrite_a=1)
         if info == 0:
-            prev, (linv, info) = linv, dtrtri(L, lower=1, overwrite_c=1)
+            prev, (linv, info) = linv, lapack.dtrtri(L, lower=1, overwrite_c=1)
         if info != 0:
             raise SingularBVP(f"half-disk block of ring {i} is not positive definite")
 
     def solve(linv, v):  # S^(-1) v = L^(-T) (L^(-1) v)
-        return dtrmv(linv, dtrmv(linv, v, lower=1), lower=1, trans=1)
+        return blas.dtrmv(linv, blas.dtrmv(linv, v, lower=1), lower=1, trans=1)
 
     # back substitution for the two rings the one-sided flux reads
     psi2 = -up[M - 2] * solve(linv, data)

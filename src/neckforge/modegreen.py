@@ -35,7 +35,7 @@ N = 4096.  Only the arrays are kept; every check on them runs on each call.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -147,21 +147,25 @@ def _multiplier(spec: ModeSpec, N: int, ds: float, rate: float) -> np.ndarray:
     return out
 
 
-def _alias_check(vhat: np.ndarray, N: int, ds: float, what: str):
-    # vhat = rfft of N real samples: bins 1..(N-1)//2 stand for a +-xi pair
+def _alias_check(vhat: np.ndarray, N: int, ds: float, what: str) -> float:
+    """Share of the spectral energy in the top frequency decade (0.0 for a
+    zero spectrum); warns above 1%."""
+    # vhat = rfft of N real samples: every bin but 0 and (N even) the last,
+    # Nyquist one stands for a +-xi pair, so a pair's energy counts twice
     xi = frequencies(N, ds)
-    power = np.abs(vhat) ** 2
-    power[1:(N + 1) // 2] *= 2.0
-    total = power.sum()
+    k = int(np.searchsorted(xi, 0.1 * xi[-1]))  # the top decade, k >= 1
+    nyq = abs(vhat[-1]) ** 2 if N % 2 == 0 else 0.0
+    total = 2.0 * np.vdot(vhat, vhat).real - abs(vhat[0]) ** 2 - nyq
     if total == 0.0:
-        return
-    frac = power[xi >= 0.1 * xi[-1]].sum() / total
+        return 0.0
+    frac = (2.0 * np.vdot(vhat[k:], vhat[k:]).real - nyq) / total
     if frac > 0.01:
         warnings.warn(
             f"{what}: {100*frac:.2f}% of spectral energy in the top frequency decade; "
             "grid too coarse or window too short for this input",
             AliasWarning,
         )
+    return frac
 
 
 def apply_L0(spec: ModeSpec, v: LineFunction) -> LineFunction:
@@ -171,21 +175,12 @@ def apply_L0(spec: ModeSpec, v: LineFunction) -> LineFunction:
     vhat = np.fft.rfft(v.values)
     _alias_check(vhat, v.N, v.ds, "apply_L0")
     out = np.fft.irfft(_multiplier(spec, v.N, v.ds, v.envelope_rate) * vhat, v.N)
-    return replace(v, values=out)
+    return LineFunction(s0=v.s0, ds=v.ds, N=v.N, values=out, mode=v.mode,
+                        envelope_rate=v.envelope_rate)
 
 
-def fit_tail_rate(v: LineFunction, side: str = "+") -> float | None:
-    """Least-squares decay rate of log|v| block maxima on one tail.
-
-    Returns the signed slope of log|v| vs s (negative = decay toward +inf);
-    None when too little of the tail rises above the relative noise floor
-    1e-12 * sup.  The tail is the band 0.45..0.82 of the half window on the
-    given side, cut into 8 blocks.  The fit runs on the bounded envelope
-    part (where the FFT noise floor is uniform) and the envelope rate is
-    added back; block maxima make it stable for oscillatory tails.
-    """
-    if side not in ("+", "-"):
-        raise ValidationError(f"tail side must be '+' or '-', got {side!r}")
+def _tail_points(v: LineFunction, side: str):
+    """(s, log|v|) at the block maxima that fit_tail_rate fits, or None."""
     band, blocks = (0.45, 0.82), 8
     s = v.grid()
     y = np.abs(np.asarray(v.values))
@@ -201,17 +196,38 @@ def fit_tail_rate(v: LineFunction, side: str = "+") -> float | None:
     floor = 1e-12 * sup  # s increases, so the band and its blocks are index ranges
     if np.count_nonzero(y[np.searchsorted(s, lo):np.searchsorted(s, hi, "right")] > floor) < 8:
         return None
-    cuts = np.searchsorted(s, np.linspace(lo, hi, blocks + 1))
-    xs, ys = [], []
-    for i, j in zip(cuts[:-1], cuts[1:]):
-        if j > i:
-            k = i + np.argmax(y[i:j])
-            if y[k] > floor:
-                xs.append(s[k])
-                ys.append(np.log(y[k]))
-    if len(xs) < 3:
+    cuts = np.searchsorted(s, np.linspace(lo, hi, blocks + 1)).tolist()
+    ks = np.array([i + int(y[i:j].argmax()) for i, j in zip(cuts[:-1], cuts[1:]) if j > i],
+                  dtype=np.intp)
+    ks = ks[y[ks] > floor]
+    if len(ks) < 3:
         return None
-    return float(np.polyfit(np.array(xs), np.array(ys), 1)[0]) + v.envelope_rate
+    return s[ks], np.log(y[ks])
+
+
+def fit_tail_rate(v: LineFunction, side: str = "+") -> float | None:
+    """Least-squares decay rate of log|v| block maxima on one tail.
+
+    Returns the signed slope of log|v| vs s (negative = decay toward +inf);
+    None when too little of the tail rises above the relative noise floor
+    1e-12 * sup.  The tail is the band 0.45..0.82 of the half window on the
+    given side, cut into 8 blocks.  The fit runs on the bounded envelope
+    part (where the FFT noise floor is uniform) and the envelope rate is
+    added back; block maxima make it stable for oscillatory tails.  The
+    slope is the closed-form centred least-squares one, sum((x - mean x)
+    (y - mean y)) / sum((x - mean x)^2), in Python floats on at most 8
+    points: no Vandermonde matrix and no LAPACK call.
+    """
+    if side not in ("+", "-"):
+        raise ValidationError(f"tail side must be '+' or '-', got {side!r}")
+    points = _tail_points(v, side)
+    if points is None:
+        return None
+    xs, ys = points[0].tolist(), points[1].tolist()
+    xm, ym = sum(xs) / len(xs), sum(ys) / len(ys)
+    dx = [x - xm for x in xs]
+    slope = sum(d * (y - ym) for d, y in zip(dx, ys)) / sum(d * d for d in dx)
+    return slope + v.envelope_rate
 
 
 _BETA_MARGIN = 1e-3  # least distance of a contour shift from any indicial exponent
@@ -302,9 +318,10 @@ def green_solve(spec: ModeSpec, h: LineFunction, profile: DecayProfile,
             raise ResonanceError(f"contour {beta} within {_BETA_MARGIN} of the indicial "
                                  f"exponent +/-{near[0]}")
 
-    s = h.grid()
-    g = h.values * np.exp(beta * s) if beta != 0.0 else np.asarray(h.values)
-    if beta != 0.0:
+    if beta == 0.0:
+        g = np.asarray(h.values)
+    else:
+        g = h.values * np.exp(beta * h.grid())
         ends = max(abs(g[0]), abs(g[-1]))
         if ends > 1e-3 * np.abs(g).max():
             raise TailMismatch(
@@ -411,7 +428,8 @@ def classify_growth(v: LineFunction, mu: float, spec: ModeSpec,
             "to resolve the slowest exponent"
         )
 
-    y = np.abs(v.materialize())
+    f = v.materialize()
+    y = np.abs(f)
     sup = float(y.max())
     if sup <= tol:
         return GrowthVerdict("trivial", sup)
@@ -429,7 +447,7 @@ def classify_growth(v: LineFunction, mu: float, spec: ModeSpec,
     ok = bool(np.all(y <= envelope + tol))
 
     # coordinates in the analytic homogeneous basis
-    coef, *_ = np.linalg.lstsq(homogeneous_columns(catalog, s), v.materialize(), rcond=None)
+    coef, *_ = np.linalg.lstsq(homogeneous_columns(catalog, s), f, rcond=None)
 
     return GrowthVerdict("liouville-violation" if ok else "non-admissible", sup, coef)
 

@@ -20,7 +20,9 @@ The iteration solves Q(1 + v) = c either in the frozen fixed-point form
 v <- v - G(Q(1+v) - c) or by full Newton steps (re-linearized, solved by a
 real lgmres with G as preconditioner).  scipy.sparse.linalg, which holds
 lgmres, is imported on the first Newton step, so importing this module or
-iterating by fixed point does not load scipy.sparse.
+iterating by fixed point does not load scipy.sparse; scipy.linalg is
+imported by the invertibility study, so importing this module does not
+load it either.
 
 The closed-form flat-ball spectrum, run through the same zonal machinery,
 exhibits the degree-1 kernel of the linearized operator; its inversion
@@ -44,7 +46,6 @@ from functools import lru_cache, partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg import blas, lapack
 from scipy.special import eval_chebyt, eval_gegenbauer, roots_jacobi
 
 from .errors import (Diverged, NeckforgeError, NonPositiveConformalFactor,
@@ -513,6 +514,8 @@ def uniform_invertibility_study(n: int, eps_list, mu: float, m_max: int = 3,
     and of several singular modes the lowest is the one reported.  The
     epsilons stay sequential.
     """
+    from scipy.linalg import blas, lapack
+
     eps_list = [float(e) for e in eps_list]
     if not eps_list:
         raise ValidationError("need at least one epsilon")

@@ -141,9 +141,13 @@ def theta(spec: ModeSpec, xi):
     return float(out) if np.ndim(xi) == 0 else out
 
 
+@lru_cache(maxsize=128)
 def frequencies(N: int, ds: float) -> np.ndarray:
-    """Angular frequencies 2*pi*rfftfreq(N, ds) of the rfft bins of N samples."""
-    return 2.0 * np.pi * np.fft.rfftfreq(N, d=ds)
+    """Read-only angular frequencies 2*pi*rfftfreq(N, ds) of the rfft bins of
+    N samples."""
+    out = 2.0 * np.pi * np.fft.rfftfreq(N, d=ds)
+    out.setflags(write=False)
+    return out
 
 
 @lru_cache(maxsize=128)

@@ -116,13 +116,13 @@ def test_halfdisk_factors_each_ring_once_by_cholesky(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the half-disk solve called an LU or sparse routine")
 
-    calls = []
+    calls, dpotrf = [], scipy.linalg.lapack.dpotrf
 
     def spy(*args, **kwargs):
         calls.append(1)
-        return scipy.linalg.lapack.dpotrf(*args, **kwargs)
+        return dpotrf(*args, **kwargs)
 
-    monkeypatch.setattr(extension, "dpotrf", spy)
+    monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", spy)
     for name in ("dgetrf", "dgetri"):
         assert not hasattr(extension, name)
         monkeypatch.setattr(scipy.linalg.lapack, name, forbidden)
@@ -134,14 +134,14 @@ def test_halfdisk_factors_each_ring_once_by_cholesky(monkeypatch):
 
 def test_halfdisk_block_not_positive_definite_raises(monkeypatch):
     # a Schur complement that fails its Cholesky factorization is named by ring
-    calls = []
+    calls, dpotrf = [], scipy.linalg.lapack.dpotrf
 
     def failing(a, **kwargs):
         calls.append(1)
-        c, info = scipy.linalg.lapack.dpotrf(a, **kwargs)
+        c, info = dpotrf(a, **kwargs)
         return c, (7 if len(calls) == 41 else info)
 
-    monkeypatch.setattr(extension, "dpotrf", failing)
+    monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", failing)
     with pytest.raises(SingularBVP, match="ring 40 is not positive definite"):
         dtn_halfdisk_2d(xi=1.5, m=1)
     assert len(calls) == 41

@@ -93,9 +93,9 @@ def test_fit_tail_rate_rejects_unknown_side(side):
         fit_tail_rate(v, side)
 
 
-def _fit_tail_rate_on_masks(v, side):
-    """fit_tail_rate as first written, on full-length boolean masks: the
-    oracle for the index-range version."""
+def _tail_points_on_masks(v, side):
+    """The points fit_tail_rate fits, picked as first written, on full-length
+    boolean masks: the oracle for the index-range version."""
     band, floor_rel, blocks = (0.45, 0.82), 1e-12, 8
     s = v.grid()
     y = np.abs(np.asarray(v.values))
@@ -121,7 +121,21 @@ def _fit_tail_rate_on_masks(v, side):
             ys.append(np.log(y[k]))
     if len(xs) < 3:
         return None
-    return float(np.polyfit(np.array(xs), np.array(ys), 1)[0]) + v.envelope_rate
+    return np.array(xs), np.array(ys)
+
+
+def _assert_fit_matches_the_mask_oracle(v, side):
+    # the index ranges pick the oracle's points bit for bit, None included;
+    # the closed-form slope on them meets np.polyfit's to roundoff (worst
+    # measured 3.4e-13 of 1 + |rate| over about 15,000 random fits)
+    points, want = modegreen._tail_points(v, side), _tail_points_on_masks(v, side)
+    rate = fit_tail_rate(v, side)
+    if want is None:
+        assert points is None and rate is None
+        return
+    assert [p.tobytes() for p in points] == [p.tobytes() for p in want]
+    oracle = float(np.polyfit(*want, 1)[0]) + v.envelope_rate
+    assert abs(rate - oracle) <= 1e-12 * (1.0 + abs(oracle))
 
 
 _TAIL_SAMPLES = {
@@ -142,13 +156,12 @@ _TAIL_SAMPLES = {
        envelope=st.sampled_from([0.0, -0.75, 0.3]), side=st.sampled_from(["+", "-"]))
 def test_fit_tail_rate_equals_the_mask_oracle(N, half, shift, kind, r, w, c, seed, envelope,
                                               side):
-    # the band and its blocks read as index ranges pick the same points, so
-    # the fit is bit-equal, None included
+    # the band and its blocks read as index ranges pick the same points
     s0 = shift - half
     s = s0 + (2.0 * half / N) * np.arange(N)
     values = _TAIL_SAMPLES[kind](s, r, w, c * half, np.random.default_rng(seed))
     v = LineFunction(s0=s0, ds=2.0 * half / N, N=N, values=values, envelope_rate=envelope)
-    assert fit_tail_rate(v, side) == _fit_tail_rate_on_masks(v, side)
+    _assert_fit_matches_the_mask_oracle(v, side)
 
 
 @pytest.mark.parametrize("side", ["+", "-"])
@@ -171,8 +184,8 @@ def test_fit_tail_rate_on_samples_at_the_cuts(side):
                 np.maximum(np.exp(-0.2 * np.abs(s)), 1e-12)]         # floor from |s| = 138
     for values in profiles:
         w = replace(v, values=values)
-        rate = fit_tail_rate(w, side)
-        assert rate is not None and rate == _fit_tail_rate_on_masks(w, side)
+        assert fit_tail_rate(w, side) is not None
+        _assert_fit_matches_the_mask_oracle(w, side)
 
 
 def test_explicit_beta_needs_no_indicial_ladder_past_delta():
@@ -277,7 +290,9 @@ def test_warm_real_round_trip_evaluates_no_log_gamma(monkeypatch):
 
 def test_warm_shifted_round_trip_evaluates_no_log_gamma(monkeypatch):
     # the green benchmark's 8 cases: once each contour is cached, mode 0's two
-    # shifted contours stay warm even with real-contour trips between them
+    # shifted contours stay warm even with real-contour trips between them;
+    # the right-tail fit is a closed-form slope, so no trip reaches a LAPACK
+    # least-squares solve either
     cases = {(m, delta): (ModeSpec(n=3, m=m), _rhs(m, delta=delta))
              for m in range(4) for delta in (0.5, 0.75)}
 
@@ -305,6 +320,12 @@ def test_warm_shifted_round_trip_evaluates_no_log_gamma(monkeypatch):
     counted(modegreen, "theta_analytic")
     counted(symbol, "theta")
     counted(specfun, "_log_gamma_core")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK least squares in a Green round trip")
+
+    monkeypatch.setattr(np, "polyfit", refuse)
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
     again = sweep([(0, 0.5), (1, 0.75), (2, 0.5), (3, 0.75),
                    (0, 0.75), (3, 0.5), (1, 0.5), (2, 0.75)])
     assert calls == []
@@ -510,3 +531,33 @@ def test_top_decade_cosine_warns():
     assert 0.0149 < frac < 0.0151
     with pytest.warns(AliasWarning, match="top frequency decade"):
         apply_L0(ModeSpec(n=3, m=0), v)
+
+
+def _masked_power_fraction(vhat, N, ds):
+    """The alias fraction as first written: |vhat|^2 with the paired bins
+    doubled, summed under a full-length mask of the top decade."""
+    xi = frequencies(N, ds)
+    power = np.abs(vhat) ** 2
+    power[1:(N + 1) // 2] *= 2.0
+    return power[xi >= 0.1 * xi[-1]].sum() / power.sum()
+
+
+@pytest.mark.parametrize("N", [4096, 4095])
+@pytest.mark.parametrize("target", [0.009, 0.011])
+def test_alias_rule_at_the_nyquist_bin(N, target):
+    # a half spectrum with energy 1.5 below the top decade and the rest split
+    # between the last bin (unpaired Nyquist for even N, a +-xi pair for odd
+    # N) and one paired top-decade bin; the rule reads the masked fraction
+    ds = 60.0 / N
+    top = target * 1.5 / (1.0 - target)
+    vhat = np.zeros(N // 2 + 1, dtype=complex)
+    vhat[0], vhat[1] = 1.0, 0.5
+    vhat[-1] = np.sqrt(0.5 * top / (1.0 if N % 2 == 0 else 2.0))
+    vhat[-10] = np.sqrt(0.25 * top) * np.exp(0.3j)
+    want = _masked_power_fraction(vhat, N, ds)
+    assert abs(want - target) <= 1e-12
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        frac = modegreen._alias_check(vhat, N, ds, "probe")
+    assert abs(frac - want) <= 1e-15 * want
+    assert [w.category for w in caught] == ([AliasWarning] if want > 0.01 else [])

@@ -194,7 +194,7 @@ _LAZY_SPARSE = """
 import sys
 import numpy as np
 from neckforge import extension, indicial, modegreen, neck, solver
-print("scipy.sparse" in sys.modules)
+print("scipy.sparse" in sys.modules, "scipy.linalg" in sys.modules)
 state = solver.PeriodicCylinderState.ones(3, m_max=8, N_s=256)
 v = np.zeros_like(state.values)
 v[[1, 2]] = 0.01 * np.cos(2.0 * np.pi * np.arange(256) / 256)
@@ -205,15 +205,16 @@ print(rep.converged, "scipy.sparse.linalg" in sys.modules)
 
 
 def test_sparse_linalg_loads_on_the_first_newton_step():
-    # a fresh interpreter: the package's modules load no scipy.sparse, and a
-    # Newton solve loads it for lgmres and converges
+    # a fresh interpreter: the package's modules load no scipy.sparse and no
+    # scipy.linalg, and a Newton solve loads scipy.sparse for lgmres and
+    # converges
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-c", _LAZY_SPARSE], capture_output=True,
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "True", "True"]
+    assert proc.stdout.split() == ["False", "False", "True", "True"]
 
 
 @pytest.mark.parametrize("method", ["newton", "fixed-point"])
