@@ -17,7 +17,6 @@ Sweep:
                and 3, six epsilons each)
     c10        the criterion-10 study: its window, sup-norm slope and
                per-mode sup-norm sigmas
-    ball       ball_newton_probe histories for n 2..4
     solve      criterion 7's Newton and fixed-point histories with their
                final samples, and apply_Q at its start
 `--quick` runs a small subset of each (a few seconds).  The first line is
@@ -37,8 +36,8 @@ import numpy as np
 from neckforge.acceptance import EPS_SWEEP
 from neckforge.errors import NeckforgeError
 from neckforge.neck import NeckConfig, approximate_curvature_error, covariance_selftest
-from neckforge.solver import (PeriodicCylinderState, apply_Q, ball_newton_probe,
-                              newton_solve, uniform_invertibility_study)
+from neckforge.solver import (PeriodicCylinderState, apply_Q, newton_solve,
+                              uniform_invertibility_study)
 
 VARIANTS = ({}, {"n_s": 512}, {"pad": 3.0})
 STUDY_MU = {2: -0.4, 3: -0.5}
@@ -48,7 +47,6 @@ FULL = {
     "selftest": dict(n=(2, 3), eps=(0.1, 0.0125)),
     "study": dict(n=(2, 3), eps=(0.2, 0.1, 0.04, 0.015, 0.006, 0.003)),
     "c10": dict(N_s=(384,)),
-    "ball": dict(n=(2, 3, 4)),
     "solve": dict(method=("newton", "fixed-point")),
 }
 QUICK = {
@@ -56,7 +54,6 @@ QUICK = {
     "selftest": dict(n=(3,), eps=(0.1,)),
     "study": dict(n=(3,), eps=(0.025,)),
     "c10": dict(N_s=()),
-    "ball": dict(n=(3,)),
     "solve": dict(method=("fixed-point",)),
 }
 
@@ -85,10 +82,6 @@ def _c10(N_s):
     return rep["L"], rep["slope"], _rows(rep)
 
 
-def _ball(n):
-    return ball_newton_probe(n)
-
-
 def _solve(method):
     """Criterion 7: modes 1 and 2 of the constant factor raised by 0.01 at k = 1."""
     st1 = PeriodicCylinderState.ones(3, m_max=8, N_s=256)
@@ -100,7 +93,7 @@ def _solve(method):
 
 
 KINDS = {"error": _error, "selftest": _selftest, "study": _study, "c10": _c10,
-         "ball": _ball, "solve": _solve}
+         "solve": _solve}
 
 
 def _feed(h, out):

@@ -11,22 +11,22 @@ tolerances.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ResonanceError, ValidationError
 from .extension import cross_validate
-from .indicial import check_lemma, root_catalog
+from .indicial import check_lemma, first_root, root_catalog
 from .modegreen import (DecayProfile, LineFunction, apply_L0, classify_growth,
                         fit_tail_rate, green_solve, homogeneous_basis,
                         homogeneous_columns, synthesize_kernel)
-from .neck import error_sweep
-from .solver import (PeriodicCylinderState, ball_newton_probe, ball_spectrum,
-                     newton_solve, quadratic_remainder, state_norm,
-                     uniform_invertibility_study)
-from .symbol import ModeSpec, constants, theta
+from .neck import error_sweep, window
+from .solver import (PeriodicCylinderState, newton_solve, quadratic_remainder,
+                     state_norm, uniform_invertibility_study)
+from .symbol import ModeSpec, constants, theta_table
 
 __all__ = ["CriterionResult", "CRITERIA", "run_all", "format_line"]
 
@@ -43,14 +43,15 @@ class CriterionResult:
 
 
 def criterion_1():
-    """Cylinder constant anchors."""
+    """Cylinder constant anchors: c = 2 Gamma((n+1)/4)^2 / Gamma((n-1)/4)^2."""
     c3 = constants(3).c
     err_anchor = abs(c3 - 2.0 / np.pi)
     worst = 0.0
     for n in range(2, 7):
-        worst = max(worst, abs(constants(n).c - theta(ModeSpec(n=n, gamma=0.5, m=0), 0.0)))
-    ok = err_anchor <= 1e-10 and worst <= 1e-12
-    return ok, f"|c(3) - 2/pi| = {err_anchor:.2e}; worst self-consistency {worst:.2e}"
+        closed = 2.0 * math.gamma((n + 1) / 4) ** 2 / math.gamma((n - 1) / 4) ** 2
+        worst = max(worst, abs(constants(n).c - closed) / closed)
+    ok = err_anchor <= 1e-10 and worst <= 1e-14
+    return ok, f"|c(3) - 2/pi| = {err_anchor:.2e}; worst closed-form rel diff {worst:.2e}"
 
 
 def criterion_2():
@@ -202,15 +203,42 @@ def criterion_8():
     return ok, f"worst remainder-constant spread across amplitudes {worst_spread:.3f}"
 
 
+def _kernel_residual(n, m=1):
+    """Scale-free residual max|P_m w - N c_b u^(N-1) w| / max|P_m w| on
+    window(40, 2048), P_m being row m of the half-power symbol table.
+
+    u = cosh(s)^(-(n-1)/2) is the flat half ball in the neck coordinate
+    s = log|x|, with Q(u) = c_b = Gamma((n+1)/2) / Gamma((n-1)/2), and
+    w = cosh(s)^(-(n+1)/2) is its conformal centre motion, a mode-1
+    profile, so DQ(u) w = 0 reads P_1 w = N c_b u^(N-1) w.
+    """
+    L, N_s = 40.0, 2048
+    s = window(L, N_s)
+    N = (n + 1) / (n - 1)
+    c_b = math.gamma((n + 1) / 2) / math.gamma((n - 1) / 2)
+    u = np.cosh(s) ** (-(n - 1) / 2)
+    w = np.cosh(s) ** (-(n + 1) / 2)
+    Pw = np.fft.irfft(theta_table(n, 0.5, m, N_s, L / N_s)[m] * np.fft.rfft(w), N_s)
+    return float(np.max(np.abs(Pw - N * c_b * u ** (N - 1) * w)) / np.max(np.abs(Pw)))
+
+
 def criterion_9():
-    """Flat-ball degeneracy: exact spectrum, kernel never inverted."""
-    eig, lam = ball_spectrum(3)
-    k = np.arange(9.0)
-    spec_ok = np.array_equal(eig, k + 1.0) and np.array_equal(lam, k - 1.0)
-    outcome, msg, _hist = ball_newton_probe(3)
-    detect_ok = outcome == "resonance"
-    ok = spec_ok and detect_ok
-    return ok, f"spectrum exact: {spec_ok}; degree-1 probe outcome: {outcome}"
+    """Flat-ball degeneracy: the bubble's centre motion is a mode-1 kernel
+    of the solver's operator, and no periodic state is built on a lattice
+    that holds the mode-0 kernel frequency tau0."""
+    worst = max(_kernel_residual(n) for n in (2, 3, 4))
+    refused = total = 0
+    for n in (2, 3, 4):
+        tau0 = first_root(ModeSpec(n=n, gamma=0.5, m=0)).tau
+        for k in (1, 2, 3):
+            total += 1
+            try:
+                PeriodicCylinderState(n, 2.0 * np.pi * k / tau0, np.ones((3, 256)))
+            except ResonanceError:
+                refused += 1
+    ok = worst <= 2e-12 and refused == total
+    return ok, (f"mode-1 kernel residual {worst:.2e}; "
+                f"periods 2 pi k/tau0 refused {refused}/{total}")
 
 
 def criterion_10():

@@ -24,10 +24,6 @@ iterating by fixed point does not load scipy.sparse; scipy.linalg is
 imported by the invertibility study, so importing this module does not
 load it either.
 
-The closed-form flat-ball spectrum, run through the same zonal machinery,
-exhibits the degree-1 kernel of the linearized operator; its inversion
-must fail loudly, never silently.
-
 Per-mode work inside a step is vectorized; steps themselves are
 sequential and pure.  The one concurrent piece is the invertibility
 study, whose per-mode LDL^T inverses share no buffer and run on the
@@ -65,8 +61,6 @@ __all__ = [
     "newton_solve",
     "state_norm",
     "quadratic_remainder",
-    "ball_spectrum",
-    "ball_newton_probe",
     "uniform_invertibility_study",
 ]
 
@@ -81,9 +75,9 @@ RESONANCE_MARGIN = 1e-3
 def _zonal(n: int, m_max: int):
     """Discrete zonal transform on S^{n-1} as the pair (to_grid, to_modes).
 
-    to_grid maps per-mode samples of shape (m_max+1,) or (m_max+1, N) to
-    values of shape (n_nodes,) or (n_nodes, N) at the Gauss nodes of the
-    cross-section measure (1-x^2)^{(n-3)/2} dx, and to_modes projects back.
+    to_grid maps per-mode samples of shape (m_max+1, N) to values of shape
+    (n_nodes, N) at the Gauss nodes of the cross-section measure
+    (1-x^2)^{(n-3)/2} dx, and to_modes projects back.
     The degree-m zonal rows are normalized so the constant function is
     exactly mode 0 with coefficient 1, and the Gauss quadrature makes the
     projection exact on products of two truncated expansions.
@@ -368,47 +362,6 @@ def quadratic_remainder(state1: PeriodicCylinderState, v: np.ndarray) -> float:
     if vn == 0.0:
         raise ValidationError("need a nonzero direction")
     return state_norm(state1, rem) / vn**2
-
-
-# ---------------------------------------------------------------------------
-# flat-ball model (degenerate linearization)
-
-
-def ball_spectrum(n: int):
-    """Closed-form flat unit ball, harmonic degrees k = 0..8: the harmonic
-    extension of Y_k is r^k Y_k, so the boundary operator has eigenvalue
-    eig = k + (n-1)/2 (normal derivative plus the sphere's mean-curvature
-    term), and the linearization of Q at the constant factor has eigenvalue
-    lam = a*eig + b = k - 1 -- a kernel at degree 1, the conformal motions.
-    Returns (eig, lam)."""
-    eig = np.arange(9) + 0.5 * (n - 1)
-    a, b = curvature_linearization(n, 1.0, eig[0])
-    return eig, a * eig + b
-
-
-def ball_newton_probe(n: int):
-    """First Newton residual on the ball (degrees 0..8) at a degree-1
-    perturbation of size 0.01 of the constant factor (which stays above 0.97).
-
-    Returns (outcome, message, residual_history) with the one residual's
-    sup in the history.  The outcome is 'resonance' when the residual has
-    content on the kernel of the linearization, so a Newton step would
-    divide by zero -- the degree-1 perturbation's quadratic residual always
-    does -- and 'clear' when it has none.
-    """
-    eig, lam = ball_spectrum(n)
-    to_grid, to_modes = _zonal(n, eig.size - 1)
-    kernel = np.abs(lam) <= RESONANCE_MARGIN
-    coeffs = np.zeros(eig.size)
-    coeffs[0], coeffs[1] = 1.0, 0.01
-    res = to_modes(curvature(n, to_grid(coeffs), to_grid(eig * coeffs)))
-    res[0] -= eig[0]
-    history = (float(np.max(np.abs(res))),)
-    if not np.any(kernel & (np.abs(res) > 1e-14 * max(history[0], 1.0))):
-        return "clear", "residual has no content on the kernel", history
-    k_bad = int(np.flatnonzero(kernel)[0])
-    return "resonance", (f"linearized ball operator has kernel at degree {k_bad}; "
-                         "data with that content cannot be inverted"), history
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,9 @@ asserts the verdict.  Tolerances live in neckforge.acceptance, nowhere else.
 
 import dataclasses
 
-from neckforge import indicial
+import pytest
+
+from neckforge import acceptance, indicial, solver
 from neckforge.acceptance import run_all
 
 
@@ -61,6 +63,26 @@ def test_criterion_08_quadratic_remainder():
 
 def test_criterion_09_ball_degeneracy():
     _run(9)
+
+
+def test_criterion_09_fails_without_the_resonance_margin(monkeypatch):
+    # with no margin every period 2 pi k/tau0 is built, so the refusal
+    # clause finds none of the nine refused
+    monkeypatch.setattr(solver, "RESONANCE_MARGIN", -1.0)
+    [res] = run_all(indices=[9])
+    assert not res.passed
+    assert res.detail.endswith("refused 0/9")
+
+
+@pytest.mark.parametrize("m", [0, 2])
+def test_criterion_09_fails_off_the_mode_1_row(monkeypatch, m):
+    # the centre motion is a kernel of mode 1 only: through the mode-0 or
+    # mode-2 row its residual reads 0.26-0.70 at n = 2, 3, 4
+    residual = acceptance._kernel_residual
+    assert min(residual(n, m) for n in (2, 3, 4)) >= 0.1
+    monkeypatch.setattr(acceptance, "_kernel_residual", lambda n: residual(n, m))
+    [res] = run_all(indices=[9])
+    assert not res.passed
 
 
 def test_criterion_10_uniform_invertibility():

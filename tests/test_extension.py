@@ -12,7 +12,6 @@ from neckforge import extension
 from neckforge.errors import ResolutionTooCoarse, SingularBVP, ValidationError
 from neckforge.extension import (HalfCylinderProblem, cross_validate, dtn_cylinder,
                                  dtn_halfdisk_2d)
-from neckforge.solver import RESONANCE_MARGIN, ball_spectrum
 from neckforge.symbol import ModeSpec, theta
 
 
@@ -184,20 +183,6 @@ def test_halfdisk_xi_past_the_phi_resolution_raises():
 def test_halfdisk_matrix_pinned(xi, m, want):
     # values of the entry-by-entry (lil_matrix) assembly this one replaced
     assert abs(dtn_halfdisk_2d(xi=xi, m=m) - want) / want <= 1e-13
-
-
-def test_ball_eigenvalues_exact():
-    k = np.arange(9)
-    for n in range(2, 13):
-        eig, lam = ball_spectrum(n)
-        assert np.array_equal(eig, k + (n - 1) / 2)
-        assert np.array_equal(lam, k - 1)
-
-
-def test_ball_kernel_is_degree_one():
-    for n in range(2, 13):
-        _, lam = ball_spectrum(n)
-        assert tuple(np.flatnonzero(np.abs(lam) <= RESONANCE_MARGIN)) == (1,)
 
 
 def test_cross_validate_rows_complete():

@@ -60,10 +60,10 @@ def test_glue_digest_script_is_deterministic():
     assert first == second
     total = first[0].split()
     assert len(total[0]) == 64 and total[1:] == [
-        "error=8", "selftest=1", "study=1", "c10=0", "ball=1", "solve=1", "raised=0"]
+        "error=8", "selftest=1", "study=1", "c10=0", "solve=1", "raised=0"]
     # then one digest per kind
     assert [ln.split()[0] for ln in first[1:]] == [
-        "error", "selftest", "study", "c10", "ball", "solve"]
+        "error", "selftest", "study", "c10", "solve"]
     assert all(len(ln.split()[1]) == 64 for ln in first[1:])
 
 
@@ -88,4 +88,4 @@ def test_option_count_script_runs():
     assert total[1] == sum(1 for ln in lines if ln.startswith("    "))
     # pinned: a new public callable or settable value moves these and has to
     # be argued for where it is added
-    assert lines[-1] == "total: 66 callables, 71 settable values"
+    assert lines[-1] == "total: 64 callables, 71 settable values"

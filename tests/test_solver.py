@@ -1,4 +1,4 @@
-"""Periodic-cylinder curvature solver and the flat-ball degenerate variant."""
+"""Periodic-cylinder curvature solver and the uniform invertibility study."""
 
 import concurrent.futures
 import dataclasses
@@ -23,7 +23,6 @@ from neckforge.neck import (NeckConfig, build_glued_factor, curvature_linearizat
                             glued_u, window)
 from neckforge.solver import (PeriodicCylinderState,
                               _jacobian_matvec, apply_linearized, apply_Q,
-                              ball_newton_probe, ball_spectrum,
                               newton_solve, quadratic_remainder,
                               solve_linearized, state_norm,
                               uniform_invertibility_study)
@@ -275,41 +274,12 @@ def test_quadratic_remainder_stable_across_amplitudes():
     assert max(vals) / min(vals) < 3.0
 
 
-def test_ball_kernel_blocks_inversion():
-    # the degree-1 eigenvalue of the linearization is exactly zero, so the
-    # probe must refuse the step rather than divide by it
-    _, lam = ball_spectrum(3)
-    assert lam[1] == 0.0
-    outcome, msg, _ = ball_newton_probe(3)
-    assert outcome == "resonance"
-    assert "kernel at degree 1" in msg
-
-
-def test_ball_probe_reports_resonance():
-    # the degree-1 direction has no first-order residual, and what is left
-    # sits on the kernel: the first step already refuses to divide
-    for n in range(2, 9):
-        outcome, msg, hist = ball_newton_probe(n)
-        assert outcome == "resonance" and "degree 1" in msg
-        assert len(hist) == 1
-        assert 0.5 * 0.01**2 <= hist[0] <= 2.0 * 0.01**2
-
-
-def test_ball_probe_without_a_kernel_is_clear(monkeypatch):
-    # the probe reads one residual and tests its kernel content; with no
-    # eigenvalue inside the margin there is nothing to refuse
-    _, _, want = ball_newton_probe(3)
-    monkeypatch.setattr(solver, "RESONANCE_MARGIN", -1.0)
-    outcome, msg, hist = ball_newton_probe(3)
-    assert outcome == "clear" and "no content on the kernel" in msg
-    assert hist == want
-
-
 @pytest.mark.parametrize("m_max", [3, 8])
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_zonal_transform_round_trip(n, m_max):
-    # to_modes inverts to_grid on per-mode samples of either rank, and the
-    # 2-D transform is the 1-D one column by column; both to roundoff on the
+    # to_modes inverts to_grid on a table of per-mode samples, and each
+    # sample column is transformed alone (one column by itself gives that
+    # column of the table's transform); both to roundoff on the
     # scale of the grid values summed (the normalized rows reach 6 at n = 4,
     # m = 8), as matrix and vector products sum in different orders
     to_grid, to_modes = solver._zonal(n, m_max)
