@@ -85,7 +85,7 @@ def _drift(spec: ModeSpec, phi: np.ndarray) -> np.ndarray:
 
 def _dtn_fd(prob: HalfCylinderProblem) -> float:
     """Uniform second-order finite differences on [0, pi/2] for chi."""
-    from scipy.linalg import solve_banded
+    from scipy.linalg.lapack import dgtsv
 
     spec, xi = prob.spec, prob.xi
     M = prob.phi_grid - 1
@@ -99,24 +99,23 @@ def _dtn_fd(prob: HalfCylinderProblem) -> float:
     b = np.zeros(M + 1)
     b[1:] = _drift(spec, phi[1:])
 
-    # banded tridiagonal in (upper, diag, lower) layout
-    ab = np.zeros((3, M + 1))
+    # tridiagonal: sub-, main and super-diagonal
+    lower, diag, upper = np.zeros(M), np.empty(M + 1), np.empty(M)
     rhs = np.zeros(M + 1)
     c = 2.0 * spec.m + spec.n
     # pole row: -(2m+n) * 2 (chi_1 - chi_0)/h^2 + V0 chi_0 = 0
-    ab[1, 0] = 2.0 * c / h**2 + V[0]
-    ab[0, 1] = -2.0 * c / h**2
+    diag[0] = 2.0 * c / h**2 + V[0]
+    upper[0] = -2.0 * c / h**2
     i = np.arange(1, M)
-    ab[1, i] = 2.0 / h**2 + V[i]
-    ab[0, i + 1] = -1.0 / h**2 - b[i] / (2.0 * h)
-    ab[2, i - 1] = -1.0 / h**2 + b[i] / (2.0 * h)
-    ab[1, M] = 1.0
-    ab[2, M - 1] = 0.0
+    diag[i] = 2.0 / h**2 + V[i]
+    upper[i] = -1.0 / h**2 - b[i] / (2.0 * h)
+    lower[i - 1] = -1.0 / h**2 + b[i] / (2.0 * h)
+    # equator row chi_M = 1 (lower[M - 1] stays 0)
+    diag[M] = 1.0
     rhs[M] = 1.0
-    try:
-        chi = solve_banded((1, 1), ab, rhs)
-    except np.linalg.LinAlgError as err:  # pragma: no cover - defensive
-        raise SingularBVP(f"tridiagonal solve failed: {err}")
+    chi, info = dgtsv(lower, diag, upper, rhs)[3:]
+    if info != 0:  # pragma: no cover - defensive
+        raise SingularBVP(f"tridiagonal solve failed: dgtsv info = {info}")
     if not np.all(np.isfinite(chi)):
         raise SingularBVP("finite-difference solution blew up")
     if chi.min() < -1e-8:

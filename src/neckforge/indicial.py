@@ -18,11 +18,15 @@ the real decay exponents (tau = 0); each catalog checks this by a count.  Each a
 between the known simple poles of F at +-2(A + k), A the numerator Gamma
 offset, and each bracket is refined by Illinois false position; all brackets
 of one scan are solved in lockstep, one vector call of F per step, to a
-bracket width of BRACKET_TOL * (1 + |lambda|).  The roots of one scan are
-then certified together, by one vector read of F and one of the analytic
-derivative F'(lambda) = -i Theta'(zeta) (the digamma form of Theta'/Theta)
-at all of them: each needs |F| <= RESIDUAL_TOL, or a Newton correction
-|F / Theta'| within the bracket tolerance.  Each is reported with the
+bracket width of BRACKET_TOL * (1 + |lambda|).  Work that does not depend on
+a catalog's box is done once per spec: the imaginary-axis scan (at m >= 1
+one value of Theta_m shows it empty, Theta_m being increasing in |xi|) and
+the bracket solutions below the first pole 2A, which `first_root` reads
+too.  The roots of one scan are then certified together, by one vector
+read of F and one of the analytic derivative F'(lambda) = -i Theta'(zeta)
+(the digamma form of Theta'/Theta) at all of them: each needs |F| <=
+RESIDUAL_TOL, or a Newton correction |F / Theta'| within the bracket
+tolerance.  Each is reported with the
 residual |F| and the symbol derivative Theta' at the root (the ingredient of
 Green-kernel residues).
 
@@ -35,10 +39,11 @@ with the winding accumulated from adaptively refined boundary samples and
 the pole count read off the explicit ladder.  A catalog counts before it
 locates: the quadrant count alone grows the search box until it holds
 enough roots, and the axes are then scanned once, in the final box.  The
-count is additive over boxes that share an edge, so each growth step winds
-only the new strip and adds it to the running count.  A catalog is
-certified when the count equals the number of axis roots, which proves the
-open quadrant empty.
+count is additive over boxes that share an edge (Delves & Lyness 1967), so
+each growth step winds only the new strip, of width 2 per root still
+missing, and adds it to the running count.  A catalog is certified when
+the count equals the number of axis roots, which proves the open quadrant
+empty.
 """
 
 from __future__ import annotations
@@ -249,11 +254,10 @@ def _make_roots(F, lams):
     return roots
 
 
-def _axis_roots_real(F, spec, sigma_max):
-    """Sign-change roots of the real-valued restriction F(lambda), lambda real > 0,
-    scanned between the poles in one call of F."""
-    poles = _pole_ladder(spec, sigma_max + 1.0)
-    cuts = [1e-9] + [p for p in poles if p < sigma_max] + [sigma_max]
+def _real_brackets(F, cuts):
+    """Uncertified zeros of the real-valued restriction F(lambda), lambda
+    real, on the pole-free intervals between consecutive cuts: sign changes
+    on one grid (one call of F), each solved by lockstep false position."""
     grids = []
     for a, b in zip(cuts[:-1], cuts[1:]):
         pad = 1e-6 * (1.0 + b)
@@ -265,17 +269,55 @@ def _axis_roots_real(F, spec, sigma_max):
     flip = np.signbit(vals[1:]) != np.signbit(vals[:-1])
     flip[np.cumsum([len(g) for g in grids[:-1]], dtype=int) - 1] = False  # across a pole
     i = np.nonzero(flip)[0]
-    x0 = _false_position(lambda x: np.real(F(x)), grid[i], grid[i + 1], vals[i], vals[i + 1])
-    return _make_roots(F, x0)
+    return _false_position(lambda x: np.real(F(x)), grid[i], grid[i + 1], vals[i], vals[i + 1])
+
+
+@lru_cache(maxsize=256)
+def _first_interval(n, gamma, m):
+    """Read-only uncertified bracket solutions on the first pole interval
+    (1e-9, 2A): solved once per spec, read by `first_root` (m >= 1) and by
+    every catalog's real-axis scan."""
+    spec = ModeSpec(n=n, gamma=gamma, m=m)
+    out = _real_brackets(_char_fn(spec, constants(n, gamma).kappa), [1e-9, 2.0 * spec.a_offset])
+    out.setflags(write=False)
+    return out
+
+
+def _axis_roots_real(F, spec, sigma_max):
+    """Certified roots of the real-valued restriction F(lambda), 0 < lambda <
+    sigma_max: the first pole interval's cached solutions, then a scan of the
+    intervals between the poles 2(A + k) < sigma_max and sigma_max, all
+    certified by one `_make_roots` read."""
+    cuts = [p for p in _pole_ladder(spec, sigma_max) if p < sigma_max] + [sigma_max]
+    x0 = _first_interval(spec.n, float(spec.gamma), spec.m)
+    return _make_roots(F, np.concatenate([x0, _real_brackets(F, cuts)]))
 
 
 @lru_cache(maxsize=256)
 def _axis_roots_imag(n, gamma, m):
     """Sign-change roots on the imaginary axis lambda = i*tau, 0 < tau <= TAU_MAX,
     as a tuple: the oscillatory pair.  They do not depend on a catalog's box,
-    so one scan per spec serves `first_root` at mode 0 and every catalog."""
+    so one scan per spec serves `first_root` at mode 0 and every catalog.
+
+    Returns () without a scan when Theta_m(1e-9) >= kappa (every mode m >= 1):
+    on the axis F(i tau) = Theta_m(tau) - kappa, and Theta_m is strictly
+    increasing in |xi| for every valid ModeSpec.  Proof: B = (n/2 + m -
+    gamma)/2 > 0 since ModeSpec requires gamma < n/2, and A = B + gamma > B.
+    By the product formula |Gamma(x + iy)|^2 = Gamma(x)^2 prod_{k>=0}
+    (1 + y^2/(x + k)^2)^(-1), x > 0,
+
+        Theta_m(xi) = 2^(2 gamma) Gamma(A)^2 / Gamma(B)^2
+                      * prod_{k>=0} (1 + t/(B + k)^2) / (1 + t/(A + k)^2),
+
+    t = xi^2/4, and each factor (1 + t/b^2)/(1 + t/a^2), a > b > 0, has
+    t-derivative (1/b^2 - 1/a^2)/(1 + t/a^2)^2 > 0.  So Theta_m(tau) >
+    Theta_m(1e-9) >= kappa on the whole scan (1e-9, TAU_MAX]: F has no sign
+    change there, and the 600-point scan would return () too.
+    """
     spec = ModeSpec(n=n, gamma=gamma, m=m)
     kappa = constants(n, gamma).kappa
+    if theta(spec, 1e-9) >= kappa:
+        return ()
     grid = np.linspace(1e-9, TAU_MAX, 600)
     vals = theta(spec, grid) - kappa
     i = np.nonzero(np.signbit(vals[1:]) != np.signbit(vals[:-1]))[0]
@@ -291,18 +333,19 @@ def first_root(spec: ModeSpec) -> IndicialRoot:
     frequency axis up to tau = TAU_MAX: the imaginary-axis scan every catalog
     of the spec reads too, run once per spec, so the root is bit for bit
     `root_catalog(spec, 1).roots[0]`.
-    Mode >= 1 scans the real axis up to the first pole 2A: the root lies
+    Mode >= 1 reads the real axis below the first pole 2A: the root lies
     below 2B < 2A, where the symbol continuation falls from
-    Theta_m(0) > kappa to 0.  That interval's grid, brackets and lockstep
-    false position are the ones every catalog of the spec runs on it (each
-    point of a vector F call is computed on its own), so the root is again
-    bit for bit `root_catalog(spec, 1).roots[0]`.
+    Theta_m(0) > kappa to 0.  The bracket solutions on that interval are
+    solved once per spec (`_first_interval`) and read by every catalog of
+    the spec too, and certified here by the same one-read rule (each point
+    of a vector F call is computed on its own), so the root is again bit
+    for bit `root_catalog(spec, 1).roots[0]`.
     """
     if spec.m == 0:
         roots = _axis_roots_imag(spec.n, float(spec.gamma), spec.m)
     else:
         F = _char_fn(spec, constants(spec.n, spec.gamma).kappa)
-        roots = _axis_roots_real(F, spec, 2.0 * spec.a_offset)
+        roots = _make_roots(F, _first_interval(spec.n, float(spec.gamma), spec.m))
     if not roots:
         raise NonConvergence(f"no real first root found by the axis scan for {spec}")
     return roots[0]
@@ -343,11 +386,13 @@ def _catalog_cached(n, gamma, m, j_count):
     sigma_max = 2.0 * spec.a_offset + 2.3137
     sigma_cap = 2.0 * spec.a_offset + 2.0 * j_count + 24.0
     # located roots are distinct roots inside the counted box, so a box that
-    # counts short of j_count would be grown by the location loop anyway
+    # counts short of j_count would be grown by the location loop anyway;
+    # one strip of width 2 per missing root (see root_catalog)
     count = _quadrant_count(F, spec, sigma_max, TAU_MAX, kappa)
     while count is not None and count < j_count and sigma_max <= sigma_cap:
-        count = _grow_count(F, spec, count, sigma_max, sigma_max + 2.0, TAU_MAX, kappa)
-        sigma_max += 2.0
+        width = 2.0 * (j_count - count)
+        count = _grow_count(F, spec, count, sigma_max, sigma_max + width, TAU_MAX, kappa)
+        sigma_max += width
     counted_at = sigma_max
     # the two scans return disjoint sets (sigma = 0 and tau = 0), and the
     # imaginary-axis roots do not depend on sigma_max
@@ -373,15 +418,21 @@ def root_catalog(spec: ModeSpec, j_count: int) -> RootCatalog:
     """First-quadrant catalog holding at least j_count roots, sorted by sigma.
 
     Counts the quadrant tau <= TAU_MAX up to sigma_max = 2A + 2.3137 by one
-    meromorphic winding, then grows the box 2 at a time while the count is
-    short of j_count, winding only the new strip (sigma_max, sigma_max + 2)
-    and adding its count to the running one (a strip no margin keeps clear is replaced
-    by a whole-box count).  The two axes, where the characteristic function
-    is real, are then scanned once in the final box; when no counting contour
-    can be cleared (no count), the real-axis scan alone grows the box.  The
-    roots of each scan are certified by one vector read of F and of Theta'
-    at their bracket solutions (see `_make_roots`); the first that fails
-    raises NonConvergence.  The catalog is certified when the count equals
+    meromorphic winding, then, while the count is short of j_count, winds
+    only the new strip (sigma_max, sigma_max + 2 (j_count - count)) and adds
+    its count to the running one (a strip no margin keeps clear is replaced
+    by a whole-box count).  While no width-2 strip holds two roots, the count
+    rises by at most one per width 2, so this ends at the box that growing 2
+    at a time reaches, in one strip where that took several; a width-2 strip
+    with two roots would end it past that box, and none of the 672 catalogs
+    of `scripts/catalog_digest.py` has one.  The two axes, where the
+    characteristic function is real, are then scanned once in the final box
+    (the imaginary axis and the first pole interval (0, 2A) once per spec,
+    shared by every catalog and `first_root`); when no counting contour can
+    be cleared (no count), the real-axis scan alone grows the box 2 at a
+    time.  The roots of each scan are certified by one vector read of F and
+    of Theta' at their bracket solutions (see `_make_roots`); the first that
+    fails raises NonConvergence.  The catalog is certified when the count equals
     the roots located: the count is the one guarantee that no root lies off
     the axes.
     """

@@ -59,6 +59,42 @@ def test_finite_difference_second_order():
     assert errs[1] / errs[2] >= 3.0
 
 
+def _dtn_fd_banded(prob):
+    """The same finite-difference system in (upper, diag, lower) band layout,
+    solved by solve_banded."""
+    spec, M = prob.spec, prob.phi_grid - 1
+    h = 0.5 * np.pi / M
+    phi = h * np.arange(M + 1)
+    V = extension._potential(spec, prob.xi, phi)
+    b = np.zeros(M + 1)
+    b[1:] = extension._drift(spec, phi[1:])
+    ab, rhs = np.zeros((3, M + 1)), np.zeros(M + 1)
+    c = 2.0 * spec.m + spec.n
+    ab[1, 0] = 2.0 * c / h**2 + V[0]
+    ab[0, 1] = -2.0 * c / h**2
+    i = np.arange(1, M)
+    ab[1, i] = 2.0 / h**2 + V[i]
+    ab[0, i + 1] = -1.0 / h**2 - b[i] / (2.0 * h)
+    ab[2, i - 1] = -1.0 / h**2 + b[i] / (2.0 * h)
+    ab[1, M] = rhs[M] = 1.0
+    chi = scipy.linalg.solve_banded((1, 1), ab, rhs)
+    dchi = (25.0 * chi[M] - 48.0 * chi[M - 1] + 36.0 * chi[M - 2]
+            - 16.0 * chi[M - 3] + 3.0 * chi[M - 4]) / (12.0 * h)
+    return float(dchi + 2.0 * spec.m / np.pi)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+@pytest.mark.parametrize("phi_grid", [64, 256, 1024])
+def test_finite_difference_equals_the_banded_oracle(n, phi_grid):
+    # three diagonals straight to LAPACK's gtsv, the routine solve_banded
+    # sends a (1, 1) band to, so every value is the same float
+    for m in range(4):
+        for xi in (0.0, 0.7, 3.0, 10.0):
+            prob = HalfCylinderProblem(ModeSpec(n=n, m=m), xi=xi, phi_grid=phi_grid,
+                                       scheme="finite-difference")
+            assert dtn_cylinder(prob) == _dtn_fd_banded(prob)
+
+
 def test_halfdisk_agrees_at_modest_accuracy():
     # independent 2-D hemisphere solve with no separation assumption, at the
     # three (xi, m) centres the bulk benchmark checks to the same bound

@@ -10,11 +10,13 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from neckforge import indicial
 from neckforge.errors import NonConvergence, ValidationError
 from neckforge.indicial import _false_position, check_lemma, first_root, root_catalog
-from neckforge.symbol import ModeSpec, constants
+from neckforge.symbol import ModeSpec, constants, theta
 
 # mode-0 crossing frequency per dimension
 TAU0 = {2: 0.80990727068780252, 3: 1.2191319876982279,
@@ -274,12 +276,80 @@ def test_mode0_first_root_is_the_catalog_root(n):
 @pytest.mark.parametrize("gamma, n, m", [(0.05, 10, 1), (0.05, 2, 1), (0.3, 7, 3),
                                          (0.5, 3, 2), (0.8, 5, 6), (1.7, 12, 10)])
 def test_first_root_within_the_bracket_tolerance_of_the_catalog_root(gamma, n, m):
-    # at m >= 1 first_root scans the catalog's first pole interval (0, 2A)
-    # on the catalog's grid, so false position runs from the same brackets
+    # at m >= 1 first_root certifies the bracket solutions on the first pole
+    # interval (0, 2A) that every catalog of the spec reads
     spec = ModeSpec(n=n, gamma=gamma, m=m)
     got, want = first_root(spec), root_catalog(spec, 1).roots[0]
     assert got.tau == want.tau == 0.0
     assert got == want
+
+
+def _imag_scan(spec):
+    """The 600-point imaginary-axis scan with no early exit: sign changes of
+    Theta_m(tau) - kappa on (1e-9, TAU_MAX], solved and certified."""
+    kappa = constants(spec.n, spec.gamma).kappa
+    grid = np.linspace(1e-9, indicial.TAU_MAX, 600)
+    vals = theta(spec, grid) - kappa
+    i = np.nonzero(np.signbit(vals[1:]) != np.signbit(vals[:-1]))[0]
+    t0 = _false_position(lambda t: theta(spec, t) - kappa, grid[i], grid[i + 1],
+                         vals[i], vals[i + 1])
+    return tuple(indicial._make_roots(indicial._char_fn(spec, kappa), 1j * t0))
+
+
+def test_imaginary_axis_of_a_higher_mode_is_read_from_one_value(monkeypatch):
+    # Theta_m is increasing in |xi| and Theta_m(0) > kappa at m >= 1, so one
+    # value at the scan's first point rules out every sign change on the axis
+    calls = []
+
+    def counted(spec, xi):
+        calls.append(np.size(xi))
+        return theta(spec, xi)
+    specs = [ModeSpec(n=n, gamma=gamma, m=m) for n in range(2, 9) for m in range(1, 8)
+             for gamma in (0.3, 0.5, 0.8, 1.7) if gamma < n / 2]
+    monkeypatch.setattr(indicial, "theta", counted)
+    indicial._axis_roots_imag.cache_clear()
+    for spec in specs:
+        calls.clear()
+        assert indicial._axis_roots_imag(spec.n, spec.gamma, spec.m) == () == _imag_scan(spec)
+        assert calls == [1]
+    indicial._axis_roots_imag.cache_clear()
+    # mode 0 still scans, and finds the oscillatory root
+    spec = ModeSpec(n=3, m=0)
+    assert indicial._axis_roots_imag(3, 0.5, 0) == _imag_scan(spec) != ()
+    assert len(specs) == 182
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 12), frac=st.floats(0.02, 0.98), m=st.integers(0, 12),
+       ks=st.lists(st.integers(0, 2000), min_size=2, max_size=60, unique=True))
+def test_theta_strictly_increasing_in_frequency(n, frac, m, ks):
+    # the monotonicity the imaginary-axis early exit rests on, at grid
+    # spacing 0.01 on [0, TAU_MAX], for gamma anywhere in (0, min(n/2, 4))
+    spec = ModeSpec(n=n, gamma=frac * min(n / 2.0, 4.0), m=m)
+    vals = theta(spec, np.array(sorted(ks)) / 100.0)
+    assert np.all(np.diff(vals) > 0.0)
+
+
+@pytest.mark.parametrize("n, m", [(3, 1), (5, 6), (8, 3)])
+def test_first_interval_is_bracketed_once(monkeypatch, n, m):
+    # a cold first_root and catalog solve the brackets below the first pole
+    # 2A once, and read the same solutions
+    spec = ModeSpec(n=n, m=m)
+    below = []
+    solve = indicial._false_position
+
+    def recorded(g, a, b, fa, fb, **kwargs):
+        below.append(int(np.sum(np.asarray(b) < 2.0 * spec.a_offset)))
+        return solve(g, a, b, fa, fb, **kwargs)
+    monkeypatch.setattr(indicial, "_false_position", recorded)
+    for cached in (indicial._first_interval, indicial._catalog_cached,
+                   indicial._axis_roots_imag):
+        cached.cache_clear()
+    root = first_root(spec)
+    cat = root_catalog(spec, 4)
+    indicial._catalog_cached.cache_clear()
+    assert root == cat.roots[0] and cat.certified
+    assert sum(below) == 1 and below[0] == 1
 
 
 def _dense_winding(F, box, per_edge=2048):
@@ -298,8 +368,8 @@ def _dense_winding(F, box, per_edge=2048):
 
 
 def test_sized_top_edge_winds_as_a_dense_path(monkeypatch):
-    # every box a criterion-2 catalog winds (the first box and its two growth
-    # strips), with the top edge's first pass sized by its length
+    # every box a criterion-2 catalog winds (the first box and its one growth
+    # strip, of width 4), with the top edge's first pass sized by its length
     wound, winding = [], indicial._winding
 
     def recorded(F, box, kappa_scale):
@@ -310,9 +380,12 @@ def test_sized_top_edge_winds_as_a_dense_path(monkeypatch):
     indicial._catalog_cached.cache_clear()
     for n in range(2, 6):
         for m in range(7):
+            before = len(wound)
             root_catalog(ModeSpec(n=n, m=m), 4)
+            assert len(wound) - before == 2
     indicial._catalog_cached.cache_clear()
-    assert len(wound) == 84
+    assert len(wound) == 56
+    assert {round(box[1] - box[0], 9) for _, box, _ in wound[1::2]} == {4.0}
     for F, box, w in wound:
         width, height = box[1] - box[0], box[3] - box[2]
         top = max(8, int(np.ceil(96 * width / height)))
@@ -335,7 +408,8 @@ def test_uncertified_catalog_fails_clause_d(monkeypatch):
 @pytest.mark.parametrize("n", range(2, 9))
 def test_strip_counts_add_up_to_the_whole_box(n):
     # the catalog's running count (first box, then one strip per growth step)
-    # against an independent winding of the whole grown box
+    # against an independent winding of the whole grown box, and a width-4
+    # strip (a criterion-2 catalog's one growth step) against its two halves
     kappa = constants(n).kappa
     grew = 0
     for m in range(8):
@@ -343,11 +417,16 @@ def test_strip_counts_add_up_to_the_whole_box(n):
         F = indicial._char_fn(spec, kappa)
         sigma_max = 2.0 * spec.a_offset + 2.3137
         count = indicial._quadrant_count(F, spec, sigma_max, 20.0, kappa)
+        wide = indicial._quadrant_count(F, spec, sigma_max + 4.0, 20.0, kappa,
+                                        sigma_min=sigma_max)
+        strips = []
         for _ in range(3):
             strip = indicial._quadrant_count(F, spec, sigma_max + 2.0, 20.0, kappa,
                                              sigma_min=sigma_max)
             count, sigma_max, grew = count + strip, sigma_max + 2.0, grew + strip
             assert count == indicial._quadrant_count(F, spec, sigma_max, 20.0, kappa)
+            strips.append(strip)
+        assert wide == strips[0] + strips[1]
     assert grew > 0
 
 

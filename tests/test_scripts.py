@@ -50,6 +50,8 @@ def test_catalog_digest_script_is_deterministic():
     assert first == second
     total = first[0].split()
     assert len(total[0]) == 64 and total[1:] == ["catalogs=48", "first_roots=24", "raised=0"]
+    # the quick sweep's catalogs and first roots, bit for bit
+    assert total[0] == "73e2df1de3ebc5e18f2db6daeb6f93cdce930e654269a1ef95486a963fcf5004"
     # then one digest per kind
     assert [ln.split()[0] for ln in first[1:]] == ["catalog", "first"]
     assert all(len(ln.split()[1]) == 64 for ln in first[1:])
