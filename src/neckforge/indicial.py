@@ -401,7 +401,7 @@ def _catalog_cached(n, gamma, m, j_count):
         roots = imag + _axis_roots_real(F, spec, sigma_max)
         if len(roots) >= j_count or sigma_max > sigma_cap:
             break
-        sigma_max += 2.0
+        sigma_max += 2.0 * (j_count - len(roots))
     if len(roots) < j_count:
         raise NonConvergence(
             f"only {len(roots)} roots located for {spec} within sigma <= {sigma_max}"
@@ -429,12 +429,13 @@ def root_catalog(spec: ModeSpec, j_count: int) -> RootCatalog:
     characteristic function is real, are then scanned once in the final box
     (the imaginary axis and the first pole interval (0, 2A) once per spec,
     shared by every catalog and `first_root`); when no counting contour can
-    be cleared (no count), the real-axis scan alone grows the box 2 at a
-    time.  The roots of each scan are certified by one vector read of F and
-    of Theta' at their bracket solutions (see `_make_roots`); the first that
-    fails raises NonConvergence.  The catalog is certified when the count equals
-    the roots located: the count is the one guarantee that no root lies off
-    the axes.
+    be cleared (no count), the real-axis scan alone grows the box, by 2
+    per missing root at each step, the count's own rule.  The roots of each
+    scan are certified by one vector read of F and of Theta' at their
+    bracket solutions (see `_make_roots`); the first that fails raises
+    NonConvergence.  The catalog is certified when the count equals the
+    roots located: the count is the one guarantee that no root lies off the
+    axes.
     """
     return _catalog_cached(spec.n, float(spec.gamma), spec.m, int(j_count))
 

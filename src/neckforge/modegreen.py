@@ -250,9 +250,10 @@ def _select_beta(profile: DecayProfile, catalog: RootCatalog):
     """Contour shift for the declared profile, or 0 on the fast path.
 
     The shifted line must clear every indicial exponent below the declared
-    +inf rate and stay below both that rate and the next exponent.  It sits
-    at a non-negative rate, so the shifted right-hand side, bounded at -inf,
-    still decays at both ends.
+    +inf rate and stay below that rate.  It sits at a non-negative rate, so
+    the shifted right-hand side, bounded at -inf, still decays at both ends.
+    A rate within 0.02 of an exponent is refused first, so the shift clears
+    the exponent below by at least 0.008 and the rate by at least 0.012.
     """
     delta = profile.delta
     if delta <= 0.0:
@@ -264,22 +265,13 @@ def _select_beta(profile: DecayProfile, catalog: RootCatalog):
             f"declared rate {delta} within resonance margin of an indicial exponent"
         )
     below = [sg for sg in sigmas if sg < delta]
-    above = [sg for sg in sigmas if sg > delta]
-    hi_next = above[0] if above else delta + 10.0
     if not below:
         return 0.0  # no axis zeros below the rate
     lo = max(below)
-    hi = min(delta, hi_next)
-    if hi - lo <= 2e-3:
-        raise ResonanceError(
-            f"no admissible contour: needed a shift in ({lo}, {hi}) "
-            f"for profile {profile}"
-        )
     # sit well inside the gap: distance to lo sets how fast the shifted
-    # solution sheds its left tail (wrap control), distance to hi how fast
+    # solution sheds its left tail (wrap control), distance to delta how fast
     # the shifted right side decays
-    beta = lo + 0.4 * (hi - lo)
-    return min(max(beta, lo + _BETA_MARGIN), hi - _BETA_MARGIN)
+    return lo + 0.4 * (delta - lo)
 
 
 def _check_declared_tails(h: LineFunction, profile: DecayProfile):
@@ -455,11 +447,10 @@ def classify_growth(v: LineFunction, mu: float, spec: ModeSpec,
 def synthesize_kernel(spec: ModeSpec, s):
     """Even Green kernel from the indicial residue series, with truncation estimate.
 
-    The series sums the first seven decaying exponents.  The two half-lines
-    are synthesized independently: s > 0 from the zeros above the contour,
-    s < 0 from the zeros below.  Agreement of the two branches under
-    s -> -s is therefore a genuine check of the four-fold root symmetry and
-    of the residue derivatives, not an identity of the construction.
+    The series sums the first seven decaying exponents.  The half-line
+    s > 0 is written from the zeros above the contour, s < 0 from the zeros
+    below; the two are mirror formulas on mirrored points, so the kernel is
+    even by construction, bit for bit.
     Returns (values, trunc) where trunc(s) bounds the first omitted term.
     """
     j_max = 6
@@ -469,7 +460,9 @@ def synthesize_kernel(spec: ModeSpec, s):
     if len(decaying) <= j_max + 1:
         catalog = root_catalog(spec, j_max + 4)
         decaying = [r for r in catalog.roots if r.sigma > 0.0]
-    used, rest = decaying[: j_max + 1], decaying[j_max + 1:]
+    # Theta_m rises with |xi| (see indicial._axis_roots_imag), so at most one
+    # root has sigma = 0 and a decaying root is always left past those summed
+    used, nxt = decaying[: j_max + 1], decaying[j_max + 1]
 
     vals = np.zeros_like(s)
     pos = s >= 0.0
@@ -483,9 +476,5 @@ def synthesize_kernel(spec: ModeSpec, s):
         phase_m = np.exp(1j * r.tau * s[~pos])
         vals[~pos] += w * 2.0 * np.exp(r.sigma * s[~pos]) * \
             np.imag(phase_m / r.dtheta)
-    if rest:
-        nxt = rest[0]
-        trunc = (2.0 / abs(nxt.dtheta)) * np.exp(-nxt.sigma * np.abs(s))
-    else:
-        trunc = np.full_like(s, np.nan)
+    trunc = (2.0 / abs(nxt.dtheta)) * np.exp(-nxt.sigma * np.abs(s))
     return vals, trunc

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPositiveConformalFactor, NumericalError, ValidationError
+from .errors import NumericalError, ValidationError
 from .symbol import ModeSpec, constants, frequencies, theta_table
 
 __all__ = [
@@ -143,7 +143,8 @@ def build_glued_factor(config: NeckConfig, n: int, s) -> np.ndarray:
     the points s of an ascending uniform grid.
 
     U == 1 + O(delta^2) through the neck, exactly the summand chart factor
-    beyond the transition band on either side.
+    beyond the transition band on either side.  U >= 1: the cutoff lies in
+    [0, 1] and both chart factors are 1 + delta^2 q with q > 0.
     """
     if n < 2:
         raise ValidationError(f"need n >= 2, got {n}")
@@ -152,10 +153,7 @@ def build_glued_factor(config: NeckConfig, n: int, s) -> np.ndarray:
     chi = _cutoff(s)
     g1 = 1.0 + d2 * _deviation_profile(s)
     g2 = 1.0 + d2 * _deviation_profile(-s)
-    U = chi * g1 + (1.0 - chi) * g2  # chi(-s) = 1 - chi(s), an exact partition
-    if U.min() <= 0.0:
-        raise NonPositiveConformalFactor("glued factor lost positivity")
-    return U
+    return chi * g1 + (1.0 - chi) * g2  # chi(-s) = 1 - chi(s), an exact partition
 
 
 def glued_u(config: NeckConfig, n: int, L: float, N: int):

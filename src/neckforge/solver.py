@@ -82,8 +82,6 @@ def _zonal(n: int, m_max: int):
     exactly mode 0 with coefficient 1, and the Gauss quadrature makes the
     projection exact on products of two truncated expansions.
     """
-    if n < 2:
-        raise ValidationError(f"need n >= 2, got {n}")
     J = 2 * (m_max + 1)
     a = (n - 3) / 2.0
     x, w = roots_jacobi(J, a, a)
@@ -348,8 +346,8 @@ def _newton_step(state: PeriodicCylinderState, res: np.ndarray) -> np.ndarray:
     sol, info = scipy.sparse.linalg.lgmres(A, res.ravel(), M=M,
                                            rtol=1e-11, atol=0.0, maxiter=20)
     if info != 0:
-        raise ResonanceError("inner linear solve failed to converge; "
-                             "the linearized operator is near-singular")
+        raise ResonanceError("lgmres did not reach rtol 1e-11 within 20 restart cycles; "
+                             "the linearization may be near-singular")
     return sol.reshape(shape)
 
 

@@ -170,9 +170,7 @@ def theta_analytic(spec: ModeSpec, zeta):
     Returns exact zeros where the denominator Gammas have poles; raises
     PoleError where the numerator Gammas do (a genuine pole of the symbol),
     and ValidationError for |zeta| > DOMAIN_MAX.  Scalar or array input.
-    One log_rgamma call on the stacked arguments A +- h, B +- h (h = i zeta/2);
-    at real zeta A - h is exactly conj(A + h), and log Gamma is exactly
-    conjugate-symmetric, so only the rows A + h, B + h are evaluated.
+    One log_rgamma call on the stacked arguments A +- h, B +- h (h = i zeta/2).
     """
     z_arr = np.asarray(zeta, dtype=np.complex128)
     _check_frequency(z_arr, "zeta")
@@ -181,11 +179,7 @@ def theta_analytic(spec: ModeSpec, zeta):
 
     a, b, h = spec.a_offset, spec.b_offset, 0.5j * z_flat
     # -inf on a numerator row is a pole of the symbol, on a denominator row a zero
-    if h.real.any():
-        lr = log_rgamma(np.array([a + h, a - h, b + h, b - h]))
-    else:
-        lr_a, lr_b = log_rgamma(np.array([a + h, b + h]))
-        lr = lr_a, lr_a.conj(), lr_b, lr_b.conj()
+    lr = log_rgamma(np.array([a + h, a - h, b + h, b - h]))
     num_pole = (lr[0].real == -np.inf) | (lr[1].real == -np.inf)
     if num_pole.any():
         raise PoleError(f"theta_analytic pole at zeta = {z_flat[num_pole]}")

@@ -167,8 +167,9 @@ def test_check_lemma_rejects_nonpositive_tol_b(monkeypatch, tol_b):
 @pytest.mark.parametrize("n, m", [(3, 2), (5, 6)])
 def test_catalog_locates_once(monkeypatch, n, m):
     # the search box is grown by counting alone, so each axis is scanned once;
-    # without a count the location loop grows the box, rescanning only the
-    # real axis, since the imaginary-axis roots do not depend on sigma_max
+    # without a count the location loop grows the box by 2 per missing root,
+    # rescanning only the real axis (the imaginary-axis roots do not depend on
+    # sigma_max): the first box and one grown box
     calls = {}
     for name in ("_axis_roots_real", "_axis_roots_imag"):
         def counted(*args, _fn=getattr(indicial, name), _name=name):
@@ -184,7 +185,7 @@ def test_catalog_locates_once(monkeypatch, n, m):
     monkeypatch.setattr(indicial, "_quadrant_count", lambda *args, **kwargs: None)
     indicial._catalog_cached.cache_clear()
     assert not root_catalog(ModeSpec(n=n, m=m), 4).certified
-    assert calls["_axis_roots_imag"] == 1 and calls["_axis_roots_real"] > 1
+    assert calls == {"_axis_roots_real": 2, "_axis_roots_imag": 1}
     indicial._catalog_cached.cache_clear()
 
 
@@ -193,14 +194,16 @@ def test_uncounted_catalog_is_uncertified_with_the_same_roots(monkeypatch, n, m)
     # with no counting contour cleared the location loop alone grows the box:
     # the same roots in the same box, but nothing proves the open quadrant empty
     spec = ModeSpec(n=n, m=m)
+    j_counts = (6, 12, 20)
     indicial._catalog_cached.cache_clear()
-    want = root_catalog(spec, 6)
+    want = [root_catalog(spec, j) for j in j_counts]
     monkeypatch.setattr(indicial, "_quadrant_count", lambda *args, **kwargs: None)
     indicial._catalog_cached.cache_clear()
-    got = root_catalog(spec, 6)
+    got = [root_catalog(spec, j) for j in j_counts]
     indicial._catalog_cached.cache_clear()
-    assert want.certified and not got.certified
-    assert got.roots == want.roots and got.search_box == want.search_box
+    for w, g in zip(want, got):
+        assert w.certified and not g.certified
+        assert g.roots == w.roots and g.search_box == w.search_box
 
 
 @pytest.mark.parametrize("n, m", [(4, 9), (11, 6)])

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from neckforge import modegreen, specfun, symbol
 from neckforge.errors import (AliasWarning, PoleError, ResonanceError, TailMismatch,
                               ValidationError)
-from neckforge.indicial import first_root, root_catalog
+from neckforge.indicial import IndicialRoot, RootCatalog, first_root, root_catalog
 from neckforge.modegreen import (DecayProfile, LineFunction, apply_L0,
                                  classify_growth, fit_tail_rate, green_solve,
                                  homogeneous_basis, synthesize_kernel)
@@ -425,6 +425,45 @@ def test_kernel_even_and_normalized():
     vals, trunc = synthesize_kernel(ModeSpec(n=3, m=0), s)
     assert np.max(np.abs(vals - vals[::-1])) <= 1e-8
     assert np.max(trunc) <= 1e-8  # first omitted residue term, pointwise
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_kernel_truncation_estimate_is_finite(n):
+    # Theta_m is strictly increasing in |xi|, so a catalog holds at most one
+    # root with sigma = 0 and a decaying root is always left past the seven
+    # the series sums
+    s = np.linspace(-3.0, 3.0, 13)
+    for gamma in (0.3, 0.5, 0.8):
+        for m in range(4):
+            _, trunc = synthesize_kernel(ModeSpec(n=n, gamma=gamma, m=m), s)
+            assert np.all(np.isfinite(trunc)) and np.all(trunc > 0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ladder=st.lists(st.floats(1e-3, 20.0), min_size=1, max_size=8, unique=True),
+       on_axis=st.booleans(), delta=st.floats(1e-3, 25.0))
+@example(ladder=[1.0, 2.0], on_axis=False, delta=1.02)
+@example(ladder=[1.0, 2.0], on_axis=True, delta=0.5)
+@example(ladder=[1.0], on_axis=True, delta=0.02)
+def test_select_beta_on_synthetic_ladders(ladder, on_axis, delta):
+    # refused exactly when the declared rate is within 0.02 of an exponent;
+    # otherwise 0 with no exponent below the rate, else strictly inside the
+    # gap with the 1e-3 margin to spare on both sides
+    sigmas = sorted(([0.0] if on_axis else []) + ladder)
+    roots = tuple(IndicialRoot(sigma=sg, tau=0.0, residual=0.0, dtheta=1.0) for sg in sigmas)
+    catalog = RootCatalog(spec=ModeSpec(n=3), kappa=1.0, roots=roots,
+                          search_box=(0.0, 30.0, 0.0, 1.0), certified=True)
+    profile = DecayProfile(delta=delta)
+    if min(abs(delta - sg) for sg in sigmas) < 0.02:
+        with pytest.raises(ResonanceError, match="resonance margin"):
+            modegreen._select_beta(profile, catalog)
+        return
+    beta = modegreen._select_beta(profile, catalog)
+    below = [sg for sg in sigmas if sg < delta]
+    if not below:
+        assert beta == 0.0
+    else:
+        assert max(below) + 1e-3 < beta < delta - 1e-3
 
 
 def test_mode0_sine_coefficient_value():

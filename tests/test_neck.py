@@ -80,6 +80,16 @@ def test_perturbed_factor_size():
     assert 0.1 * d2 <= dev <= 1.5 * d2
 
 
+@settings(max_examples=40, deadline=None)
+@given(epsilon=st.floats(0.0, 0.25, exclude_min=True, exclude_max=True))
+def test_glued_factor_at_least_one(epsilon):
+    # the cutoff lies in [0, 1] and both chart factors are 1 + delta^2 q with
+    # q > 0, so the glued factor never drops below 1
+    cfg = NeckConfig(epsilon=epsilon)
+    for N in (256, 1024, 4096):
+        assert build_glued_factor(cfg, 3, window(cfg.L, N)).min() >= 1.0
+
+
 # E(epsilon) over EPS_SWEEP at the default exponent mu = -(n-1)/4, frozen
 # from the construction on the config grid -(S/2 + pad) + ((S + 2 pad)/n_s) k
 E_PINNED = {

@@ -122,9 +122,9 @@ def test_analytic_continuation_matches_axis():
 @pytest.mark.parametrize("gamma", [0.3, 0.5, 0.8])
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_analytic_real_path_equals_the_general_path(n, gamma):
-    # at real zeta only A + i zeta/2 and B + i zeta/2 are evaluated and the
-    # minus arguments are their conjugates; a 1e-300 imaginary part rounds
-    # away in A +- i zeta/2 but runs all four rows, on the same arguments
+    # a 1e-300 imaginary part rounds away in A +- i zeta/2, so a real zeta
+    # and its perturbed copy give the four rows the same arguments and must
+    # give the same bits
     xi = np.concatenate([[0.0, 1e-3, -DOMAIN_MAX, DOMAIN_MAX], np.linspace(-40.0, 40.0, 81)])
     assert (0.5j * (xi + 1e-300j)).real.all()
     for m in range(7):
