@@ -43,7 +43,6 @@ __all__ = [
     "build_glued_factor",
     "glued_u",
     "curvature",
-    "curvature_linearization",
     "approximate_curvature_error",
     "covariance_selftest",
     "error_sweep",
@@ -168,13 +167,6 @@ def curvature(n: int, u, Pu):
     """Conformal covariance: the boundary curvature of u^{4/(n-1)} g is
     Q(u) = u^{-N} P u with N = (n+1)/(n-1), from samples of u and P u."""
     return u ** (-(n + 1) / (n - 1)) * Pu
-
-
-def curvature_linearization(n: int, u, Pu):
-    """Coefficients (a, b) of the exact derivative DQ(u) w = a P w + b w,
-    a = u^{-N} and b = -N u^{-N-1} P u."""
-    N = (n + 1) / (n - 1)
-    return curvature(n, u, 1.0), -N * u ** (-N - 1.0) * Pu
 
 
 def approximate_curvature_error(config: NeckConfig, n: int, mu: float | None = None):

@@ -7,18 +7,19 @@ takes and returns such samples.  The boundary operator P acts on mode m as
 the half-spectrum multiplier Theta_m(xi_k), xi_k = 2*pi*k/L (`theta_table`
 through rfft/irfft), and the curvature map is
 
-    Q(f) = f^{-(n+1)/(n-1)} * (P f),
+    Q(f) = f^{-N} * (P f),    N = (n+1)/(n-1),
 
 evaluated by collocation: map to a (Gauss node) x (s grid) product grid,
 combine pointwise, project back.  The frozen linearization at f = 1 is the
-multiplier Theta_m(xi_k) - kappa, whose inversion is the model Green
-operator; the period is chosen so no lattice frequency hits the mode-0
-crossing of kappa (the oscillatory indicial pair on the line reappears on
-a periodic domain as a near-resonant grid frequency).
+multiplier Theta_m(xi_k) - kappa, kappa = N c, whose inversion is the model
+Green operator G; the period is chosen so no lattice frequency hits the
+mode-0 crossing of kappa (the oscillatory indicial pair on the line
+reappears on a periodic domain as a near-resonant grid frequency).
 
-The iteration solves Q(1 + v) = c either in the frozen fixed-point form
-v <- v - G(Q(1+v) - c) or by full Newton steps (re-linearized, solved by a
-real lgmres with G as preconditioner).  scipy.sparse.linalg, which holds
+The iteration solves P f = c f^N (for f > 0, Q(f) = c) on the residual
+R(f) = P f - c f^N, either in the frozen fixed-point form v <- v - G R(1+v)
+or by Newton steps on the symmetric P - kappa f^{N-1}, solved by a real
+lgmres with G as preconditioner.  scipy.sparse.linalg, which holds
 lgmres, is imported on the first Newton step, so importing this module or
 iterating by fixed point does not load scipy.sparse; scipy.linalg is
 imported by the invertibility study, so importing this module does not
@@ -47,8 +48,7 @@ from scipy.special import eval_chebyt, eval_gegenbauer, roots_jacobi
 from .errors import (Diverged, NeckforgeError, NonPositiveConformalFactor,
                      NumericalError, ResonanceError, ValidationError)
 from .indicial import first_root
-from .neck import (NeckConfig, curvature, curvature_linearization, glued_u,
-                   weight as neck_weight, window)
+from .neck import NeckConfig, curvature, glued_u, weight as neck_weight, window
 from .symbol import ModeSpec, constants, theta_table
 
 __all__ = [
@@ -202,15 +202,20 @@ def _theta(state: PeriodicCylinderState) -> np.ndarray:
     return theta_table(state.n, 0.5, state.m_max, state.N_s, state.L / state.N_s)
 
 
-def apply_Q(state: PeriodicCylinderState) -> np.ndarray:
-    """Curvature map Q(f) = f^{-(n+1)/(n-1)} (P f) as per-mode samples."""
-    to_grid, to_modes = _zonal(state.n, state.m_max)
-    f_grid = to_grid(state.values)
+def _factor_grid(state: PeriodicCylinderState) -> np.ndarray:
+    """The factor on the collocation grid, refused unless it is positive."""
+    f_grid = _zonal(state.n, state.m_max)[0](state.values)
     if np.min(f_grid) <= 0.0:
         raise NonPositiveConformalFactor(
             f"factor reaches {np.min(f_grid):.3g} on the collocation grid")
+    return f_grid
+
+
+def apply_Q(state: PeriodicCylinderState) -> np.ndarray:
+    """Curvature map Q(f) = f^{-(n+1)/(n-1)} (P f) as per-mode samples."""
+    to_grid, to_modes = _zonal(state.n, state.m_max)
     Pf_grid = to_grid(_fourier(_theta(state), state.values))
-    return to_modes(curvature(state.n, f_grid, Pf_grid))
+    return to_modes(curvature(state.n, _factor_grid(state), Pf_grid))
 
 
 def apply_linearized(state: PeriodicCylinderState, v: np.ndarray) -> np.ndarray:
@@ -235,16 +240,15 @@ def solve_linearized(state: PeriodicCylinderState, h: np.ndarray) -> np.ndarray:
 
 
 def _jacobian_matvec(state: PeriodicCylinderState):
-    """Exact derivative of apply_Q at the given state, as a matvec on
-    per-mode samples: DQ(f) w = f^{-N} P w - N f^{-N-1} (P f) w."""
+    """Exact derivative of _residual at the given state, as a matvec on
+    per-mode samples: DR(f) w = P w - kappa f^{N-1} w, symmetric at every f
+    (P is a real even multiplier, and to_modes carries the Gauss weights)."""
     mults = _theta(state)
     to_grid, to_modes = _zonal(state.n, state.m_max)
-    f_grid = to_grid(state.values)
-    Pf_grid = to_grid(_fourier(mults, state.values))
-    coef_a, coef_b = curvature_linearization(state.n, f_grid, Pf_grid)
+    coef = constants(state.n).kappa * to_grid(state.values) ** (2.0 / (state.n - 1))
 
     def matvec(w: np.ndarray) -> np.ndarray:
-        return to_modes(coef_a * to_grid(_fourier(mults, w)) + coef_b * to_grid(w))
+        return _fourier(mults, w) - to_modes(coef * to_grid(w))
 
     return matvec
 
@@ -271,19 +275,21 @@ class NewtonReport:
 
 
 def _residual(state: PeriodicCylinderState) -> np.ndarray:
-    out = apply_Q(state)
-    out[0] -= constants(state.n).c
-    return out
+    """R(f) = P f - c f^N = f^N (Q(f) - c), N = (n+1)/(n-1)."""
+    _, to_modes = _zonal(state.n, state.m_max)
+    c_fN = constants(state.n).c * _factor_grid(state) ** ((state.n + 1) / (state.n - 1))
+    return _fourier(_theta(state), state.values) - to_modes(c_fN)
 
 
 def newton_solve(state0: PeriodicCylinderState, tol: float = 1e-11, max_iter: int = 40,
                  method: str = "fixed-point") -> NewtonReport:
-    """Drive Q(f) to the constant c from a nearby start.
+    """Drive R(f) = P f - c f^N to zero (for f > 0, Q(f) = c) from a nearby
+    start; residual_history holds the sup norms of R.
 
-    fixed-point: the frozen-inverse update v <- v - G(Q(f) - c), the form
-    whose contraction the error analysis provides near f = 1 (intended
-    basin: initial perturbation sup-norm <~ 0.05).  newton: re-linearized
-    steps, preconditioned by G, for quadratic tails.  Three consecutive
+    fixed-point: the frozen-inverse update v <- v - G R(f), the form whose
+    contraction the error analysis provides near f = 1 (intended basin:
+    initial perturbation sup-norm <~ 0.05).  newton: steps on the symmetric
+    DR, preconditioned by G, for quadratic tails.  Three consecutive
     residual increases raise Diverged carrying the partial report.
 
     P amplifies the samples' rounding by up to its Nyquist multiplier, so
@@ -326,25 +332,16 @@ def newton_solve(state0: PeriodicCylinderState, tol: float = 1e-11, max_iter: in
 
 
 def _newton_step(state: PeriodicCylinderState, res: np.ndarray) -> np.ndarray:
-    import scipy.sparse.linalg  # here, not at module level: see the module docstring
+    from scipy.sparse.linalg import LinearOperator, lgmres  # here: see the module docstring
 
-    matvec = _jacobian_matvec(state)
-    green = _green_multiplier(state)
-    shape = res.shape
-
-    def mv_flat(x):
-        return matvec(x.reshape(shape)).ravel()
-
-    def prec_flat(x):
-        return _fourier(green, x.reshape(shape)).ravel()
-
-    dim = res.size
-    A = scipy.sparse.linalg.LinearOperator((dim, dim), matvec=mv_flat, dtype=float)
-    M = scipy.sparse.linalg.LinearOperator((dim, dim), matvec=prec_flat, dtype=float)
+    matvec, green, shape = _jacobian_matvec(state), _green_multiplier(state), res.shape
+    A = LinearOperator((res.size,) * 2, dtype=float,
+                       matvec=lambda x: matvec(x.reshape(shape)).ravel())
+    M = LinearOperator((res.size,) * 2, dtype=float,
+                       matvec=lambda x: _fourier(green, x.reshape(shape)).ravel())
     # the next residual is C |res|^2 + rtol |res|, so 1e-11 keeps the tail
     # quadratic and stays above the Krylov floor (4e-13 at N_s = 4096)
-    sol, info = scipy.sparse.linalg.lgmres(A, res.ravel(), M=M,
-                                           rtol=1e-11, atol=0.0, maxiter=20)
+    sol, info = lgmres(A, res.ravel(), M=M, rtol=1e-11, atol=0.0, maxiter=20)
     if info != 0:
         raise ResonanceError("lgmres did not reach rtol 1e-11 within 20 restart cycles; "
                              "the linearization may be near-singular")
@@ -354,7 +351,8 @@ def _newton_step(state: PeriodicCylinderState, res: np.ndarray) -> np.ndarray:
 def quadratic_remainder(state1: PeriodicCylinderState, v: np.ndarray) -> float:
     """||Q(1+v) - c - Lv|| / ||v||^2 — the constant whose boundedness makes
     the remainder genuinely quadratic."""
-    res = _residual(replace(state1, values=state1.values + v))
+    res = apply_Q(replace(state1, values=state1.values + v))
+    res[0] -= constants(state1.n).c
     rem = res - apply_linearized(state1, v)
     vn = state_norm(state1, v)
     if vn == 0.0:
@@ -447,16 +445,16 @@ def uniform_invertibility_study(n: int, eps_list, mu: float, m_max: int = 3,
     block on the indices 0..N_s/2 and an odd block on the paired indices
     1..N_s/2-1 (the Toeplitz-plus-Hankel fold of its circulant), and A^{-1}
     is read from the two block inverses; a factor that is not even raises
-    NumericalError.  With a = u^{-N} > 0 and b the linearization, the even
-    block is diag(a) S C and the odd one diag(a) S, S being the symmetric
-    fold plus diag(b/(a c)) (c = 1/2 at the mirror points 0 and N_s/2, else
-    1).  Each fold is written straight into the buffer dsytrf factors, S is
-    inverted once by LDL^T, a singular one raising ResonanceError, and the
-    weight w enters by one symmetric matvec (dsymv) on the lower triangle
-    dsytri writes: |A_w^{-1}| has row sums (w/c)_i sum_j |S^{-1}|_ij / (a w)_j.
-    Reported per mode is the smallest operator singular value 1/||A^{-1}||
-    between the weighted sup-norm spaces (max row sum), the norm the
-    inversion theory runs on.
+    NumericalError.  With DQ(u) = a P + b, a = u^{-N} > 0, b = -N u^{-N-1} P u,
+    the even block is diag(a) S C and the odd one diag(a) S, S being the
+    symmetric fold plus diag(b/(a c)) (c = 1/2 at the mirror points 0 and
+    N_s/2, else 1).  Each fold is written straight into the buffer dsytrf
+    factors, S is inverted once by LDL^T, a singular one raising
+    ResonanceError, and the weight w enters by one symmetric matvec (dsymv)
+    on the lower triangle dsytri writes: |A_w^{-1}| has row sums
+    (w/c)_i sum_j |S^{-1}|_ij / (a w)_j.  Reported per mode is the smallest
+    operator singular value 1/||A^{-1}|| between the weighted sup-norm spaces
+    (max row sum), the norm the inversion theory runs on.
 
     The modes of one epsilon run concurrently, one task per mode (both
     folds, their dsytrf + dsytri, and the row sums) on the calling thread
@@ -490,6 +488,7 @@ def uniform_invertibility_study(n: int, eps_list, mu: float, m_max: int = 3,
     lead = sliding_window_view(kern[:, t % N_s], h + 1, axis=1)
     c = np.r_[0.5, np.ones(h - 1), 0.5]
     lwork = [int(lapack.dsytrf_lwork(k, lower=1)[0]) for k in (h + 1, h - 1)]
+    N = (n + 1) / (n - 1)
     rows = []
     for eps in eps_list:
         cfg = NeckConfig(epsilon=eps)  # epsilon and chart scale; the window is L
@@ -497,7 +496,7 @@ def uniform_invertibility_study(n: int, eps_list, mu: float, m_max: int = 3,
         if np.max(np.abs(u - u[mirror])) > 1e-13 * np.max(u):
             raise NumericalError(f"glued factor at epsilon {eps:g} is not reflection-even; "
                                  "the study's half-window fold does not apply")
-        a, b = curvature_linearization(n, u[:h + 1], Pu[:h + 1])
+        a, b = u[:h + 1] ** -N, -N * u[:h + 1] ** (-N - 1.0) * Pu[:h + 1]
         wl = neck_weight(cfg, s[:h + 1]) ** (-mu)
         r = 1.0 / (a * wl)
         shifts = (b / (a * c), b[1:h] / a[1:h])

@@ -45,6 +45,17 @@ def test_criterion_04_green_operator():
     _run(4)
 
 
+def test_criterion_04_fails_on_a_wrong_sign_series(monkeypatch):
+    # the residue series is the second route to green_solve's values: with
+    # its sign flipped the two miss by 2 max|G g| = 0.42 at mode 1
+    series = acceptance.synthesize_kernel
+    monkeypatch.setattr(acceptance, "synthesize_kernel",
+                        lambda spec, s: (-series(spec, s)[0], None))
+    [res] = run_all(indices=[4])
+    assert not res.passed
+    assert res.detail.endswith("kernel two-route 4.25e-01")
+
+
 def test_criterion_05_liouville():
     _run(5)
 
