@@ -7,7 +7,7 @@ Two checkouts that print the same digest return the same catalogs bit for
 bit, so the script checks that a change to the root machinery is a pure
 refactor.  After the total line it prints one digest per kind (`catalog`,
 `first`), so a change that moves first roots alone shows the catalogs
-unchanged.
+unchanged.  The loop and printing are `_digest.py`'s.
 
 Sweep:
     root_catalog  gamma {0.5, 0.3, 0.8}, n 2..8, m 0..7, j_count {1, 2, 4, 6}
@@ -18,11 +18,7 @@ Sweep:
 Usage: python scripts/catalog_digest.py [--quick]
 """
 
-import hashlib
-import sys
-from itertools import product
-
-from neckforge.errors import NeckforgeError
+from _digest import main
 from neckforge.indicial import first_root, root_catalog
 from neckforge.symbol import ModeSpec
 
@@ -51,29 +47,13 @@ def _first(gamma, n, m):
     return _root(first_root(ModeSpec(n=n, gamma=gamma, m=m)))
 
 
-def digest(sweep):
-    h = hashlib.sha256()
-    by_kind = {}
-    counts = {"catalog": 0, "first": 0, "raised": 0}
-    for kind, fn in (("catalog", _catalog), ("first", _first)):
-        hk = by_kind[kind] = hashlib.sha256()
-        axes = sweep[kind]
-        for args in product(*axes.values()):
-            try:
-                out = fn(*args)
-            except NeckforgeError as err:
-                out = (type(err).__name__, str(err))
-                counts["raised"] += 1
-            record = repr((kind, args, out)).encode()
-            h.update(record)
-            hk.update(record)
-            counts[kind] += 1
-    return h.hexdigest(), counts, {k: hk.hexdigest() for k, hk in by_kind.items()}
+KINDS = {"catalog": _catalog, "first": _first}
+
+
+def _record(kind, args, out, messages):
+    """The exact repr of one call; warnings do not enter it."""
+    return repr((kind, args, out)).encode()
 
 
 if __name__ == "__main__":
-    hexdigest, counts, by_kind = digest(QUICK if "--quick" in sys.argv[1:] else FULL)
-    print(f"{hexdigest}  catalogs={counts['catalog']} first_roots={counts['first']} "
-          f"raised={counts['raised']}")
-    for kind, kind_digest in by_kind.items():
-        print(f"{kind:<9}{kind_digest}")
+    main(KINDS, FULL, QUICK, _record)

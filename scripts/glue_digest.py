@@ -5,7 +5,7 @@ as their raw bytes with shape and dtype, or the error type and message when
 the call raises.  Two checkouts that print the same digest return the same
 neck and solver numbers bit for bit, so the script checks that a change to
 the glue layer is a pure refactor.  It is the glue-layer counterpart of
-`catalog_digest.py`.
+`catalog_digest.py`, and shares its loop and printing (`_digest.py`).
 
 Sweep:
     error      E and the pointwise error Q - c for n 2..4, epsilon in
@@ -19,22 +19,15 @@ Sweep:
                per-mode sup-norm sigmas
     solve      criterion 7's Newton and fixed-point histories with their
                final samples, and apply_Q at its start
-`--quick` runs a small subset of each (a few seconds).  The first line is
-the digest of the whole sweep with the call counts; one line per kind
-follows with the digest of that kind alone, so a change that moves some
-outputs shows which.
+`--quick` runs a small subset of each (a few seconds).
 
 Usage: python scripts/glue_digest.py [--quick]
 """
 
-import hashlib
-import sys
-from itertools import product
-
 import numpy as np
 
+from _digest import main
 from neckforge.acceptance import EPS_SWEEP
-from neckforge.errors import NeckforgeError
 from neckforge.neck import NeckConfig, approximate_curvature_error, covariance_selftest
 from neckforge.solver import (PeriodicCylinderState, apply_Q, newton_solve,
                               uniform_invertibility_study)
@@ -96,48 +89,25 @@ KINDS = {"error": _error, "selftest": _selftest, "study": _study, "c10": _c10,
          "solve": _solve}
 
 
-def _feed(h, out):
-    """Hash arrays by their bytes and everything else by repr, recursively;
-    dicts as their item lists, numpy scalars as the Python numbers they equal."""
+def _encode(out) -> bytes:
+    """Arrays as their shape, dtype and raw bytes and everything else by
+    repr, recursively; dicts as their item lists, numpy scalars as the
+    Python numbers they equal."""
     if isinstance(out, np.generic):
         out = out.item()
     elif isinstance(out, dict):
         out = list(out.items())
     if isinstance(out, np.ndarray):
-        h.update(repr((out.shape, out.dtype.str)).encode())
-        h.update(np.ascontiguousarray(out).tobytes())
-    elif isinstance(out, (tuple, list)):
-        h.update(f"[{len(out)}".encode())
-        for item in out:
-            _feed(h, item)
-        h.update(b"]")
-    else:
-        h.update(repr(out).encode())
+        return repr((out.shape, out.dtype.str)).encode() + np.ascontiguousarray(out).tobytes()
+    if isinstance(out, (tuple, list)):
+        return f"[{len(out)}".encode() + b"".join(map(_encode, out)) + b"]"
+    return repr(out).encode()
 
 
-def digest(sweep):
-    """SHA-256 over the whole sweep, the count of calls per kind, and one
-    SHA-256 per kind over that kind's calls alone."""
-    h = hashlib.sha256()
-    by_kind = {}
-    counts = dict.fromkeys(KINDS, 0) | {"raised": 0}
-    for kind, fn in KINDS.items():
-        hk = by_kind[kind] = hashlib.sha256()
-        axes = sweep[kind]
-        for args in product(*axes.values()):
-            try:
-                out = fn(*args)
-            except NeckforgeError as err:
-                out = (type(err).__name__, str(err))
-                counts["raised"] += 1
-            _feed(h, (kind, args, out))
-            _feed(hk, (kind, args, out))
-            counts[kind] += 1
-    return h.hexdigest(), counts, {k: hk.hexdigest() for k, hk in by_kind.items()}
+def _record(kind, args, out, messages):
+    """The encoding of one call; warnings do not enter it."""
+    return _encode((kind, args, out))
 
 
 if __name__ == "__main__":
-    hexdigest, counts, by_kind = digest(QUICK if "--quick" in sys.argv[1:] else FULL)
-    print(hexdigest, " ".join(f"{k}={v}" for k, v in counts.items()))
-    for kind, kind_digest in by_kind.items():
-        print(f"{kind:<9}{kind_digest}")
+    main(KINDS, FULL, QUICK, _record)

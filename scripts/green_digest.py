@@ -6,7 +6,7 @@ messages of any warnings the call emitted, or the error type and message
 when the call raises.  Two checkouts that print the same digest return the
 same line functions bit for bit, so the script checks that a change to the
 mode Green layer is a pure refactor.  It is the `modegreen` counterpart of
-`catalog_digest.py`.
+`catalog_digest.py`, and shares its loop and printing (`_digest.py`).
 
 Sweep (n = 3, gamma = 1/2, 4,096 points on [-30, 30)):
     c4     criterion 4: the round trip apply_L0(green_solve(h)) for
@@ -22,22 +22,14 @@ Sweep (n = 3, gamma = 1/2, 4,096 points on [-30, 30)):
            m 0..3 at delta 1.5: the round trip, and apply_L0 on the right
            side carried at envelope rate beta (a pole of the symbol at
            +-2A, A the numerator Gamma offset)                    (64 calls)
-`--quick` runs a small subset of each (about a second).  The first line is
-the digest of the whole sweep with the call counts; one line per kind
-follows with the digest of that kind alone, so a change that moves some
-outputs shows which.
+`--quick` runs a small subset of each (about a second).
 
 Usage: python scripts/green_digest.py [--quick]
 """
 
-import hashlib
-import sys
-import warnings
-from itertools import product
-
 import numpy as np
 
-from neckforge.errors import NeckforgeError
+from _digest import main
 from neckforge.modegreen import (DecayProfile, LineFunction, apply_L0, green_solve,
                                  homogeneous_basis)
 from neckforge.symbol import ModeSpec
@@ -104,32 +96,10 @@ def _beta(m, beta, op):
 KINDS = {"c4": _c4, "c5": _c5, "bench": _bench, "beta": _beta}
 
 
-def digest(sweep):
-    """SHA-256 over the whole sweep, the count of calls per kind, and one
-    SHA-256 per kind over that kind's calls alone."""
-    h = hashlib.sha256()
-    by_kind = {}
-    counts = dict.fromkeys(KINDS, 0) | {"raised": 0}
-    for kind, fn in KINDS.items():
-        hk = by_kind[kind] = hashlib.sha256()
-        axes = sweep[kind]
-        for args in product(*axes.values()):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                try:
-                    out = fn(*args)
-                except NeckforgeError as err:
-                    out = (type(err).__name__, str(err))
-                    counts["raised"] += 1
-            record = repr((kind, args, out, [str(w.message) for w in caught])).encode()
-            h.update(record)
-            hk.update(record)
-            counts[kind] += 1
-    return h.hexdigest(), counts, {k: hk.hexdigest() for k, hk in by_kind.items()}
+def _record(kind, args, out, messages):
+    """The exact repr of one call with the messages of its warnings."""
+    return repr((kind, args, out, messages)).encode()
 
 
 if __name__ == "__main__":
-    hexdigest, counts, by_kind = digest(QUICK if "--quick" in sys.argv[1:] else FULL)
-    print(f"{hexdigest}  " + " ".join(f"{k}={v}" for k, v in counts.items()))
-    for kind, kind_digest in by_kind.items():
-        print(f"{kind:<6}{kind_digest}")
+    main(KINDS, FULL, QUICK, _record)

@@ -10,20 +10,19 @@ through rfft/irfft), and the curvature map is
     Q(f) = f^{-N} * (P f),    N = (n+1)/(n-1),
 
 evaluated by collocation: map to a (Gauss node) x (s grid) product grid,
-combine pointwise, project back.  The frozen linearization at f = 1 is the
-multiplier Theta_m(xi_k) - kappa, kappa = N c, whose inversion is the model
-Green operator G; the period is chosen so no lattice frequency hits the
-mode-0 crossing of kappa (the oscillatory indicial pair on the line
-reappears on a periodic domain as a near-resonant grid frequency).
-
-The iteration solves P f = c f^N (for f > 0, Q(f) = c) on the residual
-R(f) = P f - c f^N, either in the frozen fixed-point form v <- v - G R(1+v)
-or by Newton steps on the symmetric P - kappa f^{N-1}, solved by a real
-lgmres with G as preconditioner.  scipy.sparse.linalg, which holds
-lgmres, is imported on the first Newton step, so importing this module or
-iterating by fixed point does not load scipy.sparse; scipy.linalg is
-imported by the invertibility study, so importing this module does not
-load it either.
+combine pointwise, project back.  The iteration solves P f = c f^N (for
+f > 0, Q(f) = c) on the residual R(f) = P f - c f^N, whose derivative
+DR(f) = P - kappa f^{N-1}, kappa = N c, is symmetric at every f.  At f = 1
+it is the frozen multiplier Theta_m(xi_k) - kappa, equal to DQ(1), and its
+inverse is the model Green operator G; the period is chosen so no lattice
+frequency hits the mode-0 crossing of kappa (the oscillatory indicial pair
+on the line reappears on a periodic domain as a near-resonant grid
+frequency).  G is both the fixed-point step v <- v - G R(1+v) and the
+preconditioner of the Newton steps on DR(f), solved by a real lgmres.
+scipy.sparse.linalg, which holds lgmres, is imported on the first Newton
+step, so importing this module or iterating by fixed point does not load
+scipy.sparse; scipy.linalg is imported by the invertibility study, so
+importing this module does not load it either.
 
 Per-mode work inside a step is vectorized; steps themselves are
 sequential and pure.  The one concurrent piece is the invertibility
@@ -56,8 +55,6 @@ __all__ = [
     "NewtonReport",
     "nonresonant_window",
     "apply_Q",
-    "apply_linearized",
-    "solve_linearized",
     "newton_solve",
     "state_norm",
     "quadratic_remainder",
@@ -218,11 +215,6 @@ def apply_Q(state: PeriodicCylinderState) -> np.ndarray:
     return to_modes(curvature(state.n, _factor_grid(state), Pf_grid))
 
 
-def apply_linearized(state: PeriodicCylinderState, v: np.ndarray) -> np.ndarray:
-    """Frozen linearization at f = 1: the multiplier Theta_m - kappa."""
-    return _fourier(_theta(state) - constants(state.n).kappa, v)
-
-
 def _green_multiplier(state: PeriodicCylinderState) -> np.ndarray:
     """1 / (Theta_m - kappa), raising ResonanceError where it is unbounded."""
     denom = _theta(state) - constants(state.n).kappa
@@ -232,11 +224,6 @@ def _green_multiplier(state: PeriodicCylinderState) -> np.ndarray:
         raise ResonanceError(
             f"multiplier vanishes at mode {m_bad}, frequency index {k_bad}")
     return 1.0 / denom
-
-
-def solve_linearized(state: PeriodicCylinderState, h: np.ndarray) -> np.ndarray:
-    """Model Green operator: per-mode division by Theta_m - kappa."""
-    return _fourier(_green_multiplier(state), h)
 
 
 def _jacobian_matvec(state: PeriodicCylinderState):
@@ -322,7 +309,7 @@ def newton_solve(state0: PeriodicCylinderState, tol: float = 1e-11, max_iter: in
         if it == max_iter:
             break
         if method == "fixed-point":
-            step = solve_linearized(state, res)
+            step = _fourier(_green_multiplier(state), res)
         else:
             step = _newton_step(state, res)
         state = replace(state, values=state.values - step)
@@ -350,10 +337,10 @@ def _newton_step(state: PeriodicCylinderState, res: np.ndarray) -> np.ndarray:
 
 def quadratic_remainder(state1: PeriodicCylinderState, v: np.ndarray) -> float:
     """||Q(1+v) - c - Lv|| / ||v||^2 — the constant whose boundedness makes
-    the remainder genuinely quadratic."""
+    the remainder genuinely quadratic.  L = DQ(1) = DR(1), since Q(1) = c."""
     res = apply_Q(replace(state1, values=state1.values + v))
     res[0] -= constants(state1.n).c
-    rem = res - apply_linearized(state1, v)
+    rem = res - _jacobian_matvec(state1)(v)
     vn = state_norm(state1, v)
     if vn == 0.0:
         raise ValidationError("need a nonzero direction")
@@ -436,8 +423,8 @@ def uniform_invertibility_study(n: int, eps_list, mu: float, m_max: int = 3,
     resonance by `nonresonant_window` and shared by the whole sweep so
     singular values are comparable (a per-epsilon window would move the
     frequency lattice and masquerade as an epsilon trend).  The report
-    carries per-epsilon values and the log-log slope; boundedness away from
-    zero — not monotonicity — is the claim under test.
+    carries that window L, per-epsilon values and the log-log slope;
+    boundedness away from zero — not monotonicity — is the claim under test.
 
     Each mode's weight-conjugated matrix A commutes with the reflection
     s -> -s (grid index k -> -k mod N_s): the glued factor, the cosh neck
@@ -531,6 +518,5 @@ def uniform_invertibility_study(n: int, eps_list, mu: float, m_max: int = 3,
     if len(eps_list) > 1:
         sigmas = np.log([r["sigma_min"] for r in rows])
         slope = float(np.polyfit(np.log(eps_list), sigmas, 1)[0])
-    return {"n": n, "mu": mu, "L": L, "N_s": N_s, "m_max": m_max,
-            "rows": rows, "slope": slope,
+    return {"L": L, "rows": rows, "slope": slope,
             "sigma_min_overall": min(r["sigma_min"] for r in rows)}

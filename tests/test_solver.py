@@ -20,10 +20,9 @@ from neckforge.acceptance import EPS_SWEEP
 from neckforge.errors import (Diverged, NonPositiveConformalFactor, NumericalError,
                               ResonanceError, ValidationError)
 from neckforge.neck import NeckConfig, build_glued_factor, glued_u, window
-from neckforge.solver import (PeriodicCylinderState, _jacobian_matvec, _residual,
-                              apply_linearized, apply_Q,
-                              newton_solve, quadratic_remainder,
-                              solve_linearized, state_norm,
+from neckforge.solver import (PeriodicCylinderState, _fourier, _green_multiplier,
+                              _jacobian_matvec, _residual, apply_Q, newton_solve,
+                              quadratic_remainder, state_norm,
                               uniform_invertibility_study)
 from neckforge.symbol import ModeSpec, constants, theta, theta_table
 
@@ -89,14 +88,27 @@ def test_linearized_matches_finite_difference():
     plus = apply_Q(_shifted(state, eps * direction))
     minus = apply_Q(_shifted(state, -eps * direction))
     fd = (plus - minus) / (2 * eps)
-    lin = apply_linearized(state, direction)
+    lin = _jacobian_matvec(state)(direction)
     assert np.max(np.abs(fd - lin)) <= 1e-4 * np.max(np.abs(lin))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("m_max", [0, 3, 8])
+def test_jacobian_at_one_is_frozen_multiplier(n, m_max):
+    # DR(1) = P - kappa is the per-mode multiplier Theta_m - kappa, written
+    # out here through rfft/irfft (measured 7.3e-16 relative at worst)
+    state = PeriodicCylinderState.ones(n, m_max=m_max, N_s=64)
+    v = np.random.default_rng(n + 10 * m_max).standard_normal(state.values.shape)
+    mult = theta_table(n, 0.5, m_max, 64, state.L / 64) - constants(n).kappa
+    frozen = np.fft.irfft(mult * np.fft.rfft(v, axis=1), 64, axis=1)
+    got = _jacobian_matvec(state)(v)
+    assert np.max(np.abs(got - frozen)) <= 1e-14 * np.max(np.abs(frozen))
 
 
 def test_jacobian_matches_finite_difference():
     # exact derivative of the residual P f - c f^N at a non-constant state,
-    # where it differs from the frozen multiplier Theta_m - kappa (measured
-    # 2.5e-10 and 3.8e-4 of max|jvp|)
+    # where it differs from the frozen operator, the derivative at f = 1
+    # (measured 2.5e-10 and 3.8e-4 of max|jvp|)
     state = _perturbed()
     rng = np.random.default_rng(17)
     direction = rng.standard_normal(state.values.shape)
@@ -107,7 +119,8 @@ def test_jacobian_matches_finite_difference():
     fd = (plus - minus) / (2 * eps)
     jvp = _jacobian_matvec(state)(direction)
     assert np.max(np.abs(fd - jvp)) <= 1e-9 * np.max(np.abs(jvp))
-    assert np.max(np.abs(fd - apply_linearized(state, direction))) > 1e-4 * np.max(np.abs(jvp))
+    frozen = _jacobian_matvec(PeriodicCylinderState.ones(3, m_max=8, N_s=256))(direction)
+    assert np.max(np.abs(fd - frozen)) > 1e-4 * np.max(np.abs(jvp))
 
 
 def test_jacobian_is_symmetric_off_a_solution():
@@ -128,8 +141,8 @@ def test_solve_then_apply_roundtrip():
     state = PeriodicCylinderState.ones(3, m_max=6, N_s=128)
     rng = np.random.default_rng(11)
     h = rng.standard_normal((7, 128))
-    v = solve_linearized(state, h)
-    back = apply_linearized(state, v)
+    v = _fourier(_green_multiplier(state), h)
+    back = _jacobian_matvec(state)(v)
     assert np.max(np.abs(back - h)) <= 1e-12 * np.max(np.abs(h))
 
 
@@ -390,12 +403,12 @@ def test_invertibility_study_values_pinned():
     _assert_pinned(_c10_study()["rows"], STUDY_PER_MODE_C10)
 
 
-def _full_matrix_measures(rep, n, mu):
-    """Each (study value, oracle value) pair of a study report.  The oracle
-    is the full N_s x N_s weight-conjugated matrix of each mode, its
-    circulant built entry by entry, and the sup measure read from the row
-    sums of its explicit inverse."""
-    L, N_s, m_max = rep["L"], rep["N_s"], rep["m_max"]
+def _full_matrix_measures(rep, n, mu, N_s):
+    """Each (study value, oracle value) pair of a study report run on N_s
+    samples.  The oracle is the full N_s x N_s weight-conjugated matrix of
+    each mode, its circulant built entry by entry, and the sup measure read
+    from the row sums of its explicit inverse."""
+    L, m_max = rep["L"], len(rep["rows"][0]["per_mode"]) - 1
     s = window(L, N_s)
     lag = np.subtract.outer(np.arange(N_s), np.arange(N_s)) % N_s
     xi = 2.0 * np.pi * np.fft.fftfreq(N_s, d=L / N_s)
@@ -418,13 +431,13 @@ def _full_matrix_measures(rep, n, mu):
 def test_invertibility_study_matches_full_matrix():
     # the half-window fold against the full matrix, for the criterion-10
     # study and two other dimensions
-    cases = [(3, -0.5, _c10_study()),
-             (2, -0.4, uniform_invertibility_study(2, [0.1, 0.025], mu=-0.4,
-                                                   m_max=3, N_s=256)),
-             (4, -0.75, uniform_invertibility_study(4, [0.1, 0.025], mu=-0.75,
-                                                    m_max=3, N_s=256))]
-    for n, mu, rep in cases:
-        pairs = _full_matrix_measures(rep, n, mu)
+    cases = [(3, -0.5, 384, _c10_study()),
+             (2, -0.4, 256, uniform_invertibility_study(2, [0.1, 0.025], mu=-0.4,
+                                                        m_max=3, N_s=256)),
+             (4, -0.75, 256, uniform_invertibility_study(4, [0.1, 0.025], mu=-0.75,
+                                                         m_max=3, N_s=256))]
+    for n, mu, N_s, rep in cases:
+        pairs = _full_matrix_measures(rep, n, mu, N_s)
         assert len(pairs) == 4 * len(rep["rows"])
         for got, want in pairs:
             assert abs(got - want) <= 2e-12 * want
@@ -670,16 +683,15 @@ def test_invertibility_study_rejects_asymmetric_factor(monkeypatch):
 
 
 def test_invertibility_study_runs_no_lanczos(monkeypatch):
-    # the study reads sup-norm row sums only: no sparse eigensolver, and no
-    # l2 keys in its report
+    # the study reads sup-norm row sums only: no sparse eigensolver, no l2
+    # keys in its report, and no echo of its inputs
     def forbidden(*args, **kwargs):
         raise AssertionError("the invertibility study called scipy.sparse.linalg")
 
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", forbidden)
     monkeypatch.setattr(scipy.sparse.linalg, "LinearOperator", forbidden)
     rep = uniform_invertibility_study(3, [0.1, 0.025], mu=-0.5, m_max=2, N_s=256)
-    assert set(rep) == {"n", "mu", "L", "N_s", "m_max", "rows", "slope",
-                        "sigma_min_overall"}
+    assert set(rep) == {"L", "rows", "slope", "sigma_min_overall"}
     assert all(set(row) == {"epsilon", "per_mode", "sigma_min"} for row in rep["rows"])
     _assert_pinned(rep["rows"], STUDY_PER_MODE)
 
