@@ -12,10 +12,10 @@ Sweep (n = 3, gamma = 1/2, 4,096 points on [-30, 30)):
     c4     criterion 4: the round trip apply_L0(green_solve(h)) for
            h = exp(-0.5 sqrt(s^2 + 4)), m 0..3, and apply_L0 on each
            homogeneous basis function                            (4 modes)
-    c5     criterion 5: the round trips of its three right sides
-           (exp(-0.75 sqrt(s^2 + 4)), exp(-0.8 sqrt(s^2 + 1)) and their
-           sum) at delta 0.75 on both contours beta {0.2, 0.45}, m 0, 1
-                                                                  (12 solves)
+    c5     criterion 5's right side exp(-0.75 sqrt(s^2 + 4)), the
+           additivity test's second summand exp(-0.8 sqrt(s^2 + 1)) and
+           their sum: round trips at delta 0.75 on both contours beta
+           {0.2, 0.45}, m 0, 1                                    (12 solves)
     bench  the 8 (m, delta) pairs of the `green` benchmark, m 0..3, delta
            {0.5, 0.75}, at core widths a {1, 2, 3}               (24 round trips)
     beta   explicit contours beta {-0.3, 0, 0.2, 0.45, 1, 2, 3, 4} for

@@ -20,9 +20,9 @@ import numpy as np
 from .errors import ResonanceError, ValidationError
 from .extension import cross_validate
 from .indicial import check_lemma, first_root, root_catalog
-from .modegreen import (DecayProfile, LineFunction, apply_L0, classify_growth,
-                        fit_tail_rate, green_solve, homogeneous_basis,
-                        homogeneous_columns, synthesize_kernel)
+from .modegreen import (DecayProfile, LineFunction, apply_L0, fit_tail_rate,
+                        green_solve, homogeneous_basis, homogeneous_columns,
+                        synthesize_kernel)
 from .neck import error_sweep, window
 from .solver import (PeriodicCylinderState, newton_solve, quadratic_remainder,
                      state_norm, uniform_invertibility_study)
@@ -126,39 +126,26 @@ def criterion_4():
 
 
 def criterion_5():
-    """Bounded + annihilated implies trivial."""
-    worst_sup = 0.0
+    """Bounded + annihilated implies trivial.  Two Green solves of one right
+    side, on contours in the same indicial gap, differ by an annihilated
+    function; on the central half of the window it must lie in the span of
+    the homogeneous solutions to 1e-6."""
+    sups = {}
     prof = DecayProfile(delta=0.75)
-    for m, betas in ((0, (0.2, 0.45)), (1, (0.2, 0.45))):
+    for m in (0, 1):
         spec = ModeSpec(n=3, gamma=0.5, m=m)
         h = LineFunction.from_callable(lambda s: np.exp(-0.75 * np.sqrt(s * s + 4.0)),
                                        s0=-30.0, s1=30.0, N=4096, mode=m)
-        # same-contour linearity: the difference is an annihilated candidate
-        h_a = LineFunction.from_callable(lambda s: np.exp(-0.8 * np.sqrt(s * s + 1.0)),
-                                         s0=-30.0, s1=30.0, N=4096, mode=m)
-        h_sum = LineFunction(h.s0, h.ds, h.N, h.values + h_a.values, m, 0.0)
-        va = green_solve(spec, h_sum, prof, beta=betas[0])
-        v1 = green_solve(spec, h, prof, beta=betas[0])
-        vc = green_solve(spec, h_a, prof, beta=betas[0])
-        lin_vals = va.values - v1.values - vc.values
-        # cross-contour difference, projected on the homogeneous span
-        v2 = green_solve(spec, h, prof, beta=betas[1])
-        sl = slice(h.N // 4, 3 * h.N // 4)
-        s_in = h.grid()[sl]
-        diff = v1.materialize()[sl] - v2.materialize()[sl]
-        cat = root_catalog(spec, 3)
-        A = homogeneous_columns(cat, s_in)
+        sl = slice(h.N // 4, 3 * h.N // 4)  # the central half of the window
+        diff = (green_solve(spec, h, prof, beta=0.2).materialize()[sl]
+                - green_solve(spec, h, prof, beta=0.45).materialize()[sl])
+        A = homogeneous_columns(root_catalog(spec, 3), h.grid()[sl])
         coef, *_ = np.linalg.lstsq(A, diff, rcond=None)
-        projected = diff - A @ coef
-        for mu in (-0.3, -0.7):
-            for vals, base in ((lin_vals[sl], v1.envelope_rate), (projected, 0.0)):
-                cand = LineFunction(s_in[0], h.ds, s_in.size, vals, m, base)
-                verdict = classify_growth(cand, mu, spec, cat)
-                worst_sup = max(worst_sup, verdict.sup)
-                if verdict.verdict != "trivial":
-                    return False, (f"m={m} mu={mu}: verdict {verdict.verdict}, "
-                                   f"sup {verdict.sup:.2e}")
-    return True, f"all candidates trivial; worst sup {worst_sup:.2e}"
+        sups[m] = float(np.abs(diff - A @ coef).max())
+    m = max(sups, key=sups.get)
+    if sups[m] > 1e-6:
+        return False, f"m={m}: residual {sups[m]:.2e} off the homogeneous span"
+    return True, f"all candidates trivial; worst sup {sups[m]:.2e}"
 
 
 def criterion_6():

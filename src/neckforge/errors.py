@@ -60,10 +60,6 @@ class TailMismatch(NumericalError):
     """Sampled data decays slower than its declared tail profile."""
 
 
-class WindowTooShort(NumericalError):
-    """Grid window too short to resolve the slowest indicial decay."""
-
-
 class SingularBVP(NumericalError):
     """Boundary-value solve failed (singular system or integrator breakdown)."""
 

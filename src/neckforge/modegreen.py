@@ -40,25 +40,17 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (
-    AliasWarning,
-    ResonanceError,
-    TailMismatch,
-    ValidationError,
-    WindowTooShort,
-)
+from .errors import AliasWarning, ResonanceError, TailMismatch, ValidationError
 from .indicial import RootCatalog, root_catalog
 from .symbol import ModeSpec, constants, frequencies, theta_analytic, theta_table
 
 __all__ = [
     "LineFunction",
     "DecayProfile",
-    "GrowthVerdict",
     "apply_L0",
     "green_solve",
     "homogeneous_basis",
     "homogeneous_columns",
-    "classify_growth",
     "synthesize_kernel",
     "fit_tail_rate",
 ]
@@ -79,8 +71,10 @@ class LineFunction:
         self.values = np.asarray(self.values)
         if self.N < 16:
             raise ValidationError(f"need N >= 16 samples, got {self.N}")
-        if not self.ds > 0:
-            raise ValidationError(f"grid step must be positive, got {self.ds}")
+        if not np.isfinite(self.s0):
+            raise ValidationError(f"grid start must be finite, got {self.s0}")
+        if not 0 < self.ds < np.inf:
+            raise ValidationError(f"grid step must be positive and finite, got {self.ds}")
         if len(self.values) != self.N:
             raise ValidationError(f"{len(self.values)} values for N = {self.N}")
         if np.iscomplexobj(self.values):
@@ -381,67 +375,6 @@ def homogeneous_columns(catalog: RootCatalog, s) -> np.ndarray:
                   for root in catalog.roots for w, rate in _homogeneous_pair(root, s)],
                  axis=1)
     return A / np.abs(A).max(axis=0)
-
-
-@dataclass
-class GrowthVerdict:
-    verdict: str  # "trivial" | "non-admissible" | "liouville-violation"
-    sup: float
-    coefficients: np.ndarray | None = None
-
-
-def classify_growth(v: LineFunction, mu: float, spec: ModeSpec,
-                    catalog: RootCatalog) -> GrowthVerdict:
-    """Growth-class test for numerically annihilated line functions.
-
-    Checks whether |v| fits under C * e^{mu |s|} with mu < 0 (C anchored to
-    the central quarter).  A function in the numerical kernel that obeys the
-    bound must be trivial (sup at most 1e-6).  A non-trivial one is
-    "non-admissible" when it breaks the bound and a "liouville-violation"
-    when it obeys it; either way its least-squares coordinates in the
-    homogeneous basis are reported.
-    """
-    tol = 1e-6
-    bar = -(spec.n - 1) / 2.0
-    if not (bar < mu < 0.0):
-        raise ValidationError(f"weight rate {mu} outside ({bar}, 0)")
-    first_sigma = catalog.roots[0].sigma
-    if abs(mu + first_sigma) < 1e-6:
-        raise ValidationError(f"weight rate {mu} resonates with the first exponent")
-
-    positive = [r.sigma for r in catalog.roots if r.sigma > 0]
-    slow = min(positive) if positive else 1.0
-    need = 4.0 / slow
-    if v.mode == 0 and catalog.roots[0].tau > 0:
-        need = max(need, 2.0 * 2.0 * np.pi / catalog.roots[0].tau)
-    if v.window_length < need:
-        raise WindowTooShort(
-            f"window {v.window_length:.1f} shorter than {need:.1f} required "
-            "to resolve the slowest exponent"
-        )
-
-    f = v.materialize()
-    y = np.abs(f)
-    sup = float(y.max())
-    if sup <= tol:
-        return GrowthVerdict("trivial", sup)
-
-    k = int(0.25 * v.N)  # the central half of the window
-    resid = float(np.abs(apply_L0(spec, v).materialize())[k: v.N - k].max())
-    if resid > 1e-4 * sup:
-        raise ValidationError(
-            f"input not numerically annihilated: |L0 v| = {resid:.2e} vs sup {sup:.2e}"
-        )
-
-    s = v.grid()
-    quarter = np.abs(s - (v.s0 + 0.5 * v.window_length)) <= 0.125 * v.window_length
-    envelope = 10.0 * float(y[quarter].max()) * np.exp(mu * np.abs(s))
-    ok = bool(np.all(y <= envelope + tol))
-
-    # coordinates in the analytic homogeneous basis
-    coef, *_ = np.linalg.lstsq(homogeneous_columns(catalog, s), f, rcond=None)
-
-    return GrowthVerdict("liouville-violation" if ok else "non-admissible", sup, coef)
 
 
 def synthesize_kernel(spec: ModeSpec, s):

@@ -139,8 +139,8 @@ class PeriodicCylinderState:
                                   f"{values.ndim}-D {values.dtype}")
         object.__setattr__(self, "values", values.astype(float, copy=False))
         _check_m_max(self.m_max)
-        if self.L <= 0:
-            raise ValidationError("period must be positive")
+        if not 0 < self.L < np.inf:
+            raise ValidationError(f"period must be positive and finite, got {self.L}")
         if self.N_s < 8 or self.N_s % 2:
             raise ValidationError("need an even sample count >= 8")
         if _mode0_gap(self.n, self.L, self.N_s) <= RESONANCE_MARGIN:

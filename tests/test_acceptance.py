@@ -60,6 +60,17 @@ def test_criterion_05_liouville():
     _run(5)
 
 
+def test_criterion_05_fails_on_the_wrong_modes_exponents(monkeypatch):
+    # projecting off mode m + 2's homogeneous solutions leaves mode m's
+    # solve difference standing: 1.41e-06 at m = 0 and 3.84e-05 at m = 1
+    build = acceptance.root_catalog
+    monkeypatch.setattr(acceptance, "root_catalog", lambda spec, j: build(
+        dataclasses.replace(spec, m=spec.m + 2), j))
+    [res] = run_all(indices=[5])
+    assert not res.passed
+    assert res.detail == "m=1: residual 3.84e-05 off the homogeneous span"
+
+
 def test_criterion_06_glue_error_decay():
     _run(6)
 

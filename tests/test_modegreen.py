@@ -11,10 +11,9 @@ from hypothesis import strategies as st
 from neckforge import modegreen, specfun, symbol
 from neckforge.errors import (AliasWarning, PoleError, ResonanceError, TailMismatch,
                               ValidationError)
-from neckforge.indicial import IndicialRoot, RootCatalog, first_root, root_catalog
-from neckforge.modegreen import (DecayProfile, LineFunction, apply_L0,
-                                 classify_growth, fit_tail_rate, green_solve,
-                                 homogeneous_basis, synthesize_kernel)
+from neckforge.indicial import IndicialRoot, RootCatalog, first_root
+from neckforge.modegreen import (DecayProfile, LineFunction, apply_L0, fit_tail_rate,
+                                 green_solve, homogeneous_basis, synthesize_kernel)
 from neckforge.symbol import ModeSpec, constants, frequencies, theta, theta_analytic
 
 DELTA = 0.5
@@ -482,26 +481,19 @@ def test_overclaimed_decay_rejected():
         green_solve(ModeSpec(n=3, m=1), h, DecayProfile(delta=1.2), beta=0.9)
 
 
-def test_classify_growth_trivial_for_roundoff():
-    spec = ModeSpec(n=3, m=1)
-    cat = root_catalog(spec, 3)
-    noise = LineFunction(-15.0, 30.0 / 1024, 1024,
-                         1e-14 * np.ones(1024), 1, 0.0)
-    verdict = classify_growth(noise, -0.5, spec, cat)
-    assert verdict.verdict == "trivial"
-    assert verdict.sup <= 1e-6
-
-
-def test_classify_growth_flags_homogeneous_content():
-    # a genuine homogeneous solution violates the weighted bound and its
-    # basis coordinates are recovered
-    spec = ModeSpec(n=3, m=1)
-    cat = root_catalog(spec, 3)
-    w = homogeneous_basis(spec)[0]
-    verdict = classify_growth(w, -0.5, spec, cat)
-    assert verdict.verdict != "trivial"
-    assert verdict.coefficients is not None
-    assert np.max(np.abs(verdict.coefficients)) > 1e-3
+@pytest.mark.parametrize("m", [0, 1, 2, 3])
+@pytest.mark.parametrize("beta", [0.2, 0.45, None], ids=["beta0.2", "beta0.45", "default"])
+def test_green_solve_is_additive(m, beta):
+    # one contour, one linear map: G(h + h_a) = G h + G h_a to round-off
+    # (at most 4.4e-16 of max|G(h + h_a)| over these cases)
+    spec, prof = ModeSpec(n=3, m=m), DecayProfile(delta=0.75)
+    h, h_a = _rhs(m, delta=0.75), _rhs(m, delta=0.8, a=1.0)
+    kw = {} if beta is None else {"beta": beta}
+    total = green_solve(spec, replace(h, values=h.values + h_a.values), prof, **kw)
+    parts = [green_solve(spec, f, prof, **kw) for f in (h, h_a)]
+    assert total.envelope_rate == parts[0].envelope_rate == parts[1].envelope_rate
+    gap = np.max(np.abs(total.values - parts[0].values - parts[1].values))
+    assert gap <= 1e-14 * np.max(np.abs(total.values))
 
 
 def test_materialize_matches_envelope_algebra():
@@ -526,6 +518,13 @@ def test_apply_L0_is_linear_in_scale(rate, scale):
 def test_grid_mismatch_rejected():
     with pytest.raises(ValidationError):
         LineFunction(-1.0, 0.1, 32, np.zeros(16), 0, 0.0)
+
+
+@pytest.mark.parametrize("s0, ds", [(np.nan, 0.25), (np.inf, 0.25), (-np.inf, 0.25),
+                                    (0.0, np.inf), (0.0, np.nan)])
+def test_non_finite_grid_rejected(s0, ds):
+    with pytest.raises(ValidationError, match="finite"):
+        LineFunction(s0, ds, 64, np.zeros(64), 0, 0.0)
 
 
 def test_complex_samples_rejected():

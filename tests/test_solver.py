@@ -58,6 +58,13 @@ def test_bad_sample_table_rejected(values):
         PeriodicCylinderState(3, L, values)
 
 
+@pytest.mark.parametrize("L", [np.inf, -np.inf, np.nan, 0.0, -1.0])
+def test_bad_period_rejected(L):
+    # an infinite period would put every lattice frequency at 0
+    with pytest.raises(ValidationError, match="period must be positive and finite"):
+        PeriodicCylinderState(3, L, PeriodicCylinderState.ones(3, m_max=2, N_s=64).values)
+
+
 def test_constant_state_is_exact_solution():
     state = PeriodicCylinderState.ones(3)
     q = apply_Q(state)
