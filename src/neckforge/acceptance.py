@@ -129,7 +129,7 @@ def criterion_5():
     """Bounded + annihilated implies trivial.  Two Green solves of one right
     side, on contours in the same indicial gap, differ by an annihilated
     function; on the central half of the window it must lie in the span of
-    the homogeneous solutions to 1e-6."""
+    the homogeneous solutions to 1e-8."""
     sups = {}
     prof = DecayProfile(delta=0.75)
     for m in (0, 1):
@@ -143,7 +143,7 @@ def criterion_5():
         coef, *_ = np.linalg.lstsq(A, diff, rcond=None)
         sups[m] = float(np.abs(diff - A @ coef).max())
     m = max(sups, key=sups.get)
-    if sups[m] > 1e-6:
+    if sups[m] > 1e-8:
         return False, f"m={m}: residual {sups[m]:.2e} off the homogeneous span"
     return True, f"all candidates trivial; worst sup {sups[m]:.2e}"
 

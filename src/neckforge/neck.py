@@ -137,7 +137,7 @@ def _deviation_profile(s: np.ndarray) -> np.ndarray:
     return np.exp(-2.0 * ell)
 
 
-def build_glued_factor(config: NeckConfig, n: int, s) -> np.ndarray:
+def build_glued_factor(config: NeckConfig, s) -> np.ndarray:
     """Conformal factor U of the glued metric over the model cylinder, at
     the points s of an ascending uniform grid.
 
@@ -145,8 +145,6 @@ def build_glued_factor(config: NeckConfig, n: int, s) -> np.ndarray:
     beyond the transition band on either side.  U >= 1: the cutoff lies in
     [0, 1] and both chart factors are 1 + delta^2 q with q > 0.
     """
-    if n < 2:
-        raise ValidationError(f"need n >= 2, got {n}")
     d2 = config.delta**2
     s = np.asarray(s, dtype=float)
     chi = _cutoff(s)
@@ -159,7 +157,7 @@ def glued_u(config: NeckConfig, n: int, L: float, N: int):
     """The conformally covariant factor u = U^{(n-1)/4} of the glued metric
     on window(L, N), and P0 u: the mode-0 row of `theta_table` with step
     L/N applied as a half-spectrum Fourier multiplier."""
-    u = build_glued_factor(config, n, window(L, N)) ** ((n - 1) / 4.0)
+    u = build_glued_factor(config, window(L, N)) ** ((n - 1) / 4.0)
     return u, np.fft.irfft(theta_table(n, 0.5, 0, N, L / N)[0] * np.fft.rfft(u), N)
 
 

@@ -25,18 +25,11 @@ scipy.sparse; scipy.linalg is imported by the invertibility study, so
 importing this module does not load it either.
 
 Per-mode work inside a step is vectorized; steps themselves are
-sequential and pure.  The one concurrent piece is the invertibility
-study, whose per-mode LDL^T inverses share no buffer and run on the
-calling thread and one worker thread per further CPU (LAPACK releases the
-interpreter lock), with results bit-identical to the inline loop.
+sequential and pure.
 """
 
 from __future__ import annotations
 
-import itertools
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 
@@ -44,7 +37,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import eval_chebyt, eval_gegenbauer, roots_jacobi
 
-from .errors import (Diverged, NeckforgeError, NonPositiveConformalFactor,
+from .errors import (Diverged, NonPositiveConformalFactor,
                      NumericalError, ResonanceError, ValidationError)
 from .indicial import first_root
 from .neck import NeckConfig, curvature, glued_u, weight as neck_weight, window
@@ -351,69 +344,6 @@ def quadratic_remainder(state1: PeriodicCylinderState, v: np.ndarray) -> float:
 # uniform invertibility across the glueing sweep
 
 
-def _cpus() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _reset_pool():
-    """Forget the study's worker pool.  Run at import and in a forked child,
-    whose copy of the pool has no threads behind it (a task queued there
-    never runs) and whose copy of the lock may be held by a thread the
-    child does not have."""
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-_reset_pool()
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_reset_pool)
-
-
-def _map_modes(fn, count):
-    """[fn(0), ..., fn(count - 1)], and of the modes that raise a
-    NeckforgeError the lowest raises it.
-
-    The calling thread and up to CPUs - 1 pool workers each claim the next
-    mode not yet taken, and the caller waits only on a worker that claimed
-    one: a worker still queued when the modes run out is cancelled, so a
-    CPU that is busy, or descheduled by the host, leaves the study at the
-    inline loop's pace instead of stalling it.  The pool is made on first
-    use and kept, because a new thread pays the BLAS library's per-thread
-    set-up on its first LAPACK call.
-    """
-    helpers = min(_cpus(), count) - 1
-    if helpers <= 0:
-        return [fn(m) for m in range(count)]
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(max_workers=_cpus() - 1,
-                                       thread_name_prefix="neckforge-study")
-        pool = _pool
-    claims = itertools.count()  # next() on it is one atomic step
-    results = [None] * count
-
-    def drain():
-        while (m := next(claims)) < count:
-            try:
-                results[m] = fn(m), None
-            except NeckforgeError as exc:
-                results[m] = None, exc
-
-    queued = [pool.submit(drain) for _ in range(helpers)]
-    drain()
-    for future in queued:
-        if not future.cancel():
-            future.result()
-    for _, exc in results:
-        if exc is not None:
-            raise exc
-    return [value for value, _ in results]
-
-
 def uniform_invertibility_study(n: int, eps_list, mu: float, m_max: int = 3,
                                 N_s: int = 512) -> dict:
     """Smallest weighted singular value of the linearization at the glued
@@ -442,13 +372,6 @@ def uniform_invertibility_study(n: int, eps_list, mu: float, m_max: int = 3,
     (w/c)_i sum_j |S^{-1}|_ij / (a w)_j.  Reported per mode is the smallest
     operator singular value 1/||A^{-1}|| between the weighted sup-norm spaces
     (max row sum), the norm the inversion theory runs on.
-
-    The modes of one epsilon run concurrently, one task per mode (both
-    folds, their dsytrf + dsytri, and the row sums) on the calling thread
-    and the worker pool of `_map_modes`; each task writes only its own
-    buffers, so the floors are bit-identical to a one-mode-at-a-time loop,
-    and of several singular modes the lowest is the one reported.  The
-    epsilons stay sequential.
     """
     from scipy.linalg import blas, lapack
 
@@ -488,7 +411,8 @@ def uniform_invertibility_study(n: int, eps_list, mu: float, m_max: int = 3,
         r = 1.0 / (a * wl)
         shifts = (b / (a * c), b[1:h] / a[1:h])
 
-        def mode_floor(m):
+        per_mode = {}
+        for m in range(m_max + 1):
             blocks = ((np.add, lag[m], lead[m], "even"),
                       (np.subtract, lag[m, 1:h, 1:h], lead[m, 1:h, 1:h], "odd"))
             inverses = []
@@ -508,9 +432,7 @@ def uniform_invertibility_study(n: int, eps_list, mu: float, m_max: int = 3,
             M, odd = inverses
             np.maximum(M[1:h, 1:h], odd, out=M[1:h, 1:h])
             row_sums = wl / c * blas.dsymv(1.0, M, r, lower=1)
-            return float(1.0 / np.max(row_sums))
-
-        per_mode = dict(enumerate(_map_modes(mode_floor, m_max + 1)))
+            per_mode[m] = float(1.0 / np.max(row_sums))
         rows.append({"epsilon": eps, "per_mode": per_mode,
                      "sigma_min": min(per_mode.values())})
 

@@ -69,6 +69,28 @@ def test_criterion_05_fails_on_the_wrong_modes_exponents(monkeypatch):
     [res] = run_all(indices=[5])
     assert not res.passed
     assert res.detail == "m=1: residual 3.84e-05 off the homogeneous span"
+    # the wrong catalog at m = 0 alone still fails, on mode 0's residual
+    monkeypatch.setattr(acceptance, "root_catalog", lambda spec, j: build(
+        dataclasses.replace(spec, m=spec.m + 2 * (spec.m == 0)), j))
+    [res] = run_all(indices=[5])
+    assert not res.passed
+    assert res.detail == "m=0: residual 1.41e-06 off the homogeneous span"
+
+
+def test_criterion_05_fails_on_exponents_off_by_a_thousandth(monkeypatch):
+    # homogeneous solutions whose rates are 1e-3 too large leave the solve
+    # difference 2.85e-08 off their span, above the 1e-8 bar
+    columns = acceptance.homogeneous_columns
+
+    def stretched(catalog, s):
+        roots = tuple(dataclasses.replace(r, sigma=r.sigma * (1 + 1e-3))
+                      for r in catalog.roots)
+        return columns(dataclasses.replace(catalog, roots=roots), s)
+
+    monkeypatch.setattr(acceptance, "homogeneous_columns", stretched)
+    [res] = run_all(indices=[5])
+    assert not res.passed
+    assert res.detail == "m=1: residual 2.85e-08 off the homogeneous span"
 
 
 def test_criterion_06_glue_error_decay():

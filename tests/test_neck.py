@@ -74,7 +74,7 @@ def test_partition_exact_for_symmetric_profile():
 
 def test_perturbed_factor_size():
     cfg = NeckConfig(epsilon=0.05)
-    U = build_glued_factor(cfg, 3, window(cfg.L, cfg.n_s))
+    U = build_glued_factor(cfg, window(cfg.L, cfg.n_s))
     dev = np.max(np.abs(U - 1.0))
     d2 = cfg.delta ** 2
     assert 0.1 * d2 <= dev <= 1.5 * d2
@@ -87,7 +87,7 @@ def test_glued_factor_at_least_one(epsilon):
     # q > 0, so the glued factor never drops below 1
     cfg = NeckConfig(epsilon=epsilon)
     for N in (256, 1024, 4096):
-        assert build_glued_factor(cfg, 3, window(cfg.L, N)).min() >= 1.0
+        assert build_glued_factor(cfg, window(cfg.L, N)).min() >= 1.0
 
 
 # E(epsilon) over EPS_SWEEP at the default exponent mu = -(n-1)/4, frozen

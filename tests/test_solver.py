@@ -1,12 +1,9 @@
 """Periodic-cylinder curvature solver and the uniform invertibility study."""
 
-import concurrent.futures
 import dataclasses
-import multiprocessing
 import os
 import subprocess
 import sys
-import threading
 
 import numpy as np
 import pytest
@@ -226,7 +223,7 @@ def test_solve_runs_on_real_samples(monkeypatch, method):
 _LAZY_SPARSE = """
 import sys
 import numpy as np
-from neckforge import extension, indicial, modegreen, neck, solver
+from neckforge import acceptance, cli, extension, indicial, modegreen, neck, solver
 print("scipy.sparse" in sys.modules, "scipy.linalg" in sys.modules)
 state = solver.PeriodicCylinderState.ones(3, m_max=8, N_s=256)
 v = np.zeros_like(state.values)
@@ -238,9 +235,9 @@ print(rep.converged, "scipy.sparse.linalg" in sys.modules)
 
 
 def test_sparse_linalg_loads_on_the_first_newton_step():
-    # a fresh interpreter: the package's modules load no scipy.sparse and no
-    # scipy.linalg, and a Newton solve loads scipy.sparse for lgmres and
-    # converges
+    # a fresh interpreter: the package's modules, the acceptance runner and
+    # the CLI load no scipy.sparse and no scipy.linalg, and a Newton solve
+    # loads scipy.sparse for lgmres and converges
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)
@@ -511,115 +508,26 @@ def test_invertibility_study_singular_block_is_typed(monkeypatch):
         uniform_invertibility_study(3, [0.1], mu=-0.5, m_max=2, N_s=256)
 
 
-def test_invertibility_study_pool_is_bit_equal_to_the_inline_loop(monkeypatch):
-    # two CPUs force the pool on any host and one runs the inline loop; each
-    # mode keeps its own buffers, so the floors match bit for bit
-    def studies():
-        return [_c10_study()] + [uniform_invertibility_study(3, [eps], mu=-0.5, m_max=3,
-                                                             N_s=384)
-                                 for eps in (0.1, 0.025, 0.00625)]
-
-    monkeypatch.setattr(solver, "_cpus", lambda: 2)
-    pooled = studies()
-    monkeypatch.setattr(solver, "_cpus", lambda: 1)
-    assert pooled == studies()
-
-
 def test_invertibility_study_names_the_lowest_singular_mode(monkeypatch):
     # with u = 1 and P u = 0 (a = 1, b = 0), a unit symbol leaves mode 0
-    # invertible and a zero one makes modes 1 and 2 singular; whichever worker
-    # fails first, the error names mode 1
+    # invertible and a zero one makes modes 1 and 2 singular; the error names
+    # mode 1, the first to fail
     def unit_mode0(n, gamma, m_max, N, ds):
         table = np.zeros((m_max + 1, N // 2 + 1))
         table[0] = 1.0
         return table
 
-    monkeypatch.setattr(solver, "_cpus", lambda: 2)
     monkeypatch.setattr(solver, "theta_table", unit_mode0)
     monkeypatch.setattr(solver, "glued_u",
                         lambda config, n, L, N: (np.ones(N), np.zeros(N)))
-    for _ in range(5):
-        with pytest.raises(ResonanceError, match="even fold block of mode 1 .*epsilon 0.1"):
-            uniform_invertibility_study(3, [0.1], mu=-0.5, m_max=2, N_s=256)
+    with pytest.raises(ResonanceError, match="even fold block of mode 1 .*epsilon 0.1"):
+        uniform_invertibility_study(3, [0.1], mu=-0.5, m_max=2, N_s=256)
 
 
-def _study_in_child(conn):
-    rows = uniform_invertibility_study(3, [0.1, 0.025], mu=-0.5, m_max=2, N_s=256)["rows"]
-    workers = [t for t in threading.enumerate() if t.name.startswith("neckforge-study")]
-    conn.send((rows, len(workers)))
-    conn.close()
-
-
-@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
-                    reason="no fork start method on this platform")
-def test_invertibility_study_runs_in_a_forked_child(monkeypatch):
-    # the parent's pool has no threads in a forked child, so the child makes
-    # its own instead of queueing work for workers that are not there
-    monkeypatch.setattr(solver, "_cpus", lambda: 2)
-    want = uniform_invertibility_study(3, [0.1, 0.025], mu=-0.5, m_max=2, N_s=256)["rows"]
-    ctx = multiprocessing.get_context("fork")
-    recv, send = ctx.Pipe(duplex=False)
-    child = ctx.Process(target=_study_in_child, args=(send,))
-    child.start()
-    try:
-        assert recv.poll(60), "the forked child's study did not finish within 60 s"
-        assert recv.recv() == (want, 1)
-        child.join(10)
-        assert not child.is_alive() and child.exitcode == 0
-    finally:
-        if child.is_alive():
-            child.kill()
-            child.join(10)
-
-
-def test_invertibility_study_keeps_its_workers(monkeypatch):
-    # the pool is made once: repeated studies run on the same threads and
-    # start none beyond the caller plus one worker per further CPU, at most
-    # one per further mode (3 here)
-    monkeypatch.setattr(solver, "_cpus", lambda: 2)
-
-    def workers():
-        return {t for t in threading.enumerate() if t.name.startswith("neckforge-study")}
-
-    others = threading.active_count() - len(workers())
-    helpers = min(solver._cpus(), 4) - 1
-    seen = set()
-    for eps in np.geomspace(0.1, 0.00625, 12):
-        uniform_invertibility_study(3, [eps], mu=-0.5, m_max=3, N_s=256)
-        seen |= workers()
-        assert threading.active_count() <= others + helpers
-    assert len(seen) <= helpers
-
-
-def test_invertibility_study_does_not_wait_on_a_busy_worker(monkeypatch):
-    # a worker that never starts (its CPU busy or descheduled) leaves every
-    # mode to the calling thread, which finishes with the same floors
-    want = uniform_invertibility_study(3, [0.1, 0.025], mu=-0.5, m_max=2, N_s=256)
-    busy = concurrent.futures.ThreadPoolExecutor(max_workers=1)
-    release = threading.Event()
-    busy.submit(release.wait, 60)
-    monkeypatch.setattr(solver, "_cpus", lambda: 2)
-    monkeypatch.setattr(solver, "_pool", busy)
-    got = []
-    caller = threading.Thread(target=lambda: got.append(uniform_invertibility_study(
-        3, [0.1, 0.025], mu=-0.5, m_max=2, N_s=256)))
-    try:
-        caller.start()
-        caller.join(60)
-        assert not caller.is_alive(), "the study waited on a worker that never started"
-        assert got == [want]
-    finally:
-        release.set()
-        caller.join(60)
-        busy.shutdown()
-
-
-def test_invertibility_study_claims_each_mode_once_under_stress(monkeypatch):
-    # seven workers on the host's cores, switching threads every microsecond:
-    # each of the 8 modes is factored exactly once per epsilon, and the
-    # floors match the inline loop's
+def test_invertibility_study_factors_each_mode_once(monkeypatch):
+    # each of the 8 modes is factored exactly once per fold and epsilon, and
+    # counting the calls leaves the floors as they were
     kw = dict(mu=-0.5, m_max=7, N_s=256)
-    monkeypatch.setattr(solver, "_cpus", lambda: 1)
     want = uniform_invertibility_study(3, [0.1, 0.025], **kw)
     calls = []
     factor = scipy.linalg.lapack.dsytrf
@@ -628,20 +536,9 @@ def test_invertibility_study_claims_each_mode_once_under_stress(monkeypatch):
         calls.append(1)
         return factor(*args, **kwargs)
 
-    pool = concurrent.futures.ThreadPoolExecutor(max_workers=7)
     monkeypatch.setattr(scipy.linalg.lapack, "dsytrf", counted)
-    monkeypatch.setattr(solver, "_cpus", lambda: 8)
-    monkeypatch.setattr(solver, "_pool", pool)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(10):
-            calls.clear()
-            assert uniform_invertibility_study(3, [0.1, 0.025], **kw) == want
-            assert len(calls) == 2 * 2 * 8
-    finally:
-        sys.setswitchinterval(interval)
-        pool.shutdown()
+    assert uniform_invertibility_study(3, [0.1, 0.025], **kw) == want
+    assert len(calls) == 2 * 2 * 8
 
 
 def test_invertibility_study_deterministic():
@@ -655,9 +552,9 @@ def test_invertibility_study_samples_the_exact_window_grid(monkeypatch):
     # step exactly L/N_s (0.03 once landed an ulp off it through a pad)
     grids = []
 
-    def spy(config, n, s):
+    def spy(config, s):
         grids.append(np.array(s))
-        return build_glued_factor(config, n, s)
+        return build_glued_factor(config, s)
 
     monkeypatch.setattr(neck, "build_glued_factor", spy)
     rep = uniform_invertibility_study(3, [0.03, 0.025], mu=-0.5, m_max=2, N_s=256)
