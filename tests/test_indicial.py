@@ -452,6 +452,21 @@ def test_failed_strip_falls_back_to_the_whole_box(monkeypatch):
     assert strip_calls
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_contour_through_a_root_or_a_pole_counts_nothing(n):
+    # every margin keeps the right edge where it is: on the mode-1 root
+    # lambda = 1 |F| drops below the 1e-9 kappa floor, and on the pole
+    # 2(A + 1) F cannot be evaluated; the catalog's own first edge is clear
+    spec = ModeSpec(n=n, m=1)
+    kappa = constants(n).kappa
+    F = indicial._char_fn(spec, kappa)
+    a = spec.a_offset
+    assert indicial._quadrant_count(F, spec, 1.0, indicial.TAU_MAX, kappa) is None
+    assert indicial._quadrant_count(F, spec, 2.0 * a + 2.0, indicial.TAU_MAX, kappa) is None
+    count = indicial._quadrant_count(F, spec, 2.0 * a + 2.3137, indicial.TAU_MAX, kappa)
+    assert isinstance(count, int)
+
+
 def _illinois_one(g, a, b, fa, fb, tol=1e-14, max_iter=200):
     """One bracket at a time, in Python floats: the loop each lockstep bracket
     must reproduce exactly."""
