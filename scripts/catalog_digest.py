@@ -20,7 +20,7 @@ Usage: python scripts/catalog_digest.py [--quick]
 
 from _digest import main
 from neckforge.indicial import first_root, root_catalog
-from neckforge.symbol import ModeSpec
+from neckforge.symbol import ModeSpec, constants
 
 FULL = {
     "catalog": dict(gamma=(0.5, 0.3, 0.8), n=range(2, 9), m=range(8),
@@ -39,8 +39,10 @@ def _root(r):
 
 
 def _catalog(gamma, n, m, j_count):
+    # the record leads with kappa, which catalogs once carried, so records
+    # written before and after they dropped it compare byte for byte
     cat = root_catalog(ModeSpec(n=n, gamma=gamma, m=m), j_count)
-    return (cat.kappa, tuple(_root(r) for r in cat.roots), cat.search_box, cat.certified)
+    return (constants(n, gamma).kappa, tuple(_root(r) for r in cat.roots), cat.search_box, cat.certified)
 
 
 def _first(gamma, n, m):

@@ -24,9 +24,9 @@ from .modegreen import (DecayProfile, LineFunction, apply_L0, fit_tail_rate,
                         green_solve, homogeneous_basis, homogeneous_columns,
                         synthesize_kernel)
 from .neck import error_sweep, window
-from .solver import (PeriodicCylinderState, newton_solve, quadratic_remainder,
-                     state_norm, uniform_invertibility_study)
-from .symbol import ModeSpec, constants, theta_table
+from .solver import (PeriodicCylinderState, _fourier, _jacobian_matvec, _theta, newton_solve,
+                     quadratic_remainder, state_norm, uniform_invertibility_study)
+from .symbol import ModeSpec, constants
 
 __all__ = ["CriterionResult", "CRITERIA", "run_all", "format_line"]
 
@@ -58,7 +58,7 @@ def criterion_2():
     """Exponent-lemma suite across dimensions."""
     fails, taus = [], []
     for n in (2, 3, 4, 5):
-        rep = check_lemma(n, gamma=0.5, m_max=6, j_max=3, tol_b=1e-8)
+        rep = check_lemma(n, m_max=6, j_max=3, tol_b=1e-8)
         taus.append(f"n={n}: tau0={rep.tau0:.6f}")
         if not rep.passed:
             clauses = {"a": rep.clause_a, "b": rep.clause_b,
@@ -199,22 +199,23 @@ def criterion_8():
 
 
 def _kernel_residual(n, m=1):
-    """Scale-free residual max|P_m w - N c_b u^(N-1) w| / max|P_m w| on
-    window(40, 2048), P_m being row m of the half-power symbol table.
+    """Scale-free residual max|DR(f) w| / max|P_m w| of the solver's Newton
+    derivative, read on mode m of a state on window(40, 2048).
 
-    u = cosh(s)^(-(n-1)/2) is the flat half ball in the neck coordinate
-    s = log|x|, with Q(u) = c_b = Gamma((n+1)/2) / Gamma((n-1)/2), and
-    w = cosh(s)^(-(n+1)/2) is its conformal centre motion, a mode-1
-    profile, so DQ(u) w = 0 reads P_1 w = N c_b u^(N-1) w.
+    f = (c_b/c)^((n-1)/2) cosh(s)^(-(n-1)/2) is the flat half ball in the
+    neck coordinate s = log|x|, where Q = c_b = Gamma((n+1)/2) /
+    Gamma((n-1)/2), scaled to solve P f = c f^N, and w = cosh(s)^(-(n+1)/2)
+    is its conformal centre motion, a mode-1 profile, so DR(f) w = 0.
     """
-    L, N_s = 40.0, 2048
-    s = window(L, N_s)
-    N = (n + 1) / (n - 1)
+    N_s = 2048
+    s = window(40.0, N_s)
     c_b = math.gamma((n + 1) / 2) / math.gamma((n - 1) / 2)
-    u = np.cosh(s) ** (-(n - 1) / 2)
-    w = np.cosh(s) ** (-(n + 1) / 2)
-    Pw = np.fft.irfft(theta_table(n, 0.5, m, N_s, L / N_s)[m] * np.fft.rfft(w), N_s)
-    return float(np.max(np.abs(Pw - N * c_b * u ** (N - 1) * w)) / np.max(np.abs(Pw)))
+    f, w = np.zeros((m + 1, N_s)), np.zeros((m + 1, N_s))
+    f[0] = (c_b / constants(n).c) ** ((n - 1) / 2) * np.cosh(s) ** (-(n - 1) / 2)
+    w[m] = np.cosh(s) ** (-(n + 1) / 2)
+    state = PeriodicCylinderState(n, 40.0, f)
+    Pw = _fourier(_theta(state), w)[m]
+    return float(np.max(np.abs(_jacobian_matvec(state)(w)[m])) / np.max(np.abs(Pw)))
 
 
 def criterion_9():

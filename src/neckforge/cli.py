@@ -24,8 +24,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import __version__
-from .errors import (ConfigError, Diverged, NeckforgeError, NumericalError,
-                     ParseError, ValidationError)
+from .errors import ConfigError, Diverged, NumericalError, ParseError, ValidationError
 
 FORMAT_VERSION = 1
 SET_CAP = 100_000  # most entries a range or grid value may expand to
@@ -324,8 +323,7 @@ def _run_check_lemma(config: RunConfig, out) -> int:
     p = config.parameters
     rows, all_ok = [], True
     for n in p["n"]:
-        rep = check_lemma(n, gamma=0.5, m_max=p["m_max"], j_max=p["j_max"],
-                          tol_b=p["tol_b"])
+        rep = check_lemma(n, m_max=p["m_max"], j_max=p["j_max"], tol_b=p["tol_b"])
         all_ok = all_ok and rep.passed
         for note in rep.notes:
             print(f"# n={n}: {note}", file=sys.stderr)
@@ -532,9 +530,6 @@ def main(argv=None) -> int:
         return 3
     except NumericalError as exc:
         print(f"neckforge: numerical failure: {exc}", file=sys.stderr)
-        return 3
-    except NeckforgeError as exc:
-        print(f"neckforge: {exc}", file=sys.stderr)
         return 3
 
 

@@ -4,7 +4,7 @@ Two broad families matter for the CLI exit-code contract:
 
 * ``ConfigError`` -- bad user input (config files, flag values).  Exit code 2.
 * ``NumericalError`` -- a computation could not be carried out or certified
-  (non-convergence, resonance, contour trouble).  Exit code 3.
+  (non-convergence, resonance, divergence).  Exit code 3.
 """
 
 from __future__ import annotations
@@ -46,10 +46,6 @@ class DegenerateSpec(NumericalError):
 
 class NonConvergence(NumericalError):
     """An iteration exhausted its budget without meeting its tolerance."""
-
-
-class ContourThroughRoot(NumericalError):
-    """A counting contour passes too close to a zero or pole; perturb the box."""
 
 
 class ResonanceError(NumericalError):

@@ -54,7 +54,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ContourThroughRoot, NonConvergence, PoleError, ValidationError
+from .errors import NonConvergence, PoleError, ValidationError
 from .symbol import ModeSpec, constants, theta, theta_analytic, theta_log_derivative
 
 __all__ = [
@@ -91,8 +91,6 @@ class IndicialRoot:
 
 @dataclass(frozen=True)
 class RootCatalog:
-    spec: ModeSpec
-    kappa: float
     roots: tuple
     search_box: tuple
     certified: bool
@@ -140,47 +138,40 @@ def _box_path(box, pts_per_edge):
 
 
 def _winding(F, box, kappa_scale, max_points=120000):
-    """Winding number of F along the box boundary, counterclockwise.
+    """Winding number of F along the box boundary, counterclockwise, or None
+    when the boundary cannot be wound: it hits a pole of F, |F| falls below
+    1e-9 kappa_scale on it (a near-zero), refinement runs out, or the phase
+    sum is not an integer.
 
     The first pass samples each edge on its own count (`_box_path`): 96
     points on the bottom edge and the two sides, which pass within eta (or
     about 0.3) of the axis roots and poles, and max(8, ceil(96 * width /
     height)) on the top edge at tau = TAU_MAX, far from all of them.  Then it
     inserts midpoints until consecutive phase increments are below pi/2, so
-    a coarse edge is refined where F turns fast.  Raises ContourThroughRoot
-    when the boundary runs into a near-zero of F, NonConvergence when
-    refinement stalls.
+    a coarse edge is refined where F turns fast.
     """
     pts = _box_path(box, 96)
+    floor = 1e-9 * max(kappa_scale, 1e-30)
     try:
         vals = F(pts)
-    except PoleError as err:
-        raise ContourThroughRoot(f"counting contour of box {box} hits a pole: {err}")
-    floor = 1e-9 * max(kappa_scale, 1e-30)
-    for _ in range(48):
-        if np.min(np.abs(vals)) < floor:
-            raise ContourThroughRoot(
-                f"|F| < {floor:g} on the counting contour of box {box}; perturb the box"
-            )
-        d_arg = np.angle(vals[1:] / vals[:-1])
-        bad = np.abs(d_arg) > 0.5 * np.pi
-        if not np.any(bad):
-            total = float(np.sum(d_arg))
-            w = total / (2.0 * np.pi)
-            if abs(w - round(w)) > 0.05:
-                raise NonConvergence(f"winding {w} not integral on box {box}")
-            return int(round(w))
-        if len(pts) > max_points:
-            raise NonConvergence(f"contour refinement exhausted on box {box}")
-        idx = np.nonzero(bad)[0]
-        mids = 0.5 * (pts[idx] + pts[idx + 1])
-        try:
+        for _ in range(48):
+            if np.min(np.abs(vals)) < floor:
+                return None
+            d_arg = np.angle(vals[1:] / vals[:-1])
+            bad = np.abs(d_arg) > 0.5 * np.pi
+            if not np.any(bad):
+                w = float(np.sum(d_arg)) / (2.0 * np.pi)
+                return int(round(w)) if abs(w - round(w)) <= 0.05 else None
+            if len(pts) > max_points:
+                return None
+            idx = np.nonzero(bad)[0]
+            mids = 0.5 * (pts[idx] + pts[idx + 1])
             mid_vals = F(mids)
-        except PoleError as err:
-            raise ContourThroughRoot(f"counting contour of box {box} hits a pole: {err}")
-        pts = np.insert(pts, idx + 1, mids)
-        vals = np.insert(vals, idx + 1, mid_vals)
-    raise NonConvergence(f"contour refinement did not settle on box {box}")
+            pts = np.insert(pts, idx + 1, mids)
+            vals = np.insert(vals, idx + 1, mid_vals)
+    except PoleError:
+        return None
+    return None
 
 
 def _false_position(g, a, b, fa, fb, tol=BRACKET_TOL, max_iter=200):
@@ -360,10 +351,9 @@ def _quadrant_count(F, spec, sigma_max, tau_max, kappa, sigma_min=None):
     additive over boxes sharing an edge)."""
     for eta in (0.0137, 0.0059, 0.0233):
         box = (-eta if sigma_min is None else sigma_min, sigma_max, -eta, tau_max)
-        try:
-            return _winding(F, box, kappa) + _poles_inside(spec, box)
-        except (ContourThroughRoot, NonConvergence):
-            continue
+        w = _winding(F, box, kappa)
+        if w is not None:
+            return w + _poles_inside(spec, box)
     return None
 
 
@@ -409,7 +399,7 @@ def _catalog_cached(n, gamma, m, j_count):
     if sigma_max != counted_at:
         count = _grow_count(F, spec, count, counted_at, sigma_max, TAU_MAX, kappa)
     return RootCatalog(
-        spec=spec, kappa=kappa, roots=tuple(sorted(roots, key=lambda r: (r.sigma, r.tau))),
+        roots=tuple(sorted(roots, key=lambda r: (r.sigma, r.tau))),
         search_box=(0.0, sigma_max, 0.0, TAU_MAX), certified=count == len(roots),
     )
 
@@ -462,18 +452,18 @@ class LemmaReport:
         return self.clause_a and self.clause_b and self.clause_c and self.clause_d
 
 
-def check_lemma(n: int, gamma: float = 0.5, m_max: int = 6, j_max: int = 3,
-                tol_b: float = 1e-8) -> LemmaReport:
-    """Verify the structural picture of the indicial set for one dimension n:
-    clauses a-d of `LemmaReport` over the modes 0..m_max, reading the first
-    j_max + 1 roots of each certified catalog; a failed check leaves a note."""
+def check_lemma(n: int, m_max: int = 6, j_max: int = 3, tol_b: float = 1e-8) -> LemmaReport:
+    """Verify the structural picture of the indicial set for one dimension n
+    at the half-power order gamma = 1/2: clauses a-d of `LemmaReport` over
+    the modes 0..m_max, reading the first j_max + 1 roots of each certified
+    catalog; a failed check leaves a note."""
     if not tol_b > 0.0:
         raise ValidationError(f"tol_b must be positive, got {tol_b}")
     report = LemmaReport()
     ok_d, bar, sigma_first = True, (n - 1) / 2.0, {}
     # mode 1 is read even when m_max = 0: clause b needs its first exponent
     for m in range(0, max(m_max, 1) + 1):
-        cat = root_catalog(ModeSpec(n=n, gamma=gamma, m=m), j_max + 1)
+        cat = root_catalog(ModeSpec(n=n, m=m), j_max + 1)
         r0 = cat.roots[0]
         if m == 0:
             report.tau0 = r0.tau

@@ -380,14 +380,13 @@ def homogeneous_columns(catalog: RootCatalog, s) -> np.ndarray:
 def synthesize_kernel(spec: ModeSpec, s):
     """Even Green kernel from the indicial residue series, with truncation estimate.
 
-    The series sums the first seven decaying exponents.  The half-line
-    s > 0 is written from the zeros above the contour, s < 0 from the zeros
-    below; the two are mirror formulas on mirrored points, so the kernel is
-    even by construction, bit for bit.
+    The series sums the first seven decaying exponents, from the zeros above
+    the contour, at |s|: the kernel is even, and the series from the zeros
+    below at s < 0 is the mirror of this one, bit for bit.
     Returns (values, trunc) where trunc(s) bounds the first omitted term.
     """
     j_max = 6
-    s = np.asarray(s, dtype=float)
+    t = np.abs(np.asarray(s, dtype=float))
     catalog = root_catalog(spec, j_max + 2)
     decaying = [r for r in catalog.roots if r.sigma > 0.0]
     if len(decaying) <= j_max + 1:
@@ -397,17 +396,11 @@ def synthesize_kernel(spec: ModeSpec, s):
     # root has sigma = 0 and a decaying root is always left past those summed
     used, nxt = decaying[: j_max + 1], decaying[j_max + 1]
 
-    vals = np.zeros_like(s)
-    pos = s >= 0.0
+    vals = np.zeros_like(t)
     for r in used:
         w = 0.5 if r.tau == 0.0 else 1.0
         # zeros above the contour: zeta = +-tau + i sigma, derivative conj(dtheta)
-        phase_p = np.exp(1j * r.tau * s[pos])
-        vals[pos] += w * (-2.0) * np.exp(-r.sigma * s[pos]) * \
-            np.imag(phase_p / np.conj(r.dtheta))
-        # zeros below: zeta = +-tau - i sigma, derivative dtheta
-        phase_m = np.exp(1j * r.tau * s[~pos])
-        vals[~pos] += w * 2.0 * np.exp(r.sigma * s[~pos]) * \
-            np.imag(phase_m / r.dtheta)
-    trunc = (2.0 / abs(nxt.dtheta)) * np.exp(-nxt.sigma * np.abs(s))
+        vals += w * (-2.0) * np.exp(-r.sigma * t) * \
+            np.imag(np.exp(1j * r.tau * t) / np.conj(r.dtheta))
+    trunc = (2.0 / abs(nxt.dtheta)) * np.exp(-nxt.sigma * t)
     return vals, trunc

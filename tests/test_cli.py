@@ -235,6 +235,29 @@ def test_exit_code_2_for_config_error(capsys):
         assert f"key '{argv[1][2:].replace('-', '_')}'" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--modes", "9"],
+    ["extension-validate", "--scheme", "bogus"],
+    ["symbol", "--m", "3..1"],
+    ["symbol", "--xi", "0:1"],
+    ["symbol", "--xi", "1:1:0"],
+    ["indicial", "--j-count", "0"],
+], ids=" ".join)
+def test_bad_value_exits_2_before_any_output(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("neckforge: config error: key ")
+    assert "Traceback" not in captured.err
+
+
+def test_diverged_solve_exits_3(capsys):
+    assert main(["solve", "--modes", "1", "--amplitude", "0.5", "--method", "newton"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "neckforge: solver diverged: iteration diverged\n"
+
+
 def test_green_beta_on_an_indicial_exponent_exits_3(capsys):
     assert main(["green", "--m", "0", "--beta", "0"]) == 3
     err = capsys.readouterr().err

@@ -452,8 +452,7 @@ def test_select_beta_on_synthetic_ladders(ladder, on_axis, delta):
     # gap with the 1e-3 margin to spare on both sides
     sigmas = sorted(([0.0] if on_axis else []) + ladder)
     roots = tuple(IndicialRoot(sigma=sg, tau=0.0, residual=0.0, dtheta=1.0) for sg in sigmas)
-    catalog = RootCatalog(spec=ModeSpec(n=3), kappa=1.0, roots=roots,
-                          search_box=(0.0, 30.0, 0.0, 1.0), certified=True)
+    catalog = RootCatalog(roots=roots, search_box=(0.0, 30.0, 0.0, 1.0), certified=True)
     profile = DecayProfile(delta=delta)
     if min(abs(delta - sg) for sg in sigmas) < 0.02:
         with pytest.raises(ResonanceError, match="resonance margin"):

@@ -160,6 +160,13 @@ def test_resonant_period_rejected():
         PeriodicCylinderState(3, L_bad, np.ones((1, 256)))
 
 
+def test_with_table_round_trips_the_coefficient_table():
+    start = _perturbed(m_max=2, N_s=64)
+    back = start.with_table(start.f_hat)
+    assert (back.n, back.L) == (start.n, start.L)
+    assert np.max(np.abs(back.values - start.values)) <= 1e-15
+
+
 def test_non_hermitian_table_rejected():
     state = PeriodicCylinderState.ones(3, m_max=2, N_s=64)
     bad = state.f_hat.copy()
@@ -308,6 +315,16 @@ def test_near_singular_newton_step_fails_fast(monkeypatch):
 def test_zero_start_already_converged():
     rep = newton_solve(PeriodicCylinderState.ones(3))
     assert rep.converged and rep.iterations == 0
+
+
+def test_three_rising_residuals_raise_diverged():
+    # a 0.5 mode-1 bump is past Newton's basin: three rises in a row end the
+    # solve, and the report it carries holds the history up to the third
+    with pytest.raises(Diverged, match="iteration diverged") as err:
+        newton_solve(_perturbed(modes=(1,), amp=0.5), method="newton")
+    report = err.value.report
+    assert not report.converged and report.iterations == 3
+    assert np.round(report.residual_history, 2).tolist() == [0.84, 1.06, 1.19, 2.95]
 
 
 def test_large_amplitude_leaves_positivity():
