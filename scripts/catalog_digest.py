@@ -42,7 +42,8 @@ def _catalog(gamma, n, m, j_count):
     # the record leads with kappa, which catalogs once carried, so records
     # written before and after they dropped it compare byte for byte
     cat = root_catalog(ModeSpec(n=n, gamma=gamma, m=m), j_count)
-    return (constants(n, gamma).kappa, tuple(_root(r) for r in cat.roots), cat.search_box, cat.certified)
+    return (constants(n, gamma).kappa, tuple(_root(r) for r in cat.roots), cat.search_box,
+            cat.certified)
 
 
 def _first(gamma, n, m):
